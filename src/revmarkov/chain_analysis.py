@@ -3,11 +3,14 @@ reversibility diagnostics (Kolmogorov cycle products)."""
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 from .exceptions import DimensionMismatch, InconsistentSupport, NotConverged
 from .sparse_core import ProbabilityVector, SparseStochasticMatrix
@@ -24,6 +27,13 @@ __all__ = [
     "kolmogorov_cycle_check",
     "is_irreducible",
 ]
+
+logger = logging.getLogger(__name__)
+
+#: Largest componentwise balance residual ``|(pi O)_j - pi_j d_j| / (pi_j d_j)``
+#: at which a sparse-LU class stationary vector is accepted; above it the
+#: class is solved again by GTH elimination.
+BALANCE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -140,13 +150,61 @@ def _gth(P_dense: np.ndarray) -> np.ndarray:
 
 
 def irreducible_stationary(P: SparseStochasticMatrix) -> ProbabilityVector:
-    """Stationary distribution of an irreducible chain by direct elimination.
+    """Stationary distribution of an irreducible chain by dense GTH elimination.
 
-    Unlike power iteration this does not depend on the spectral gap, so it is
-    the right tool for metastable chains.  Uses dense GTH elimination; the
-    cost is O(n^3), fine for blocks up to a few thousand states.
+    Entrywise accurate for any spectral gap, at O(n^3) time and O(n^2)
+    memory.  The pipeline no longer calls it: it is the reference the sparse
+    solve in :func:`stationary_mixture` is tested against, and the same
+    elimination is that solve's fallback.
     """
     return ProbabilityVector(_gth(P.toarray()))
+
+
+def _class_stationary(block: sp.csr_matrix) -> np.ndarray:
+    """Stationary vector of one irreducible stochastic block.
+
+    Solves the balance equations ``pi (D - O) = 0``, where ``O`` is the
+    off-diagonal part of the block and ``D`` holds its row sums, so that
+    ``1 - p_ii`` never comes from a subtraction (the GTH trick).  State 0 is
+    pinned and the remaining nonsingular M-matrix is factored once by sparse
+    LU.  LU is accurate in norm, not entry by entry, so the result is kept
+    only if every entry is positive and the componentwise balance residual
+    is at most ``BALANCE_TOLERANCE``; otherwise the block is solved by dense
+    GTH elimination and a warning names the class size and the residual.
+    """
+    n = block.shape[0]
+    if n == 1:
+        return np.ones(1)
+    coo = block.tocoo()
+    off = coo.row != coo.col
+    O = sp.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])), shape=(n, n))
+    d = np.asarray(O.sum(axis=1)).ravel()
+    M = (sp.diags(d) - O).T.tocsc()
+    residual = np.inf
+    try:
+        lu = splu(
+            M[1:, 1:],
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        pi = np.concatenate(([1.0], lu.solve(O[0, 1:].toarray().ravel())))
+    except RuntimeError:  # exactly singular factor
+        pi = None
+    if pi is not None and pi.min() > 0.0:
+        pi /= pi.sum()
+        outflow = pi * d
+        residual = float(np.max(np.abs(pi @ O - outflow) / outflow))
+        if residual <= BALANCE_TOLERANCE:
+            return pi
+    logger.warning(
+        "sparse stationary solve rejected for a class of %d states "
+        "(componentwise balance residual %.3g > %.0e); using GTH elimination",
+        n,
+        residual,
+        BALANCE_TOLERANCE,
+    )
+    return _gth(block.toarray())
 
 
 def strongly_connected_components(P) -> list[np.ndarray]:
@@ -212,21 +270,35 @@ def strongly_connected_components(P) -> list[np.ndarray]:
 
 def is_irreducible(P) -> bool:
     """True when the support digraph is strongly connected."""
-    return len(strongly_connected_components(P)) == 1
+    csr = P.csr if isinstance(P, SparseStochasticMatrix) else sp.csr_matrix(P)
+    return connected_components(csr, directed=True, connection="strong")[0] == 1
+
+
+def _scc(csr: sp.csr_matrix):
+    """Strongly connected component label of every state, and the
+    components as ascending index arrays ordered by label."""
+    count, labels = connected_components(csr, directed=True, connection="strong")
+    order = np.argsort(labels, kind="stable")
+    return labels, np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+
+
+def _edge_rows(csr: sp.csr_matrix) -> np.ndarray:
+    """Row index of every stored entry."""
+    return np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
 
 
 def _closed_components(P: SparseStochasticMatrix):
-    """Split the SCCs of ``P`` into closed (recurrent) and open (transient)."""
+    """Split the SCCs of ``P`` into closed (recurrent) and open (transient).
+
+    A component is open exactly when some stored edge leaves it.
+    """
     csr = P.csr
-    components = strongly_connected_components(P)
-    comp_id = np.empty(P.n, dtype=np.int64)
-    for idx, members in enumerate(components):
-        comp_id[members] = idx
-    closed, open_ = [], []
-    for idx, members in enumerate(components):
-        sub = csr[members]
-        leaves = comp_id[sub.indices] != idx
-        (open_ if bool(leaves.any()) else closed).append(members)
+    labels, components = _scc(csr)
+    sources = labels[_edge_rows(csr)]
+    is_open = np.zeros(len(components), dtype=bool)
+    is_open[sources[sources != labels[csr.indices]]] = True
+    closed = [c for c, leaks in zip(components, is_open) if not leaks]
+    open_ = [c for c, leaks in zip(components, is_open) if leaks]
     return closed, open_
 
 
@@ -272,17 +344,19 @@ def ergodic_decomposition(
         bad = int(outflow.argmax())
         raise InconsistentSupport(int(support[bad]), float(outflow[bad]))
 
-    classes = [support[members] for members in strongly_connected_components(inside)]
-    classes.sort(key=lambda members: int(members[0]))
+    labels, components = _scc(inside)
+    rows = _edge_rows(inside)
+    within = labels[rows] == labels[inside.indices]
+    class_mass = np.bincount(
+        rows[within], weights=inside.data[within], minlength=support.size
+    )
+    defects = np.abs(class_mass - P.row_sums[support])
+    if defects.size and defects.max() > tolerance:
+        bad = int(defects.argmax())
+        raise InconsistentSupport(int(support[bad]), float(defects[bad]))
 
-    row_sums = P.row_sums
-    for members in classes:
-        block = csr[members][:, members]
-        block_sums = np.asarray(block.sum(axis=1)).ravel()
-        defects = np.abs(block_sums - row_sums[members])
-        if members.size and defects.max() > tolerance:
-            bad = members[int(defects.argmax())]
-            raise InconsistentSupport(int(bad), float(defects.max()))
+    classes = [support[members] for members in components]
+    classes.sort(key=lambda members: int(members[0]))
 
     permutation = np.concatenate([*classes, transient]) if classes else transient
     return ErgodicDecomposition(
@@ -298,10 +372,12 @@ def stationary_mixture(
 ) -> ProbabilityVector:
     """The limit of ``x0^T P^k`` computed in closed form.
 
-    Decomposes the chain into closed classes and transient states, solves each
-    class stationary vector by GTH elimination, and weights the classes by the
-    probability that a walk started from ``initial_distribution`` (uniform by
-    default) is absorbed into them.  Transient states get exactly zero mass.
+    Decomposes the chain into closed classes and transient states, solves
+    each class stationary vector by a residual-checked sparse LU solve of its
+    balance equations (GTH elimination when the check fails; see
+    ``BALANCE_TOLERANCE``), and weights the classes by the probability that a
+    walk started from ``initial_distribution`` (uniform by default) is
+    absorbed into them.  Transient states get exactly zero mass.
 
     This equals the power-iteration limit whenever that limit exists, but it
     is immune to small spectral gaps and periodicity, so it is the default
@@ -319,28 +395,23 @@ def stationary_mixture(
     if not closed:
         raise ValueError("chain has no closed class; row sums cannot all be 1")
 
-    weights = np.array([x0[members].sum() for members in closed])
+    csr = P.csr
+    # a class's weight is the start mass on it plus the mass that the
+    # transient states pass into it
+    mass = x0
     if open_:
-        transient = np.concatenate(open_)
-        transient.sort()
-        csr = P.csr
-        T_block = csr[transient][:, transient].toarray()
-        # absorption probabilities: (I - P_TT) H = [sum of P_T,class per class]
-        B = np.column_stack(
-            [
-                np.asarray(csr[transient][:, members].sum(axis=1)).ravel()
-                for members in closed
-            ]
-        )
-        H = np.linalg.solve(np.eye(len(transient)) - T_block, B)
-        weights = weights + x0[transient] @ H
+        transient = np.sort(np.concatenate(open_))
+        rows = csr[transient]
+        # expected visits x0_T (I - P_TT)^{-1}: one transposed sparse solve
+        I_minus_T = sp.identity(transient.size, format="csc") - rows[:, transient].tocsc()
+        visits = splu(I_minus_T).solve(x0[transient], trans="T")
+        mass = x0 + visits @ rows
 
     pi = np.zeros(n)
-    for members, weight in zip(closed, weights):
-        if weight <= 0.0:
-            continue
-        block = P.submatrix(members, stochastic=True)
-        pi[members] = weight * _gth(block.toarray())
+    for members in closed:
+        weight = mass[members].sum()
+        if weight > 0.0:
+            pi[members] = weight * _class_stationary(csr[members][:, members])
     return ProbabilityVector(pi / pi.sum())
 
 

@@ -240,23 +240,28 @@ def nearest_sparse_reversible(
     jobs = [
         (P, pi, members, options.pattern, solver_opts) for members in classes
     ]
+    # each job stores its result or its exception at its own index, so
+    # failures are reported in class order whichever thread finishes first
     results: list = [None] * len(jobs)
-    failures: list = []
 
-    def run(index_job):
-        index, job = index_job
+    def run(index):
         try:
-            results[index] = _solve_class(*job)
+            results[index] = _solve_class(*jobs[index])
         except Exception as exc:  # aggregated below
-            failures.append((job[2], exc))
+            results[index] = exc
 
     if len(jobs) > 1 and total_vars > options.parallel_threshold:
         with ThreadPoolExecutor() as pool:
-            list(pool.map(run, enumerate(jobs)))
+            list(pool.map(run, range(len(jobs))))
     else:
-        for item in enumerate(jobs):
-            run(item)
+        for index in range(len(jobs)):
+            run(index)
 
+    failures = [
+        (job[2], outcome)
+        for job, outcome in zip(jobs, results)
+        if isinstance(outcome, Exception)
+    ]
     if failures:
         raise ClassSolveFailed(failures)
 

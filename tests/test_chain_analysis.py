@@ -1,5 +1,8 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from revmarkov import (
     AcceptanceRule,
@@ -21,6 +24,7 @@ from revmarkov import (
     strongly_connected_components,
 )
 
+from test_pipeline import two_blocks_with_transients
 from test_sparse_core import dense_stationary
 
 
@@ -138,6 +142,112 @@ class TestStationaryMixture:
         assert stationarity_residual(P, pi) <= 1e-16
         # the chain is doubly stochastic, so the stationary vector is uniform
         assert np.allclose(pi.values, 1.0 / 3.0, atol=1e-12)
+
+
+def ring_chain(weights):
+    """Periodic ring with the diagonal and both neighbours weighted by
+    ``weights`` (length 3n), row-normalized."""
+    n = weights.size // 3
+    i = np.arange(n)
+    rows = np.concatenate([i, i, i])
+    cols = np.concatenate([i, (i + 1) % n, (i - 1) % n])
+    return row_normalize(sp.coo_matrix((weights, (rows, cols)), shape=(n, n)))
+
+
+def dense_mixture(P, x0):
+    """Independent oracle for ``stationary_mixture``: closed classes from the
+    Tarjan components, dense absorption solve, GTH on every class."""
+    dense = P.toarray()
+    n = P.n
+    closed = [
+        c
+        for c in strongly_connected_components(P)
+        if not dense[np.ix_(c, np.setdiff1d(np.arange(n), c))].any()
+    ]
+    transient = np.setdiff1d(np.arange(n), np.concatenate(closed))
+    weights = np.array([x0[c].sum() for c in closed])
+    if transient.size:
+        B = np.column_stack([dense[np.ix_(transient, c)].sum(axis=1) for c in closed])
+        T_block = dense[np.ix_(transient, transient)]
+        weights += x0[transient] @ np.linalg.solve(np.eye(transient.size) - T_block, B)
+    pi = np.zeros(n)
+    for c, weight in zip(closed, weights):
+        pi[c] = weight * irreducible_stationary(P.submatrix(c, stochastic=True)).values
+    return pi / pi.sum()
+
+
+def max_relative_deviation(values, reference):
+    """Largest entrywise relative deviation; zeros of the reference must be
+    matched exactly."""
+    support = reference > 0.0
+    assert np.array_equal(values > 0.0, support)
+    return float(np.max(np.abs(values[support] - reference[support]) / reference[support]))
+
+
+class TestSparseStationarySolve:
+    """``stationary_mixture`` against the dense GTH oracle, entry by entry."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_chains_match_gth(self, chain_factory, seed):
+        P = chain_factory(40, seed, density=0.1)
+        pi = stationary_mixture(P)
+        assert max_relative_deviation(pi.values, irreducible_stationary(P).values) <= 1e-10
+
+    def test_torsion_chain_matches_gth(self, butane):
+        assert is_irreducible(butane.P)
+        pi = stationary_mixture(butane.P)
+        reference = irreducible_stationary(butane.P).values
+        assert max_relative_deviation(pi.values, reference) <= 1e-10
+
+    def test_ring_matches_gth_without_fallback(self, caplog):
+        P = ring_chain(1.0 + 0.1 * np.random.default_rng(0).random(3000))
+        with caplog.at_level(logging.WARNING, logger="revmarkov.chain_analysis"):
+            pi = stationary_mixture(P)
+        assert not caplog.records
+        assert max_relative_deviation(pi.values, irreducible_stationary(P).values) <= 1e-10
+
+    def test_metastable_ring_falls_back_to_gth(self, caplog):
+        # min pi is about 3e-12: plain sparse LU is off by ~1e-6 relative
+        # there, so the componentwise residual guard must reject it
+        P = ring_chain(np.random.default_rng(1).random(3000) + 0.1)
+        with caplog.at_level(logging.WARNING, logger="revmarkov.chain_analysis"):
+            pi = stationary_mixture(P)
+        reference = irreducible_stationary(P).values
+        assert reference.min() < 1e-11
+        assert max_relative_deviation(pi.values, reference) <= 1e-12
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.name == "revmarkov.chain_analysis"
+        assert "1000 states" in record.getMessage()
+        assert "residual" in record.getMessage()
+
+    @pytest.mark.parametrize(
+        "make_chain",
+        [
+            lambda factory: SparseStochasticMatrix.from_dense(
+                [
+                    [1.0, 0.0, 0.0, 0.0, 0.0],
+                    [0.0, 1.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.5, 0.5, 0.0],
+                    [0.0, 0.0, 0.5, 0.5, 0.0],
+                    [0.25, 0.25, 0.2, 0.2, 0.1],
+                ]
+            ),
+            lambda factory: two_blocks_with_transients(),
+            lambda factory: factory(30, 15, density=0.05, ensure_irreducible=False),
+        ],
+        ids=["transient_block", "two_blocks_with_transients", "random_reducible"],
+    )
+    def test_absorption_matches_dense_formula(self, chain_factory, make_chain):
+        P = make_chain(chain_factory)
+        x0 = np.random.default_rng(7).random(P.n) + 0.1
+        for start in (None, ProbabilityVector(x0 / x0.sum())):
+            pi = stationary_mixture(P, start)
+            x = np.full(P.n, 1.0 / P.n) if start is None else start.values
+            assert max_relative_deviation(pi.values, dense_mixture(P, x)) <= 1e-10
+        # the case needs transient states and several closed classes
+        assert 0 < pi.support.size < P.n
+        assert ergodic_decomposition(P, pi).num_classes >= 2
 
 
 class TestStronglyConnectedComponents:

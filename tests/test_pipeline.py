@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from revmarkov import (
     ClassSolveFailed,
@@ -173,6 +174,23 @@ class TestNearestSparseReversible:
         with pytest.raises(ClassSolveFailed) as err:
             nearest_sparse_reversible(P, options)
         assert len(err.value.failures) == 2
+
+    def test_class_failures_come_out_in_class_order(self):
+        # a large first class finishes last in the thread pool; the failures
+        # must still be listed in class order
+        sizes = [40, 3, 3, 3, 3, 3]
+        rng = np.random.default_rng(5)
+        P = sp.block_diag([rng.random((k, k)) + np.eye(k) for k in sizes]).toarray()
+        P = row_normalize(P)
+        options = PipelineOptions(
+            solver=SolverOptions(max_iterations=1, polish=False, kkt_tolerance=1e-16),
+            parallel_threshold=0,
+        )
+        with pytest.raises(ClassSolveFailed) as err:
+            nearest_sparse_reversible(P, options)
+        starts = np.cumsum([0] + sizes[:-1])
+        assert [members[0] for members, _ in err.value.failures] == starts.tolist()
+        assert [members.size for members, _ in err.value.failures] == sizes
 
     def test_parallel_class_solves_match_serial(self):
         P = two_blocks_with_transients()
