@@ -75,7 +75,6 @@ from .qp_solve import (
     kkt_residuals,
     oracle_solve,
     solve_qp,
-    solve_with_external,
 )
 from .reversibilize import (
     AcceptanceRule,

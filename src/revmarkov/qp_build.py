@@ -19,7 +19,6 @@ is validated against a dense Kronecker-product oracle in the test suite.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import Callable
@@ -200,43 +199,10 @@ class ReducedQP:
     def y_m(self) -> int:
         return self.maps.y_m
 
-    @property
-    def hessian(self) -> sp.csr_matrix:
-        return sp.diags(self.hessian_diag).tocsr()
-
     def objective(self, y: np.ndarray, include_constant: bool = True) -> float:
         y = np.asarray(y, dtype=float).ravel()
         value = 0.5 * float(y @ (self.hessian_diag * y)) + float(self.linear @ y)
         return value + (self.constant if include_constant else 0.0)
-
-    def to_debug_dict(self) -> dict:
-        """JSON-ready dump (dimensions plus triplets) for external solvers."""
-        q = self.hessian.tocoo()
-        a = self.a_eq.tocoo()
-        return {
-            "schema": "revmarkov-reduced-qp/1",
-            "n": int(self.n),
-            "y_m": int(self.y_m),
-            "hessian": {
-                "rows": q.row.tolist(),
-                "cols": q.col.tolist(),
-                "values": q.data.tolist(),
-            },
-            "linear": self.linear.tolist(),
-            "a_eq": {
-                "rows": a.row.tolist(),
-                "cols": a.col.tolist(),
-                "values": a.data.tolist(),
-            },
-            "b_eq": self.b_eq.tolist(),
-            "constant": float(self.constant),
-            "upper_rows": self.maps.upper_rows.tolist(),
-            "upper_cols": self.maps.upper_cols.tolist(),
-        }
-
-    def dump_debug_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_debug_dict(), fh)
 
 
 def build_reduced_qp(

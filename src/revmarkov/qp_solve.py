@@ -16,7 +16,6 @@ routes must agree; the test suite holds them to that.
 
 from __future__ import annotations
 
-import subprocess
 import time
 import warnings
 from dataclasses import dataclass
@@ -35,8 +34,6 @@ from .exceptions import (
     TooLarge,
 )
 from .qp_build import ReducedQP
-from .reversibilize import AcceptanceRule, proposal_from_pattern, reversibilize
-from .sparse_core import ProbabilityVector, SparsityPattern
 
 __all__ = [
     "SolverVariant",
@@ -47,10 +44,12 @@ __all__ = [
     "feasible_start",
     "kkt_residuals",
     "oracle_solve",
-    "solve_with_external",
 ]
 
-#: Instances at most this dense are factored with LAPACK instead of SuperLU.
+#: Normal matrices of at most this order are factored by dense Cholesky, larger
+#: ones by sparse LU.  Sparse LU everywhere made the median model of the
+#: ``ensemble`` benchmark (n 100-300) about 60 % slower on a 2-core machine: at
+#: that size a dense factor takes 0.07-2.0 ms against 0.7-3.6 ms for sparse LU.
 _DENSE_LIMIT = 600
 
 #: Active-set enumeration cap for the brute-force oracle.
@@ -120,11 +119,17 @@ class SolverResult:
 
 
 class _NormalSolver:
-    """Factors ``A diag(w) A^T (+ reg I)`` and solves against it.
+    """Factors ``S = A diag(w) A^T (+ reg I)`` and solves against it.
 
-    Dense Cholesky for small ``n``, SuperLU beyond.  On factorization failure
-    a diagonal regularization is escalated from 1e-14 to 1e-6 before giving
-    up with :class:`NumericalBreakdown`.
+    The Hessian is diagonal, so every linear solve of this module is a solve
+    with such an ``S``: the interior point's Newton step, the active-set
+    polish (one solver per free set), projected gradient's affine projection
+    and the least-squares multiplier estimate of :func:`kkt_residuals`.  ``S``
+    is symmetric positive definite, so beyond ``_DENSE_LIMIT`` it is factored
+    by symmetric-mode sparse LU in minimum-degree order without pivoting; up
+    to it, dense Cholesky is faster.  On factorization failure a diagonal
+    regularization is escalated from 1e-14 to 1e-6 before giving up with
+    :class:`NumericalBreakdown`.
     """
 
     def __init__(self, a_eq: sp.csr_matrix):
@@ -132,35 +137,36 @@ class _NormalSolver:
         self.at = self.a.T.tocsr()
         self.n = a_eq.shape[0]
         self.dense = self.n <= _DENSE_LIMIT
-        self._factor = None
 
-    def refactor(self, w: np.ndarray):
-        S = (self.a.multiply(w) @ self.at).tocsc()
+    def refactor(self, w: np.ndarray) -> "_NormalSolver":
+        S = self.a.multiply(w) @ self.at
         reg = 0.0
         while True:
             try:
                 if self.dense:
                     M = S.toarray()
-                    if reg:
-                        M[np.diag_indices_from(M)] += reg
-                    self._factor = scipy.linalg.cho_factor(M, check_finite=False)
-                    self._solve = lambda rhs: scipy.linalg.cho_solve(
-                        self._factor, rhs, check_finite=False
+                    M[np.diag_indices_from(M)] += reg
+                    factor = scipy.linalg.cho_factor(M, check_finite=False)
+                    # capture the factor, not self: a reference cycle would
+                    # keep each factor alive until the cyclic collector runs
+                    self.solve = lambda rhs: scipy.linalg.cho_solve(
+                        factor, rhs, check_finite=False
                     )
                 else:
-                    M = S + reg * sp.identity(self.n, format="csc") if reg else S
-                    lu = spla.splu(M)
-                    self._solve = lu.solve
-                return
+                    M = S + reg * sp.identity(self.n) if reg else S
+                    self.solve = spla.splu(
+                        M.tocsc(),
+                        permc_spec="MMD_AT_PLUS_A",
+                        diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True},
+                    ).solve
+                return self
             except (scipy.linalg.LinAlgError, RuntimeError) as err:
                 reg = 1e-14 if reg == 0.0 else reg * 100.0
                 if reg > 1e-6:
                     raise NumericalBreakdown(
                         f"normal equations are singular beyond recovery: {err}"
                     ) from err
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._solve(rhs)
 
 
 def kkt_residuals(
@@ -174,9 +180,7 @@ def kkt_residuals(
     y = np.asarray(y, dtype=float).ravel()
     g = qp.hessian_diag * y + qp.linear
     if lam is None:
-        a = qp.a_eq
-        S = (a @ a.T).toarray()
-        lam = scipy.linalg.solve(S, a @ g, assume_a="pos")
+        lam = _NormalSolver(qp.a_eq).refactor(np.ones(qp.y_m)).solve(qp.a_eq @ g)
     if z is None:
         z = g - qp.a_eq.T @ lam
         stationarity = 0.0
@@ -192,23 +196,26 @@ def feasible_start(qp: ReducedQP) -> np.ndarray:
     """Strictly positive feasible point: the Metropolis-Hastings adjustment of
     the uniform proposal on the pattern, scaled into the symmetric variables.
 
-    Exists for every symmetric full-diagonal pattern and strictly positive
-    target, which is exactly what makes the program feasible in the first
-    place.
+    With ``d_i`` the degree of state ``i`` (diagonal included) the adjustment
+    is ``T_ij = min(1/d_i, pi_j/(pi_i d_j))`` off the diagonal and the row
+    complement on it, so with ``s = pi_hat`` the variable of position (i, j)
+    is ``min(s_i/(s_j d_i), s_j/(s_i d_j))``.  Exists for every symmetric
+    full-diagonal pattern and strictly positive target, which is exactly what
+    makes the program feasible in the first place.
     """
     maps = qp.maps
-    n = maps.n
-    mirror_rows = np.concatenate([maps.upper_rows, maps.upper_cols])
-    mirror_cols = np.concatenate([maps.upper_cols, maps.upper_rows])
-    pattern = SparsityPattern(
-        sp.coo_matrix((np.ones(mirror_rows.size), (mirror_rows, mirror_cols)), shape=(n, n))
+    s = qp.pi_hat
+    diag = maps.diagonal_mask
+    off = ~diag
+    i, j = maps.upper_rows[off], maps.upper_cols[off]
+    degree = 1 + np.bincount(i, minlength=maps.n) + np.bincount(j, minlength=maps.n)
+    y_off = np.minimum(s[i] / (s[j] * degree[i]), s[j] / (s[i] * degree[j]))
+    leaving = np.bincount(i, y_off * s[j] / s[i], maps.n) + np.bincount(
+        j, y_off * s[i] / s[j], maps.n
     )
-    pi_vals = qp.pi_hat**2
-    pi = ProbabilityVector(pi_vals / pi_vals.sum())
-    T = reversibilize(proposal_from_pattern(pattern), pi, AcceptanceRule.METROPOLIS_HASTINGS)
-    i, j = maps.upper_rows, maps.upper_cols
-    t_up = np.asarray(T.csr[i, j]).ravel()
-    y0 = np.where(maps.diagonal_mask, t_up, t_up * qp.pi_hat[i] / qp.pi_hat[j])
+    y0 = np.empty(maps.y_m)
+    y0[off] = y_off
+    y0[diag] = 1.0 - leaving[maps.upper_rows[diag]]
     return y0
 
 
@@ -230,16 +237,14 @@ def _polish(qp: ReducedQP, y: np.ndarray, z: np.ndarray):
         if (np.diff(a_f.indptr) == 0).any():
             return None
         w = 1.0 / q[free]
-        S = (a_f.multiply(w) @ a_f.T).toarray()
         try:
-            factor = scipy.linalg.cho_factor(S, check_finite=False)
-        except scipy.linalg.LinAlgError:
+            solve = _NormalSolver(a_f).refactor(w).solve
+        except NumericalBreakdown:
             return None
-        lam = scipy.linalg.cho_solve(factor, b + a_f @ (w * c[free]), check_finite=False)
+        lam = solve(b + a_f @ (w * c[free]))
         y_f = w * (a_f.T @ lam - c[free])
         for _ in range(2):  # iterative refinement on the equality residual
-            r = b - a_f @ y_f
-            y_f += w * (a_f.T @ scipy.linalg.cho_solve(factor, r, check_finite=False))
+            y_f += w * (a_f.T @ solve(b - a_f @ y_f))
 
         if y_f.min() < -1e-11:
             free = free.copy()
@@ -362,9 +367,7 @@ def _solve_projected_gradient(qp: ReducedQP, opts: SolverOptions):
     m = qp.y_m
 
     w = 1.0 / q  # inverse metric weights
-    gram = (a.multiply(w) @ at).toarray()
-    factor = scipy.linalg.cho_factor(gram, check_finite=False)
-    fsolve = lambda rhs: scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    fsolve = _NormalSolver(a).refactor(w).solve
 
     def project_affine(v):
         # metric projection onto {A x = b}
@@ -379,13 +382,7 @@ def _solve_projected_gradient(qp: ReducedQP, opts: SolverOptions):
         g = q * v + c
         lam = fsolve(a @ (w * g))
         z = g - at @ lam
-        res = KKTResiduals(
-            0.0,
-            float(np.abs(a @ v - b).max()),
-            float(max(0.0, -v.min())),
-            float(np.abs(np.minimum(v, z)).max()),
-        )
-        return res, lam, z
+        return kkt_residuals(qp, v, lam, z), lam, z
 
     obj = quad(y)
     trace = [obj]
@@ -536,33 +533,3 @@ def oracle_solve(qp: ReducedQP, enumeration_limit: int = ORACLE_LIMIT) -> np.nda
     if best_y is None:
         raise Infeasible("no active set produced a feasible candidate")
     return best_y
-
-
-# -- external solver bridge (disabled unless explicitly invoked) ---------------
-
-
-def solve_with_external(qp: ReducedQP, command: list, workdir) -> SolverResult:
-    """Cross-validate against a third-party solver.
-
-    Writes the JSON debug dump of ``qp`` to ``workdir/qp.json``, appends that
-    path and an output path to ``command``, runs it, and reads the solution
-    vector back (one value per line).  Residuals are recomputed here, so a
-    misbehaving external solver is caught immediately.
-    """
-    import pathlib
-
-    workdir = pathlib.Path(workdir)
-    problem = workdir / "qp.json"
-    answer = workdir / "solution.txt"
-    qp.dump_debug_json(problem)
-    start = time.perf_counter()
-    subprocess.run([*command, str(problem), str(answer)], check=True)
-    y = np.loadtxt(answer, dtype=float, ndmin=1)
-    residuals = kkt_residuals(qp, y)
-    return SolverResult(
-        y=y,
-        objective=qp.objective(y),
-        iterations=0,
-        kkt_residuals=residuals,
-        wall_time=time.perf_counter() - start,
-    )

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -333,20 +332,3 @@ class TestUnscaleSolution:
         )
         assert messages and "renormalizing" in messages[0]
         assert np.allclose(R.toarray(), np.eye(2))
-
-
-def test_debug_dump_roundtrip(tmp_path):
-    import json
-
-    P, pi, pattern = random_instance(4, 29)
-    qp = build_reduced_qp(P, pi, pattern)
-    path = tmp_path / "qp.json"
-    qp.dump_debug_json(path)
-    payload = json.loads(path.read_text())
-    assert payload["n"] == 4
-    assert payload["y_m"] == qp.y_m
-    A = sp.coo_matrix(
-        (payload["a_eq"]["values"], (payload["a_eq"]["rows"], payload["a_eq"]["cols"])),
-        shape=(payload["n"], payload["y_m"]),
-    )
-    assert np.abs(A.toarray() - qp.a_eq.toarray()).max() == 0.0

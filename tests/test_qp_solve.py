@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,15 @@ from revmarkov import (
     kkt_residuals,
     mh_baseline_distance,
     oracle_solve,
+    proposal_from_pattern,
+    reversibilize,
     solve_qp,
-    solve_with_external,
     stationary_mixture,
     symmetrized_pattern,
     unscale_solution,
 )
 
+from test_chain_analysis import ring_chain
 from test_qp_build import random_instance
 
 
@@ -137,6 +141,33 @@ class TestFeasibleStart:
         y0 = feasible_start(qp)
         assert y0.min() > 0.0
         assert np.abs(qp.a_eq @ y0 - qp.b_eq).max() <= 1e-13
+        # the closed form is the Metropolis-Hastings adjustment of the
+        # uniform proposal, mapped into the symmetric variables
+        T = reversibilize(proposal_from_pattern(pattern), pi)
+        i, j = qp.maps.upper_rows, qp.maps.upper_cols
+        t_up = np.asarray(T.csr[i, j]).ravel()
+        reference = np.where(qp.maps.diagonal_mask, t_up, t_up * qp.pi_hat[i] / qp.pi_hat[j])
+        assert np.abs(y0 - reference).max() <= 1e-14
+
+
+def test_ring_above_dense_limit():
+    # n = 3000 puts every normal-equations solve on the sparse branch; the
+    # allocation bound is an eighth of one dense n-by-n float64 array
+    n = 3000
+    P = ring_chain(1.0 + 0.1 * np.random.default_rng(0).random(3 * n))
+    qp = build_reduced_qp(P, stationary_mixture(P), symmetrized_pattern(P))
+    tracemalloc.start()
+    try:
+        ip = solve_qp(qp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pg = solve_qp(
+        qp, SolverOptions(variant=SolverVariant.PROJECTED_GRADIENT, max_iterations=20_000)
+    )
+    assert np.abs(ip.y - pg.y).max() <= 1e-10
+    assert max(ip.kkt_residuals.worst, kkt_residuals(qp, ip.y).worst) <= 1e-13
+    assert peak < n * n
 
 
 class TestOracleSolve:
@@ -214,39 +245,3 @@ def test_against_independent_qp_engine():
         # never worse than the independent engine, and same minimizer
         assert qp.objective(result.y) <= qp.objective(reference) + 1e-12
         assert np.abs(result.y - reference).max() <= 1e-5
-
-
-EXTERNAL_SOLVER = r"""
-import json, sys
-import numpy as np
-
-with open(sys.argv[1]) as fh:
-    data = json.load(fh)
-m, n = data["y_m"], data["n"]
-Q = np.zeros((m, m))
-for i, j, v in zip(*[data["hessian"][k] for k in ("rows", "cols", "values")]):
-    Q[i, j] = v
-A = np.zeros((n, m))
-for i, j, v in zip(*[data["a_eq"][k] for k in ("rows", "cols", "values")]):
-    A[i, j] = v
-c = np.array(data["linear"])
-b = np.array(data["b_eq"])
-kkt = np.block([[Q, A.T], [A, np.zeros((n, n))]])
-sol = np.linalg.solve(kkt, np.concatenate([-c, b]))
-np.savetxt(sys.argv[2], sol[:m])
-"""
-
-
-def test_external_solver_bridge(tmp_path, reversible_factory):
-    # a reversible instance has an interior optimum, so the plain
-    # equality-constrained solve used by the stand-in external solver is exact
-    import sys
-
-    P, pi = reversible_factory(4, 9)
-    qp = build_reduced_qp(P, pi, symmetrized_pattern(P))
-    script = tmp_path / "external.py"
-    script.write_text(EXTERNAL_SOLVER)
-    result = solve_with_external(qp, [sys.executable, str(script)], tmp_path)
-    reference = solve_qp(qp)
-    assert np.abs(result.y - reference.y).max() <= 1e-9
-    assert result.kkt_residuals.primal_eq <= 1e-10
