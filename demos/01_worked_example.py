@@ -18,7 +18,7 @@ from revmarkov import (
     is_irreducible,
     kolmogorov_cycle_check,
     reversibilize,
-    stationary_distribution,
+    stationary_mixture,
     strongly_connected_components,
 )
 
@@ -34,7 +34,7 @@ print("transition matrix:")
 print(T.toarray())
 print("irreducible:", is_irreducible(T))
 
-pi = stationary_distribution(T)
+pi = stationary_mixture(T)
 print("\nstationary vector:", pi.values)
 
 check = kolmogorov_cycle_check(T, max_cycle_length=3)

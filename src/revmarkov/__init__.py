@@ -11,12 +11,10 @@ experiment drivers (random sparse ensembles, Langevin count matrices).
 from .chain_analysis import (
     CycleCheckResult,
     ErgodicDecomposition,
-    StationarySolveOptions,
     ergodic_decomposition,
     irreducible_stationary,
     is_irreducible,
     kolmogorov_cycle_check,
-    stationary_distribution,
     stationary_mixture,
     strongly_connected_components,
 )
@@ -32,7 +30,6 @@ from .exceptions import (
     MissingDiagonal,
     NegativeEntry,
     NonPositivePi,
-    NotConverged,
     NumericalBreakdown,
     PatternNotSymmetric,
     RevMarkovError,

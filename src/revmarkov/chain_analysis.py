@@ -12,14 +12,12 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .exceptions import DimensionMismatch, InconsistentSupport, NotConverged
+from .exceptions import DimensionMismatch, InconsistentSupport
 from .sparse_core import ProbabilityVector, SparseStochasticMatrix
 
 __all__ = [
-    "StationarySolveOptions",
     "ErgodicDecomposition",
     "CycleCheckResult",
-    "stationary_distribution",
     "irreducible_stationary",
     "stationary_mixture",
     "strongly_connected_components",
@@ -34,100 +32,6 @@ logger = logging.getLogger(__name__)
 #: at which a sparse-LU class stationary vector is accepted; above it the
 #: class is solved again by GTH elimination.
 BALANCE_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True)
-class StationarySolveOptions:
-    """Controls for the power-iteration stationary solve.
-
-    ``initial_distribution`` defaults to the uniform distribution, which is
-    strictly positive as required for transient-state detection.
-    """
-
-    max_iterations: Optional[int] = None  # default 100 * n
-    tolerance: float = 1e-13
-    initial_distribution: Optional[ProbabilityVector] = None
-
-    def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        init = self.initial_distribution
-        if init is not None and not init.is_strictly_positive():
-            raise ValueError("initial distribution must be strictly positive")
-
-
-def stationary_distribution(
-    P: SparseStochasticMatrix, opts: StationarySolveOptions | None = None
-) -> ProbabilityVector:
-    """Stationary distribution by power iteration.
-
-    Iterates ``x <- x P`` from a strictly positive start until
-    ``||x P - x||_inf`` drops below the tolerance.  If the residual sequence
-    turns non-monotone (a symptom of a periodic chain) the iteration switches
-    to the damped map ``x <- (x P + x) / 2``, which has the same stationary
-    vectors but kills the oscillation.
-
-    For a reducible chain the limit depends on the start, but its zero
-    entries identify exactly the transient states.
-
-    Raises
-    ------
-    NotConverged
-        If the residual is still above tolerance after ``max_iterations``
-        (default ``100 * n``); this signals periodicity, a spectral gap too
-        small for plain iteration, or a tolerance that is too tight.
-    """
-    opts = opts or StationarySolveOptions()
-    csr = P.csr
-    n = P.n
-    max_iterations = opts.max_iterations if opts.max_iterations is not None else 100 * n
-    if opts.initial_distribution is not None:
-        if opts.initial_distribution.n != n:
-            raise DimensionMismatch("initial distribution has wrong length")
-        x = opts.initial_distribution.values.copy()
-    else:
-        x = np.full(n, 1.0 / n)
-
-    damped = False
-    window: list[float] = []
-    x_next = x @ csr
-    residual = float(np.abs(x_next - x).max())
-    for iteration in range(1, max_iterations + 1):
-        if residual <= opts.tolerance:
-            return _finish_stationary(P, x_next)
-        x = 0.5 * (x + x_next) if damped else x_next
-        x /= x.sum()
-        x_next = x @ csr
-        residual = float(np.abs(x_next - x).max())
-        if not damped:
-            window.append(residual)
-            if len(window) > 50:
-                window.pop(0)
-                increases = sum(
-                    1 for a, b in zip(window, window[1:]) if b > a * (1.0 + 1e-12)
-                )
-                no_progress = window[-1] >= window[0] * (1.0 - 1e-9)
-                if (increases >= 3 or no_progress) and residual > 10.0 * opts.tolerance:
-                    damped = True
-                    window.clear()
-    if residual <= opts.tolerance:
-        return _finish_stationary(P, x_next)
-    raise NotConverged(max_iterations, residual)
-
-
-def _finish_stationary(P: SparseStochasticMatrix, x: np.ndarray) -> ProbabilityVector:
-    """Clip and renormalize a converged iterate.
-
-    Mass on structurally transient states (states outside every closed
-    component) decays geometrically but never reaches exact zero in finitely
-    many iterations; its limit is zero, so it is set to zero here.  This is
-    what makes "the zero set identifies the transient states" hold exactly.
-    """
-    x = np.maximum(x, 0.0)
-    _, open_components = _closed_components(P)
-    for members in open_components:
-        x[members] = 0.0
-    return ProbabilityVector(x / x.sum())
 
 
 def _gth(P_dense: np.ndarray) -> np.ndarray:
@@ -212,60 +116,13 @@ def strongly_connected_components(P) -> list[np.ndarray]:
     topological order (every component is emitted before any component that
     can reach it).
 
-    Uses an iterative depth-first search with the classic low-link bookkeeping;
-    vertices are visited in index order, so the output is deterministic.
-    Each component is returned as an ascending index array.
+    The labels come from ``scipy.sparse.csgraph`` (Pearce's iterative
+    algorithm), whose label order is reverse topological.  The output is
+    deterministic, and each component is returned as an ascending index
+    array.
     """
     csr = P.csr if isinstance(P, SparseStochasticMatrix) else sp.csr_matrix(P)
-    n = csr.shape[0]
-    indptr, indices = csr.indptr, csr.indices
-
-    order = np.full(n, -1, dtype=np.int64)  # discovery index
-    low = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    stack: list[int] = []
-    components: list[np.ndarray] = []
-    counter = 0
-
-    for root in range(n):
-        if order[root] != -1:
-            continue
-        # each work item is (vertex, next edge offset)
-        work = [(root, indptr[root])]
-        order[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, ptr = work[-1]
-            if ptr < indptr[v + 1]:
-                work[-1] = (v, ptr + 1)
-                w = indices[ptr]
-                if order[w] == -1:
-                    order[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, indptr[w]))
-                elif on_stack[w]:
-                    if order[w] < low[v]:
-                        low[v] = order[w]
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                if low[v] == order[v]:
-                    members = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        members.append(w)
-                        if w == v:
-                            break
-                    components.append(np.array(sorted(members), dtype=np.intp))
-    return components
+    return _scc(csr)[1]
 
 
 def is_irreducible(P) -> bool:
@@ -377,11 +234,15 @@ def stationary_mixture(
     balance equations (GTH elimination when the check fails; see
     ``BALANCE_TOLERANCE``), and weights the classes by the probability that a
     walk started from ``initial_distribution`` (uniform by default) is
-    absorbed into them.  Transient states get exactly zero mass.
+    absorbed into them.  Transient states get exactly zero mass, so the zero
+    set of the result is exactly the set of transient states.
 
-    This equals the power-iteration limit whenever that limit exists, but it
-    is immune to small spectral gaps and periodicity, so it is the default
-    stationary solve of the end-to-end pipeline.
+    The result is the Cesàro limit of the iterates, which equals their plain
+    limit whenever that exists; it is exact for any spectral gap and for
+    periodic chains.  It is the only stationary solve of the end-to-end
+    pipeline: :func:`~revmarkov.pipeline.nearest_sparse_reversible` calls it
+    with the uniform start, and a caller who wants another start passes
+    ``PipelineOptions(pi=stationary_mixture(P, x0))``.
     """
     n = P.n
     if initial_distribution is None:

@@ -21,22 +21,6 @@ class ZeroRow(RevMarkovError):
         super().__init__(f"row {row} has no positive entries")
 
 
-class NotConverged(RevMarkovError):
-    """An iterative method stopped above its tolerance.
-
-    Carries the iteration count and the last residual so callers can decide
-    whether the partial answer is usable.
-    """
-
-    def __init__(self, iterations: int, residual: float, message: str = ""):
-        self.iterations = iterations
-        self.residual = residual
-        text = message or (
-            f"no convergence after {iterations} iterations (residual {residual:.3e})"
-        )
-        super().__init__(text)
-
-
 class InconsistentSupport(RevMarkovError):
     """A state inside supp(pi) leaks probability mass outside supp(pi)."""
 

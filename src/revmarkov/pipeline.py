@@ -18,12 +18,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .chain_analysis import (
-    StationarySolveOptions,
-    ergodic_decomposition,
-    stationary_distribution,
-    stationary_mixture,
-)
+from .chain_analysis import ergodic_decomposition, stationary_mixture
 from .exceptions import ClassSolveFailed, DimensionMismatch
 from .qp_build import build_reduced_qp, unscale_solution
 from .qp_solve import SolverOptions, solve_qp
@@ -55,25 +50,18 @@ PARALLEL_THRESHOLD = 10_000
 class PipelineOptions:
     """Knobs for :func:`nearest_sparse_reversible`.
 
-    ``pi`` overrides the stationary vector; ``pattern`` overrides the
-    admissible modification pattern (restricted per class); with
-    ``recurse_ergodic`` off the whole stationary support is treated as one
-    block.  ``stationary_method`` selects between the closed-form
-    decomposition solve (``"direct"``, default: exact for any spectral gap)
-    and plain power iteration (``"power"``, the textbook limit).
+    ``pi`` overrides the stationary vector, which is otherwise computed by
+    :func:`~revmarkov.chain_analysis.stationary_mixture` from the uniform
+    start; ``pattern`` overrides the admissible modification pattern
+    (restricted per class); with ``recurse_ergodic`` off the whole
+    stationary support is treated as one block; ``solver`` holds the QP
+    solver controls.
     """
 
     pi: Optional[ProbabilityVector] = None
     pattern: Optional[SparsityPattern] = None
     recurse_ergodic: bool = True
     solver: Optional[SolverOptions] = None
-    stationary_method: str = "direct"
-    stationary: Optional[StationarySolveOptions] = None
-    parallel_threshold: int = PARALLEL_THRESHOLD
-
-    def __post_init__(self):
-        if self.stationary_method not in ("direct", "power"):
-            raise ValueError("stationary_method must be 'direct' or 'power'")
 
 
 @dataclass(frozen=True)
@@ -219,11 +207,8 @@ def nearest_sparse_reversible(
         if options.pi.n != P.n:
             raise DimensionMismatch("dimensions of P and pi disagree")
         pi = options.pi
-    elif options.stationary_method == "power":
-        pi = stationary_distribution(P, options.stationary)
     else:
-        init = options.stationary.initial_distribution if options.stationary else None
-        pi = stationary_mixture(P, init)
+        pi = stationary_mixture(P)
     stationary_seconds = time.perf_counter() - t_pi
 
     decomposition = ergodic_decomposition(P, pi)
@@ -250,7 +235,7 @@ def nearest_sparse_reversible(
         except Exception as exc:  # aggregated below
             results[index] = exc
 
-    if len(jobs) > 1 and total_vars > options.parallel_threshold:
+    if len(jobs) > 1 and total_vars > PARALLEL_THRESHOLD:
         with ThreadPoolExecutor() as pool:
             list(pool.map(run, range(len(jobs))))
     else:

@@ -65,18 +65,17 @@ class SolverVariant(Enum):
 class SolverOptions:
     """Solver controls.
 
-    ``warm_start=True`` starts from the always-available feasible point built
-    by Metropolis-Hastings adjustment of the uniform proposal on the pattern;
-    ``False`` starts from the all-ones vector.  ``polish=True`` refines the
-    final iterate by a direct solve on the identified active set, which pushes
-    the residuals to machine precision.
+    Both variants start from :func:`feasible_start`, the always-available
+    feasible point built by Metropolis-Hastings adjustment of the uniform
+    proposal on the pattern.  ``polish=True`` refines the final iterate by a
+    direct solve on the identified active set, which pushes the residuals to
+    machine precision.
     """
 
     kkt_tolerance: float = 1e-10
     max_iterations: int = 200
     variant: SolverVariant = SolverVariant.INTERIOR_POINT
     polish: bool = True
-    warm_start: bool = True
 
     def __post_init__(self):
         if self.kkt_tolerance <= 0.0:
@@ -277,7 +276,7 @@ def _solve_interior_point(qp: ReducedQP, opts: SolverOptions):
     at = a.T.tocsr()
     m = qp.y_m
 
-    y = feasible_start(qp) if opts.warm_start else np.ones(m)
+    y = feasible_start(qp)
     y = np.maximum(y, 1e-8)
     z = np.ones(m)
     lam = np.zeros(qp.n)
@@ -364,7 +363,6 @@ def _solve_projected_gradient(qp: ReducedQP, opts: SolverOptions):
     """
     q, c, a, b = qp.hessian_diag, qp.linear, qp.a_eq, qp.b_eq
     at = a.T.tocsr()
-    m = qp.y_m
 
     w = 1.0 / q  # inverse metric weights
     fsolve = _NormalSolver(a).refactor(w).solve
@@ -373,7 +371,7 @@ def _solve_projected_gradient(qp: ReducedQP, opts: SolverOptions):
         # metric projection onto {A x = b}
         return v + w * (at @ fsolve(b - a @ v))
 
-    y = feasible_start(qp) if opts.warm_start else _dykstra(project_affine, np.ones(m))
+    y = feasible_start(qp)
 
     def quad(v):
         return 0.5 * float(v @ (q * v)) + float(c @ v)

@@ -7,10 +7,8 @@ import scipy.sparse as sp
 from revmarkov import (
     AcceptanceRule,
     InconsistentSupport,
-    NotConverged,
     ProbabilityVector,
     SparseStochasticMatrix,
-    StationarySolveOptions,
     detailed_balance_residual,
     ergodic_decomposition,
     irreducible_stationary,
@@ -19,7 +17,6 @@ from revmarkov import (
     reversibilize,
     row_normalize,
     stationarity_residual,
-    stationary_distribution,
     stationary_mixture,
     strongly_connected_components,
 )
@@ -39,74 +36,55 @@ class TestStationaryDistribution:
     @pytest.mark.parametrize("eps", [1.0, 0.5, 0.05])
     def test_lazy_uniform_family(self, eps):
         P = lazy_uniform_mixture(6, eps)
-        pi = stationary_distribution(P)
+        pi = stationary_mixture(P)
         assert np.abs(pi.values - 1.0 / 6.0).max() <= 1e-12
 
     def test_doubly_stochastic_gives_uniform(self):
         P = row_normalize(np.array([[0.2, 0.5, 0.3], [0.5, 0.3, 0.2], [0.3, 0.2, 0.5]]))
-        pi = stationary_distribution(P)
+        pi = stationary_mixture(P)
         assert np.abs(pi.values - 1.0 / 3.0).max() <= 1e-12
 
     def test_ring4(self, ring4):
-        pi = stationary_distribution(ring4.T)
+        pi = stationary_mixture(ring4.T)
         assert np.abs(pi.values - ring4.pi.values).max() <= 1e-12
         assert stationarity_residual(ring4.T, pi) <= 1e-13
 
     def test_residual_contract(self, chain_factory):
         P = chain_factory(12, 0)
-        opts = StationarySolveOptions(tolerance=1e-13)
-        pi = stationary_distribution(P, opts)
+        pi = stationary_mixture(P)
         assert stationarity_residual(P, pi) <= 1e-13
 
     def test_start_independent_for_irreducible(self, chain_factory):
         P = chain_factory(9, 5)
-        reference = stationary_distribution(P)
+        reference = stationary_mixture(P)
         rng = np.random.default_rng(0)
         for _ in range(5):
             x0 = rng.random(9) + 0.1
-            opts = StationarySolveOptions(
-                initial_distribution=ProbabilityVector(x0 / x0.sum())
-            )
-            pi = stationary_distribution(P, opts)
+            pi = stationary_mixture(P, ProbabilityVector(x0 / x0.sum()))
             assert np.abs(pi.values - reference.values).max() <= 1e-11
 
     def test_periodic_chain_uses_damping(self):
-        # plain iteration oscillates on a 2-cycle; damping must rescue it
+        # the iterates x0 P^k oscillate on a 2-cycle from any non-uniform
+        # start; the closed-form solve must still return the stationary vector
         P = SparseStochasticMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
-        opts = StationarySolveOptions(
-            initial_distribution=ProbabilityVector([0.9, 0.1])
-        )
-        pi = stationary_distribution(P, opts)
+        pi = stationary_mixture(P, ProbabilityVector([0.9, 0.1]))
         assert np.abs(pi.values - 0.5).max() <= 1e-12
-
-    def test_not_converged(self, chain_factory):
-        P = chain_factory(8, 3)
-        with pytest.raises(NotConverged) as err:
-            stationary_distribution(P, StationarySolveOptions(max_iterations=2))
-        assert err.value.iterations == 2
-        assert err.value.residual > 0
 
     def test_reducible_zero_set_marks_transients(self):
         # state 2 drains into the closed block {0, 1}
         P = SparseStochasticMatrix.from_dense(
             [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]]
         )
-        pi = stationary_distribution(P)
+        pi = stationary_mixture(P)
         assert pi.support.tolist() == [0, 1]
 
 
 class TestStationaryMixture:
-    def test_matches_power_iteration_on_irreducible(self, chain_factory):
-        for seed in range(4):
-            P = chain_factory(8, seed)
-            direct = stationary_mixture(P)
-            powered = stationary_distribution(P)
-            assert np.abs(direct.values - powered.values).max() <= 1e-11
-
     def test_matches_dense_oracle(self, chain_factory):
-        P = chain_factory(10, 11)
-        pi = stationary_mixture(P)
-        assert np.abs(pi.values - dense_stationary(P.toarray())).max() <= 1e-12
+        for n, seed in [(8, 0), (8, 1), (8, 2), (8, 3), (10, 11)]:
+            P = chain_factory(n, seed)
+            pi = stationary_mixture(P)
+            assert np.abs(pi.values - dense_stationary(P.toarray())).max() <= 1e-12
 
     def test_exact_zeros_on_transients(self):
         P = SparseStochasticMatrix.from_dense(
@@ -119,11 +97,8 @@ class TestStationaryMixture:
         assert np.allclose(pi.values[:2], 0.5)
 
     def test_metastable_chain_beats_power_iteration(self, butane):
-        # the torsion chain's spectral gap is ~1e-5, far too small for power
-        # iteration at default budget; the elimination route is exact and is
-        # why it is the pipeline default
-        with pytest.raises(NotConverged):
-            stationary_distribution(butane.P)
+        # the torsion chain's spectral gap is ~1e-5, far too small for plain
+        # power iteration; the closed-form solve is exact regardless
         pi = stationary_mixture(butane.P)
         assert stationarity_residual(butane.P, pi) <= 1e-14
 
@@ -154,17 +129,29 @@ def ring_chain(weights):
     return row_normalize(sp.coo_matrix((weights, (rows, cols)), shape=(n, n)))
 
 
+def reachability(dense):
+    """Boolean reachability closure (every state reaches itself) of the
+    support digraph of a dense matrix, by Warshall's algorithm."""
+    reach = dense != 0
+    reach |= np.eye(reach.shape[0], dtype=bool)
+    for k in range(reach.shape[0]):
+        reach |= reach[:, [k]] & reach[k]
+    return reach
+
+
 def dense_mixture(P, x0):
-    """Independent oracle for ``stationary_mixture``: closed classes from the
-    Tarjan components, dense absorption solve, GTH on every class."""
+    """Independent oracle for ``stationary_mixture``: closed classes from a
+    dense reachability closure, dense absorption solve, GTH on every class.
+
+    A state is recurrent exactly when every state it reaches reaches it back,
+    and then its class is the set of states it reaches.
+    """
     dense = P.toarray()
     n = P.n
-    closed = [
-        c
-        for c in strongly_connected_components(P)
-        if not dense[np.ix_(c, np.setdiff1d(np.arange(n), c))].any()
-    ]
-    transient = np.setdiff1d(np.arange(n), np.concatenate(closed))
+    reach = reachability(dense)
+    recurrent = (reach <= reach.T).all(axis=1)
+    closed = [np.flatnonzero(row) for row in np.unique(reach[recurrent], axis=0)]
+    transient = np.flatnonzero(~recurrent)
     weights = np.array([x0[c].sum() for c in closed])
     if transient.size:
         B = np.column_stack([dense[np.ix_(transient, c)].sum(axis=1) for c in closed])
@@ -278,6 +265,25 @@ class TestStronglyConnectedComponents:
         )
         components = strongly_connected_components(P)
         assert [c.tolist() for c in components] == [[2], [1], [0]]
+
+    def test_matches_reachability_partition(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            n = int(rng.integers(1, 61))
+            density = rng.uniform(0.0, min(1.0, 4.0 / n))
+            # sparse random digraphs, so rows without edges are common
+            adjacency = sp.random(n, n, density=density, format="csr", random_state=rng)
+            components = strongly_connected_components(adjacency)
+            reach = reachability(adjacency.toarray())
+            partition = {tuple(np.flatnonzero(row)) for row in reach & reach.T}
+            assert sorted(tuple(c.tolist()) for c in components) == sorted(partition)
+            emitted = np.empty(n, dtype=np.intp)
+            for position, members in enumerate(components):
+                assert np.all(np.diff(members) > 0)
+                emitted[members] = position
+            rows, cols = adjacency.nonzero()
+            # an edge leads only to the same component or to one emitted earlier
+            assert np.all(emitted[rows] >= emitted[cols])
 
     def test_deterministic(self, chain_factory):
         P = chain_factory(20, 8, density=0.15, ensure_irreducible=False)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import revmarkov.pipeline
 from revmarkov import (
     ClassSolveFailed,
     PipelineOptions,
@@ -156,14 +157,6 @@ class TestNearestSparseReversible:
         R, diag = nearest_sparse_reversible(P, options)
         assert max(diag.residuals) <= 1e-10
 
-    def test_power_iteration_path(self, chain_factory):
-        P = chain_factory(7, 37)
-        R_direct, _ = nearest_sparse_reversible(P)
-        R_power, _ = nearest_sparse_reversible(
-            P, PipelineOptions(stationary_method="power")
-        )
-        assert np.abs(R_direct.toarray() - R_power.toarray()).max() <= 1e-8
-
     def test_class_failures_are_aggregated(self):
         # an impossible tolerance with no iteration budget fails both class
         # solves; the error must carry every failure, not just the first
@@ -175,16 +168,16 @@ class TestNearestSparseReversible:
             nearest_sparse_reversible(P, options)
         assert len(err.value.failures) == 2
 
-    def test_class_failures_come_out_in_class_order(self):
+    def test_class_failures_come_out_in_class_order(self, monkeypatch):
         # a large first class finishes last in the thread pool; the failures
         # must still be listed in class order
+        monkeypatch.setattr(revmarkov.pipeline, "PARALLEL_THRESHOLD", 0)
         sizes = [40, 3, 3, 3, 3, 3]
         rng = np.random.default_rng(5)
         P = sp.block_diag([rng.random((k, k)) + np.eye(k) for k in sizes]).toarray()
         P = row_normalize(P)
         options = PipelineOptions(
-            solver=SolverOptions(max_iterations=1, polish=False, kkt_tolerance=1e-16),
-            parallel_threshold=0,
+            solver=SolverOptions(max_iterations=1, polish=False, kkt_tolerance=1e-16)
         )
         with pytest.raises(ClassSolveFailed) as err:
             nearest_sparse_reversible(P, options)
@@ -192,12 +185,11 @@ class TestNearestSparseReversible:
         assert [members[0] for members, _ in err.value.failures] == starts.tolist()
         assert [members.size for members, _ in err.value.failures] == sizes
 
-    def test_parallel_class_solves_match_serial(self):
+    def test_parallel_class_solves_match_serial(self, monkeypatch):
         P = two_blocks_with_transients()
         serial, diag_s = nearest_sparse_reversible(P)
-        threaded, diag_t = nearest_sparse_reversible(
-            P, PipelineOptions(parallel_threshold=0)
-        )
+        monkeypatch.setattr(revmarkov.pipeline, "PARALLEL_THRESHOLD", 0)
+        threaded, diag_t = nearest_sparse_reversible(P)
         assert np.array_equal(serial.toarray(), threaded.toarray())
         assert diag_t.num_classes == diag_s.num_classes
 

@@ -109,13 +109,6 @@ class TestSolveQP:
         distance = np.sqrt(max(2.0 * result.objective, 0.0))
         assert distance <= mh_baseline_distance(P, pi) + 1e-10
 
-    def test_warm_start_never_hurts(self):
-        for _, _, _, qp in small_instances(6, start_seed=200):
-            warm = solve_qp(qp, SolverOptions(warm_start=True))
-            cold = solve_qp(qp, SolverOptions(warm_start=False))
-            assert warm.kkt_residuals.worst <= cold.kkt_residuals.worst + 1e-12
-            assert np.abs(warm.y - cold.y).max() <= 1e-8
-
     def test_max_iterations_carries_best_iterate(self):
         P, pi, pattern = random_instance(6, 11)
         qp = build_reduced_qp(P, pi, pattern)
