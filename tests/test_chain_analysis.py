@@ -80,6 +80,19 @@ class TestStationaryDistribution:
 
 
 class TestStationaryMixture:
+    def test_matches_power_iteration_on_irreducible(self, chain_factory):
+        for seed in range(4):
+            P = chain_factory(8, seed)
+            direct = stationary_mixture(P)
+            # power iteration on the lazy chain (I + P)/2, which has the same
+            # stationary vector and is aperiodic
+            lazy = 0.5 * (np.eye(P.n) + P.toarray())
+            powered = np.full(P.n, 1.0 / P.n)
+            for _ in range(20_000):
+                powered = powered @ lazy
+            assert np.abs(powered @ lazy - powered).max() <= 1e-15
+            assert np.abs(direct.values - powered).max() <= 1e-11
+
     def test_matches_dense_oracle(self, chain_factory):
         for n, seed in [(8, 0), (8, 1), (8, 2), (8, 3), (10, 11)]:
             P = chain_factory(n, seed)
