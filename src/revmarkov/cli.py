@@ -40,9 +40,10 @@ def _cmd_nearest(args) -> int:
         P = io.read_matrix(args.matrix)
     pi = io.read_probability_vector(args.pi) if args.pi else None
     pattern = io.read_pattern(args.pattern) if args.pattern else None
-    variant = (
-        SolverVariant.PROJECTED_GRADIENT if args.solver == "pg" else SolverVariant.INTERIOR_POINT
-    )
+    variant = {
+        "newton": SolverVariant.DUAL_NEWTON,
+        "pg": SolverVariant.PROJECTED_GRADIENT,
+    }[args.solver]
     solver = SolverOptions(kkt_tolerance=args.tol, variant=variant, max_iterations=args.max_iterations)
     options = PipelineOptions(
         pi=pi, pattern=pattern, recurse_ergodic=not args.no_recurse, solver=solver
@@ -169,7 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="row-normalize the input first (e.g. a count matrix from `langevin`)",
     )
     p.add_argument("--no-recurse", action="store_true", help="skip the per-class split")
-    p.add_argument("--solver", choices=["ip", "pg"], default="ip")
+    p.add_argument(
+        "--solver",
+        choices=["newton", "pg"],
+        default="newton",
+        help="semismooth Newton on the dual (default) or projected gradient",
+    )
     p.add_argument("--tol", type=float, default=1e-10, help="KKT tolerance")
     p.add_argument("--max-iterations", type=int, default=200)
     p.add_argument("--out", help="write the reversible matrix here (Matrix Market)")

@@ -3,15 +3,12 @@
 Steps: compute (or accept) a stationary vector, drop transient states,
 split the support into ergodic classes, solve one reduced program per class,
 unscale, and reassemble with the transient rows copied from the input.
-Per-class solves are independent, so they run in a thread pool when the
-problem is large enough to pay for it.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,9 +38,6 @@ __all__ = [
     "nearest_sparse_reversible",
     "verify",
 ]
-
-#: Classes are solved in parallel once the total variable count passes this.
-PARALLEL_THRESHOLD = 10_000
 
 
 @dataclass(frozen=True)
@@ -219,34 +213,14 @@ def nearest_sparse_reversible(
     transient = decomposition.transient
 
     solver_opts = options.solver or SolverOptions()
-    # class sizes stand in for the variable counts; exact y_m would need the
-    # per-class patterns, which are only built inside the jobs
-    total_vars = sum(len(members) for members in classes)
-    jobs = [
-        (P, pi, members, options.pattern, solver_opts) for members in classes
-    ]
-    # each job stores its result or its exception at its own index, so
-    # failures are reported in class order whichever thread finishes first
-    results: list = [None] * len(jobs)
-
-    def run(index):
+    results, failures = [], []
+    for members in classes:
         try:
-            results[index] = _solve_class(*jobs[index])
+            results.append(
+                _solve_class(P, pi, members, options.pattern, solver_opts)
+            )
         except Exception as exc:  # aggregated below
-            results[index] = exc
-
-    if len(jobs) > 1 and total_vars > PARALLEL_THRESHOLD:
-        with ThreadPoolExecutor() as pool:
-            list(pool.map(run, range(len(jobs))))
-    else:
-        for index in range(len(jobs)):
-            run(index)
-
-    failures = [
-        (job[2], outcome)
-        for job, outcome in zip(jobs, results)
-        if isinstance(outcome, Exception)
-    ]
+            failures.append((members, exc))
     if failures:
         raise ClassSolveFailed(failures)
 

@@ -45,6 +45,11 @@ def test_nearest_with_explicit_pi_and_pg(chain_files):
     assert code == 0
 
 
+def test_nearest_with_newton_solver(chain_files):
+    tmp, matrix, *_ = chain_files
+    assert main(["nearest", str(matrix), "--solver", "newton"]) == 0
+
+
 def test_nearest_missing_file_is_io_error(tmp_path):
     assert main(["nearest", str(tmp_path / "absent.mtx")]) == 1
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import revmarkov.pipeline
 from revmarkov import (
     ClassSolveFailed,
     PipelineOptions,
@@ -14,6 +13,7 @@ from revmarkov import (
     SparseStochasticMatrix,
     SparsityPattern,
     detailed_balance_residual,
+    ergodic_decomposition,
     frobenius_distance,
     nearest_sparse_reversible,
     reversibilize,
@@ -168,14 +168,16 @@ class TestNearestSparseReversible:
             nearest_sparse_reversible(P, options)
         assert len(err.value.failures) == 2
 
-    def test_class_failures_come_out_in_class_order(self, monkeypatch):
-        # a large first class finishes last in the thread pool; the failures
-        # must still be listed in class order
-        monkeypatch.setattr(revmarkov.pipeline, "PARALLEL_THRESHOLD", 0)
+    def test_class_failures_come_out_in_class_order(self):
+        # small self-loops leave every class an optimum with an active bound,
+        # so one Newton step cannot solve it; the failures must be listed in
+        # class order
         sizes = [40, 3, 3, 3, 3, 3]
-        rng = np.random.default_rng(5)
-        P = sp.block_diag([rng.random((k, k)) + np.eye(k) for k in sizes]).toarray()
-        P = row_normalize(P)
+        rng = np.random.default_rng(18)
+        blocks = [rng.random((k, k)) for k in sizes]
+        for block in blocks:
+            np.fill_diagonal(block, 0.01)
+        P = row_normalize(sp.block_diag(blocks).toarray())
         options = PipelineOptions(
             solver=SolverOptions(max_iterations=1, polish=False, kkt_tolerance=1e-16)
         )
@@ -185,13 +187,23 @@ class TestNearestSparseReversible:
         assert [members[0] for members, _ in err.value.failures] == starts.tolist()
         assert [members.size for members, _ in err.value.failures] == sizes
 
-    def test_parallel_class_solves_match_serial(self, monkeypatch):
+    def test_parallel_class_solves_match_serial(self):
+        # the reports come out in class order, and each class block of the
+        # result is that class solved on its own
         P = two_blocks_with_transients()
-        serial, diag_s = nearest_sparse_reversible(P)
-        monkeypatch.setattr(revmarkov.pipeline, "PARALLEL_THRESHOLD", 0)
-        threaded, diag_t = nearest_sparse_reversible(P)
-        assert np.array_equal(serial.toarray(), threaded.toarray())
-        assert diag_t.num_classes == diag_s.num_classes
+        pi = stationary_mixture(P)
+        classes = ergodic_decomposition(P, pi).classes
+        R, diag = nearest_sparse_reversible(P)
+        assert [c.indices.tolist() for c in diag.per_class] == [
+            members.tolist() for members in classes
+        ]
+        for members in classes:
+            alone, _ = nearest_sparse_reversible(
+                P.submatrix(members, stochastic=True),
+                PipelineOptions(pi=pi.restrict(members)),
+            )
+            block = R.toarray()[np.ix_(members, members)]
+            assert np.array_equal(block, alone.toarray())
 
 
 class TestRandomReducibleChains:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from revmarkov import (
+    BenchmarkConfig,
     MaxIterations,
     ProbabilityVector,
     SolverOptions,
@@ -13,6 +14,7 @@ from revmarkov import (
     TooLarge,
     build_reduced_qp,
     feasible_start,
+    gen_random_chain,
     kkt_residuals,
     mh_baseline_distance,
     oracle_solve,
@@ -76,14 +78,14 @@ class TestSolveQP:
         for seed in range(100):
             P, pi, pattern = random_instance(2 + seed % 5, 40 + seed)
             qp = build_reduced_qp(P, pi, pattern)
-            ip = solve_qp(qp, SolverOptions(variant=SolverVariant.INTERIOR_POINT))
+            newton = solve_qp(qp, SolverOptions(variant=SolverVariant.DUAL_NEWTON))
             pg = solve_qp(
                 qp,
                 SolverOptions(
                     variant=SolverVariant.PROJECTED_GRADIENT, max_iterations=20_000
                 ),
             )
-            worst = max(worst, float(np.abs(ip.y - pg.y).max()))
+            worst = max(worst, float(np.abs(newton.y - pg.y).max()))
         assert worst <= 10.0 * 1e-10
 
     def test_projected_gradient_monotone(self):
@@ -110,8 +112,10 @@ class TestSolveQP:
         assert distance <= mh_baseline_distance(P, pi) + 1e-10
 
     def test_max_iterations_carries_best_iterate(self):
-        P, pi, pattern = random_instance(6, 11)
+        # the optimum has an active bound, so one Newton step cannot finish
+        P, pi, pattern = random_instance(6, 20)
         qp = build_reduced_qp(P, pi, pattern)
+        assert (solve_qp(qp).y == 0.0).any()
         with pytest.raises(MaxIterations) as err:
             solve_qp(qp, SolverOptions(max_iterations=1, polish=False, kkt_tolerance=1e-12))
         result = err.value.result
@@ -143,24 +147,41 @@ class TestFeasibleStart:
         assert np.abs(y0 - reference).max() <= 1e-14
 
 
+def _solve_with_peak(qp):
+    """``solve_qp(qp)`` and the peak of its traced allocations in bytes."""
+    tracemalloc.start()
+    try:
+        result = solve_qp(qp)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_ring_above_dense_limit():
     # n = 3000 puts every normal-equations solve on the sparse branch; the
     # allocation bound is an eighth of one dense n-by-n float64 array
     n = 3000
     P = ring_chain(1.0 + 0.1 * np.random.default_rng(0).random(3 * n))
     qp = build_reduced_qp(P, stationary_mixture(P), symmetrized_pattern(P))
-    tracemalloc.start()
-    try:
-        ip = solve_qp(qp)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    ip, peak = _solve_with_peak(qp)
     pg = solve_qp(
         qp, SolverOptions(variant=SolverVariant.PROJECTED_GRADIENT, max_iterations=20_000)
     )
     assert np.abs(ip.y - pg.y).max() <= 1e-10
     assert max(ip.kkt_residuals.worst, kkt_residuals(qp, ip.y).worst) <= 1e-13
     assert peak < n * n
+
+
+def test_expander_above_dense_limit():
+    # a heavy-fill expander (n 792) on the sparse branch whose optimum has
+    # active bounds, so the Newton free set changes from step to step
+    P = gen_random_chain(BenchmarkConfig(n_min=800, n_max=800, seed=1), 0)
+    qp = build_reduced_qp(P, stationary_mixture(P), symmetrized_pattern(P))
+    result, peak = _solve_with_peak(qp)
+    assert max(result.kkt_residuals.worst, kkt_residuals(qp, result.y).worst) <= 1e-13
+    assert result.y.min() >= 0.0
+    assert (result.y == 0.0).any()
+    assert peak < P.n * P.n
 
 
 class TestOracleSolve:
