@@ -163,12 +163,12 @@ def test_ring_above_dense_limit():
     n = 3000
     P = ring_chain(1.0 + 0.1 * np.random.default_rng(0).random(3 * n))
     qp = build_reduced_qp(P, stationary_mixture(P), symmetrized_pattern(P))
-    ip, peak = _solve_with_peak(qp)
+    newton, peak = _solve_with_peak(qp)
     pg = solve_qp(
         qp, SolverOptions(variant=SolverVariant.PROJECTED_GRADIENT, max_iterations=20_000)
     )
-    assert np.abs(ip.y - pg.y).max() <= 1e-10
-    assert max(ip.kkt_residuals.worst, kkt_residuals(qp, ip.y).worst) <= 1e-13
+    assert np.abs(newton.y - pg.y).max() <= 1e-10
+    assert max(newton.kkt_residuals.worst, kkt_residuals(qp, newton.y).worst) <= 1e-13
     assert peak < n * n
 
 
