@@ -67,8 +67,6 @@ from .qp_solve import (
     KKTResiduals,
     SolverOptions,
     SolverResult,
-    SolverVariant,
-    feasible_start,
     kkt_residuals,
     oracle_solve,
     solve_qp,

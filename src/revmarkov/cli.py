@@ -20,7 +20,7 @@ from .chain_analysis import kolmogorov_cycle_check, stationary_mixture
 from .exceptions import RevMarkovError
 from .experiments import BenchmarkConfig, LangevinConfig, count_matrix, langevin_trajectory, run_benchmark
 from .pipeline import PipelineOptions, nearest_sparse_reversible, verify
-from .qp_solve import SolverOptions, SolverVariant
+from .qp_solve import SolverOptions
 from .reversibilize import AcceptanceRule, reversibilize
 from .sparse_core import (
     detailed_balance_residual,
@@ -40,11 +40,7 @@ def _cmd_nearest(args) -> int:
         P = io.read_matrix(args.matrix)
     pi = io.read_probability_vector(args.pi) if args.pi else None
     pattern = io.read_pattern(args.pattern) if args.pattern else None
-    variant = {
-        "newton": SolverVariant.DUAL_NEWTON,
-        "pg": SolverVariant.PROJECTED_GRADIENT,
-    }[args.solver]
-    solver = SolverOptions(kkt_tolerance=args.tol, variant=variant, max_iterations=args.max_iterations)
+    solver = SolverOptions(kkt_tolerance=args.tol, max_iterations=args.max_iterations)
     options = PipelineOptions(
         pi=pi, pattern=pattern, recurse_ergodic=not args.no_recurse, solver=solver
     )
@@ -170,12 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="row-normalize the input first (e.g. a count matrix from `langevin`)",
     )
     p.add_argument("--no-recurse", action="store_true", help="skip the per-class split")
-    p.add_argument(
-        "--solver",
-        choices=["newton", "pg"],
-        default="newton",
-        help="semismooth Newton on the dual (default) or projected gradient",
-    )
     p.add_argument("--tol", type=float, default=1e-10, help="KKT tolerance")
     p.add_argument("--max-iterations", type=int, default=200)
     p.add_argument("--out", help="write the reversible matrix here (Matrix Market)")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,6 +47,11 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+#: :func:`unscale_solution` clamps entries down to this much below zero.
+NEGATIVE_TOLERANCE = 1e-12
+#: Row-sum deviation above which :func:`unscale_solution` renormalizes rows.
+STOCHASTICITY_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -252,25 +256,20 @@ def build_reduced_qp(
 
 
 def unscale_solution(
-    y: np.ndarray,
-    maps: IndexMaps,
-    pi_hat: np.ndarray,
-    negative_tolerance: float = 1e-12,
-    stochasticity_tolerance: float = 1e-12,
-    log: Callable[[str], None] | None = None,
+    y: np.ndarray, maps: IndexMaps, pi_hat: np.ndarray
 ) -> SparseStochasticMatrix:
     """Map a reduced solution back to a stochastic matrix.
 
-    Entries in ``[-negative_tolerance, 0)`` are clamped to zero; anything more
-    negative raises :class:`NegativeEntry`.  Rows are renormalized only when
-    the row-sum deviation exceeds ``stochasticity_tolerance``, and that event
-    is logged because it means the solver left visible slack.
+    Entries in ``[-NEGATIVE_TOLERANCE, 0)`` are clamped to zero; anything
+    more negative raises :class:`NegativeEntry`.  Rows are renormalized only
+    when the row-sum deviation exceeds ``STOCHASTICITY_TOLERANCE``, and that
+    event is logged because it means the solver left visible slack.
     """
     y = np.asarray(y, dtype=float).ravel()
     if y.size != maps.y_m:
         raise LengthMismatch(f"expected length {maps.y_m}, got {y.size}")
     worst = int(np.argmin(y)) if y.size else 0
-    if y.size and y[worst] < -negative_tolerance:
+    if y.size and y[worst] < -NEGATIVE_TOLERANCE:
         raise NegativeEntry(worst, float(y[worst]))
     y = np.maximum(y, 0.0)
 
@@ -281,11 +280,11 @@ def unscale_solution(
 
     row_sums = np.asarray(R.sum(axis=1)).ravel()
     deviation = float(np.abs(row_sums - 1.0).max()) if row_sums.size else 0.0
-    if deviation > stochasticity_tolerance:
-        message = (
-            f"renormalizing rows: row-sum deviation {deviation:.3e} exceeds "
-            f"{stochasticity_tolerance:.0e}"
+    if deviation > STOCHASTICITY_TOLERANCE:
+        logger.warning(
+            "renormalizing rows: row-sum deviation %.3e exceeds %.0e",
+            deviation,
+            STOCHASTICITY_TOLERANCE,
         )
-        (log or logger.warning)(message)
         R = sp.diags(1.0 / row_sums) @ R
     return SparseStochasticMatrix(R, stochastic=True)

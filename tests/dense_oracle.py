@@ -86,3 +86,27 @@ def unreduced_constraints(pattern):
     asymmetry = np.eye(n * n) - K
     pattern_mask = np.diag(vec(mask))
     return eigenvector_map, asymmetry, pattern_mask
+
+
+def kkt_certificate(qp, y) -> float:
+    """Worst KKT violation of ``y`` for the reduced program ``qp``.
+
+    Dense NumPy only, independent of the solver's normal equations: the
+    equality multipliers are the least-squares fit of stationarity on the
+    support of ``y``, where the bound multipliers must vanish, and the bound
+    multipliers are what stationarity then leaves.  Returns the largest of
+    the equality residual, the bound violation of ``y``, the bound
+    multipliers on the support and their negative part off it.
+    """
+    a = qp.a_eq.toarray()
+    y = np.asarray(y, dtype=float)
+    g = qp.hessian_diag * y + qp.linear
+    support = y > 0.0
+    lam = np.linalg.lstsq(a[:, support].T, g[support], rcond=None)[0]
+    z = g - a.T @ lam
+    return max(
+        float(np.abs(a @ y - qp.b_eq).max()),
+        float(np.max(-y, initial=0.0)),
+        float(np.abs(z[support]).max(initial=0.0)),
+        float(np.max(-z[~support], initial=0.0)),
+    )

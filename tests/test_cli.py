@@ -36,18 +36,10 @@ def test_nearest_writes_output_and_diagnostics(chain_files, capsys):
     assert detailed_balance_residual(R, stationary_mixture(P)) <= 1e-10
 
 
-def test_nearest_with_explicit_pi_and_pg(chain_files):
+def test_nearest_with_explicit_pi(chain_files):
     tmp, matrix, pi_file, *_ = chain_files
-    code = main(
-        ["nearest", str(matrix), "--pi", str(pi_file), "--solver", "pg",
-         "--max-iterations", "5000"]
-    )
+    code = main(["nearest", str(matrix), "--pi", str(pi_file), "--max-iterations", "5000"])
     assert code == 0
-
-
-def test_nearest_with_newton_solver(chain_files):
-    tmp, matrix, *_ = chain_files
-    assert main(["nearest", str(matrix), "--solver", "newton"]) == 0
 
 
 def test_nearest_missing_file_is_io_error(tmp_path):

@@ -9,15 +9,17 @@ from revmarkov import (
     PipelineOptions,
     ProbabilityVector,
     SolverOptions,
-    SolverVariant,
     SparseStochasticMatrix,
     SparsityPattern,
+    build_reduced_qp,
     detailed_balance_residual,
     ergodic_decomposition,
     frobenius_distance,
     nearest_sparse_reversible,
     reversibilize,
+    oracle_solve,
     row_normalize,
+    solve_qp,
     stationary_mixture,
     symmetrized_pattern,
     verify,
@@ -149,21 +151,28 @@ class TestNearestSparseReversible:
         # same feasible set, same unique optimum
         assert np.abs(R_split.toarray() - R_whole.toarray()).max() <= 1e-9
 
-    def test_solver_variant_passthrough(self, chain_factory):
+    def test_solver_options_passthrough(self, chain_factory):
         P = chain_factory(6, 31)
-        options = PipelineOptions(
-            solver=SolverOptions(variant=SolverVariant.PROJECTED_GRADIENT, max_iterations=5000)
-        )
+        options = PipelineOptions(solver=SolverOptions(kkt_tolerance=1e-12, max_iterations=5000))
         R, diag = nearest_sparse_reversible(P, options)
         assert max(diag.residuals) <= 1e-10
+        assert all(max(c.kkt_residuals) <= 1e-12 for c in diag.per_class)
 
     def test_class_failures_are_aggregated(self):
-        # an impossible tolerance with no iteration budget fails both class
-        # solves; the error must carry every failure, not just the first
-        P = two_blocks_with_transients()
-        options = PipelineOptions(
-            solver=SolverOptions(max_iterations=1, polish=False, kkt_tolerance=1e-16)
-        )
+        # small self-loops leave both classes an optimum with an active bound,
+        # so one Newton step cannot solve either; the error must carry every
+        # failure, not just the first
+        rng = np.random.default_rng(0)
+        blocks = [rng.random((k, k)) for k in (3, 4)]
+        for block in blocks:
+            np.fill_diagonal(block, 0.01)
+        P = row_normalize(sp.block_diag(blocks).toarray())
+        pi = stationary_mixture(P)
+        for members in ergodic_decomposition(P, pi).classes:
+            block = P.submatrix(members, stochastic=True)
+            qp = build_reduced_qp(block, pi.restrict(members), symmetrized_pattern(block))
+            assert (solve_qp(qp).y == 0.0).any()
+        options = PipelineOptions(solver=SolverOptions(max_iterations=1))
         with pytest.raises(ClassSolveFailed) as err:
             nearest_sparse_reversible(P, options)
         assert len(err.value.failures) == 2
@@ -179,7 +188,7 @@ class TestNearestSparseReversible:
             np.fill_diagonal(block, 0.01)
         P = row_normalize(sp.block_diag(blocks).toarray())
         options = PipelineOptions(
-            solver=SolverOptions(max_iterations=1, polish=False, kkt_tolerance=1e-16)
+            solver=SolverOptions(max_iterations=1, kkt_tolerance=1e-16)
         )
         with pytest.raises(ClassSolveFailed) as err:
             nearest_sparse_reversible(P, options)
@@ -241,6 +250,42 @@ class TestRandomReducibleChains:
         assert diag.transient.tolist() == list(range(recurrent, P.n))
         per_class = sum(c.distance**2 for c in diag.per_class)
         assert diag.distance**2 == pytest.approx(per_class, rel=1e-9, abs=1e-18)
+
+
+
+def wide_span_chain(seed):
+    """Irreducible chain on 2-11 states with entries spanning 1e-8 to 1,
+    bipartite for every fourth seed; the edges i -> i+1 close a cycle."""
+    rng = np.random.default_rng(seed)
+    bipartite = seed % 4 == 3
+    n = 2 * int(rng.integers(1, 6)) if bipartite else int(rng.integers(2, 12))
+    idx = np.arange(n)
+    mask = rng.random((n, n)) < 0.5
+    if bipartite:
+        mask &= (idx[:, None] - idx[None, :]) % 2 == 1
+    mask[idx, (idx + 1) % n] = True
+    return row_normalize(np.where(mask, 10.0 ** rng.uniform(-8, 0, (n, n)), 0.0))
+
+
+def test_wide_span_chains_match_oracle():
+    # ill-conditioned first Newton steps with long Armijo backtracking; each
+    # class must still end on the oracle's optimum at machine precision
+    compared = 0
+    for seed in range(100):
+        P = wide_span_chain(seed)
+        R, diag = nearest_sparse_reversible(P)
+        assert max(diag.residuals) <= 1e-10
+        pi = stationary_mixture(P)
+        for members in ergodic_decomposition(P, pi).classes:
+            block = P.submatrix(members, stochastic=True)
+            qp = build_reduced_qp(block, pi.restrict(members), symmetrized_pattern(block))
+            if qp.y_m > 10:
+                continue
+            rows, cols = qp.maps.upper_rows, qp.maps.upper_cols
+            y = R.toarray()[members[rows], members[cols]] * qp.pi_hat[rows] / qp.pi_hat[cols]
+            assert np.abs(y - oracle_solve(qp)).max() <= 1e-9
+            compared += 1
+    assert compared >= 20
 
 
 class TestVerify:

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -321,14 +323,10 @@ class TestUnscaleSolution:
         R = unscale_solution([1.0, -1e-13, 1.0], maps, np.full(2, np.sqrt(0.5)))
         assert R.toarray()[0, 1] == 0.0
 
-    def test_renormalization_logged(self):
+    def test_renormalization_logged(self, caplog):
         maps = build_index_maps(SparsityPattern(np.ones((2, 2))))
-        messages = []
-        R = unscale_solution(
-            [1.001, 0.0, 0.999],
-            maps,
-            np.full(2, np.sqrt(0.5)),
-            log=messages.append,
-        )
-        assert messages and "renormalizing" in messages[0]
+        with caplog.at_level(logging.WARNING, logger="revmarkov.qp_build"):
+            R = unscale_solution([1.001, 0.0, 0.999], maps, np.full(2, np.sqrt(0.5)))
+        assert [r.name for r in caplog.records] == ["revmarkov.qp_build"]
+        assert "renormalizing" in caplog.records[0].getMessage()
         assert np.allclose(R.toarray(), np.eye(2))
