@@ -269,9 +269,10 @@ def wide_span_chain(seed):
 
 def test_wide_span_chains_match_oracle():
     # ill-conditioned first Newton steps with long Armijo backtracking; each
-    # class must still end on the oracle's optimum at machine precision
+    # class must still end on the oracle's optimum at machine precision.
+    # Seed 196's last steps gain less than the rounding of the dual value.
     compared = 0
-    for seed in range(100):
+    for seed in range(100, 200):
         P = wide_span_chain(seed)
         R, diag = nearest_sparse_reversible(P)
         assert max(diag.residuals) <= 1e-10
