@@ -105,7 +105,7 @@ def test_criterion_2_butane_pipeline(butane, acceptance_log):
 
 
 def test_criterion_3_oracle_equivalence(acceptance_log):
-    """Interior point matches exhaustive active-set enumeration on 50 random
+    """Dual Newton matches exhaustive active-set enumeration on 50 random
     small instances within 1e-7, in under 30 seconds."""
     t0 = time.perf_counter()
     worst = 0.0

@@ -108,16 +108,43 @@ class TestLangevinTrajectory:
         assert bins.shape == (5_001,)
         assert bins.min() >= 0 and bins.max() < 12
 
-    def test_python_fallback_matches_compiled_kernel(self, monkeypatch):
-        # the jitted step loop and the plain-Python original must produce
-        # bit-identical trajectories
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            LangevinConfig(steps=1, seed=12),
+            # not a multiple of the sub-chunk, and crosses a noise block
+            LangevinConfig(steps=(1 << 20) + 4_097, seed=12),
+            # x * bins / 2 pi rounds to 7.0, so every bin must clamp to 6
+            LangevinConfig(
+                steps=5_000, bins=7, sigma=0.0, x0=float(np.nextafter(2.0 * np.pi, 0.0))
+            ),
+        ],
+        ids=["one-step", "block-crossing", "clamp"],
+    )
+    def test_kernels_match_reference_loop(self, monkeypatch, cfg):
+        # the pure-Python fallback and, when numba is importable, the jitted
+        # kernel must reproduce the plain step loop of _walk_chunk bit for
+        # bit: the bins, and the exact position at the end of each noise block
         import revmarkov.experiments as exp
 
-        cfg = LangevinConfig(steps=30_000, seed=12)
-        compiled = langevin_trajectory(cfg)
-        monkeypatch.setattr(exp, "_compiled_walk", exp._walk_chunk)
-        fallback = langevin_trajectory(cfg)
-        assert np.array_equal(compiled, fallback)
+        def run(kernel):
+            ends = []
+
+            def recording(*args):
+                ends.append(kernel(*args))
+                return ends[-1]
+
+            monkeypatch.setattr(exp, "_compiled_walk", recording)
+            return langevin_trajectory(cfg), ends
+
+        reference, reference_ends = run(exp._walk_chunk)
+        monkeypatch.setattr(exp, "_compiled_walk", None)
+        for kernel in {exp._walk_chunk_python, exp._get_walk_kernel()}:
+            bins, ends = run(kernel)
+            assert np.array_equal(bins, reference), kernel
+            assert ends == reference_ends, kernel
+        if cfg.sigma == 0.0:
+            assert np.all(reference == cfg.bins - 1)
 
     def test_occupancy_tracks_gibbs_weights(self, butane):
         # desk-scale run vs quadrature of exp(-2 U / sigma^2) per bin
@@ -155,6 +182,16 @@ class TestCountMatrix:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             count_matrix(np.array([0, 7]), 5)
+
+    def test_int16_codes_do_not_overflow(self):
+        # 299 * 300 + 299 overflows int16, so the codes must be built wider
+        rng = np.random.default_rng(4)
+        bins = rng.integers(0, 300, size=20_000).astype(np.int16)
+        expected = np.zeros((300, 300))
+        for i, j in zip(bins[:-1].tolist(), bins[1:].tolist()):
+            expected[i, j] += 1
+        C = count_matrix(bins, 300)
+        assert np.array_equal(C.toarray(), expected)
 
     def test_butane_counts_support(self, butane):
         # one-step moves only reach adjacent bins (plus the periodic corner),

@@ -220,7 +220,7 @@ class TestOracleSolve:
 
 def test_against_independent_qp_engine():
     # mid-size instances are beyond the enumeration oracle; cross-check the
-    # interior point against a third-party conic solver when one is around
+    # dual Newton solver against a third-party conic solver when one is around
     cvxopt = pytest.importorskip("cvxopt")
     cvxopt.solvers.options["show_progress"] = False
     cvxopt.solvers.options["abstol"] = 1e-12
