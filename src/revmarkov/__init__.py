@@ -24,7 +24,6 @@ from .exceptions import (
     DimensionMismatch,
     EmptyTrajectory,
     InconsistentSupport,
-    Infeasible,
     LengthMismatch,
     MaxIterations,
     MissingDiagonal,
@@ -33,7 +32,6 @@ from .exceptions import (
     NumericalBreakdown,
     PatternNotSymmetric,
     RevMarkovError,
-    TooLarge,
     ZeroRow,
 )
 from .experiments import (
@@ -56,19 +54,16 @@ from .pipeline import (
 from .qp_build import (
     IndexMaps,
     ReducedQP,
-    apply_reduced_operator,
     build_index_maps,
     build_reduced_qp,
     expand_symmetric,
     unscale_solution,
-    weighting_vector,
 )
 from .qp_solve import (
     KKTResiduals,
     SolverOptions,
     SolverResult,
     kkt_residuals,
-    oracle_solve,
     solve_qp,
 )
 from .reversibilize import (

@@ -13,7 +13,12 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .exceptions import DimensionMismatch, InconsistentSupport
-from .sparse_core import ProbabilityVector, SparseStochasticMatrix
+from .sparse_core import (
+    ProbabilityVector,
+    SparseStochasticMatrix,
+    _as_csr,
+    _symmetric_lu,
+)
 
 __all__ = [
     "ErgodicDecomposition",
@@ -86,12 +91,7 @@ def _class_stationary(block: sp.csr_matrix) -> np.ndarray:
     M = (sp.diags(d) - O).T.tocsc()
     residual = np.inf
     try:
-        lu = splu(
-            M[1:, 1:],
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        lu = _symmetric_lu(M[1:, 1:])
         pi = np.concatenate(([1.0], lu.solve(O[0, 1:].toarray().ravel())))
     except RuntimeError:  # exactly singular factor
         pi = None
@@ -121,14 +121,12 @@ def strongly_connected_components(P) -> list[np.ndarray]:
     deterministic, and each component is returned as an ascending index
     array.
     """
-    csr = P.csr if isinstance(P, SparseStochasticMatrix) else sp.csr_matrix(P)
-    return _scc(csr)[1]
+    return _scc(_as_csr(P))[1]
 
 
 def is_irreducible(P) -> bool:
     """True when the support digraph is strongly connected."""
-    csr = P.csr if isinstance(P, SparseStochasticMatrix) else sp.csr_matrix(P)
-    return connected_components(csr, directed=True, connection="strong")[0] == 1
+    return connected_components(_as_csr(P), directed=True, connection="strong")[0] == 1
 
 
 def _scc(csr: sp.csr_matrix):

@@ -72,22 +72,6 @@ class NumericalBreakdown(RevMarkovError):
     """A linear system inside the solver became singular beyond recovery."""
 
 
-class TooLarge(RevMarkovError):
-    """The brute-force oracle was asked to enumerate too many active sets."""
-
-    def __init__(self, num_variables: int, limit: int):
-        self.num_variables = num_variables
-        self.limit = limit
-        super().__init__(
-            f"{num_variables} variables exceed the enumeration bound {limit}"
-        )
-
-
-class Infeasible(RevMarkovError):
-    """No active set produced a feasible point (should not happen with a full
-    diagonal pattern and strictly positive pi)."""
-
-
 class EmptyTrajectory(RevMarkovError):
     """A trajectory too short to contain a single transition."""
 

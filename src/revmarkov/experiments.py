@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from .chain_analysis import strongly_connected_components
 from .exceptions import DegenerateInstance, EmptyTrajectory
 from .pipeline import PipelineOptions, nearest_sparse_reversible
-from .sparse_core import SparseStochasticMatrix, row_normalize
+from .sparse_core import row_normalize
 
 __all__ = [
     "BenchmarkConfig",
@@ -142,11 +142,6 @@ class LangevinConfig:
     @property
     def coefficients(self):
         return (self.a, self.b, self.c, self.d)
-
-    @property
-    def domain(self):
-        """State space interval; fixed by the period of the potential."""
-        return (0.0, TWO_PI)
 
 
 def torsion_potential(x, coefficients) -> np.ndarray:

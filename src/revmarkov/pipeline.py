@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .chain_analysis import ergodic_decomposition, stationary_mixture
 from .exceptions import ClassSolveFailed, DimensionMismatch
@@ -156,7 +155,7 @@ def _solve_class(P, pi, members, pattern_override, solver_opts):
         kkt_residuals=tuple(result.kkt_residuals),
         wall_time=time.perf_counter() - start,
     )
-    return R_block, pi_block, report
+    return R_block, mh_baseline_distance(block, pi_block), report
 
 
 def nearest_sparse_reversible(
@@ -233,8 +232,7 @@ def nearest_sparse_reversible(
         cols.append(coo.col)
         vals.append(coo.data)
     per_class = []
-    for item in results:
-        R_block, _, report = item
+    for R_block, _, report in results:
         per_class.append(report)
         members = report.indices
         coo = R_block.csr.tocoo()
@@ -251,19 +249,8 @@ def nearest_sparse_reversible(
 
     delta = (R.csr - csr).tocoo()
     keep_mask = np.abs(delta.data) > 1e-15
-    distance = frobenius_distance(R, P)
-    mh_distance = float(
-        np.sqrt(
-            sum(
-                mh_baseline_distance(
-                    P.submatrix(report.indices, stochastic=True),
-                    pi.restrict(report.indices),
-                )
-                ** 2
-                for report in per_class
-            )
-        )
-    )
+    distance = float(np.sqrt(np.sum(delta.data**2))) if delta.nnz else 0.0
+    mh_distance = float(np.sqrt(sum(mh**2 for _, mh, _ in results)))
     diagnostics = PipelineDiagnostics(
         num_classes=len(classes),
         transient=np.asarray(transient, dtype=np.intp),

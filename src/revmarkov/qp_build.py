@@ -40,10 +40,8 @@ __all__ = [
     "ReducedQP",
     "build_index_maps",
     "expand_symmetric",
-    "apply_reduced_operator",
     "build_reduced_qp",
     "unscale_solution",
-    "weighting_vector",
 ]
 
 logger = logging.getLogger(__name__)
@@ -79,21 +77,6 @@ class IndexMaps:
     def diagonal_mask(self) -> np.ndarray:
         return self.upper_rows == self.upper_cols
 
-    @property
-    def k_of(self) -> dict:
-        """Map from position (i, j), i <= j, to variable index."""
-        return {
-            (int(i), int(j)): k
-            for k, (i, j) in enumerate(zip(self.upper_rows, self.upper_cols))
-        }
-
-    def r_of(self, i: int, j: int) -> int:
-        """Column-major vectorization slot of position (i, j)."""
-        return j * self.n + i
-
-    def upper_positions(self):
-        return list(zip(self.upper_rows.tolist(), self.upper_cols.tolist()))
-
 
 def build_index_maps(pattern: SparsityPattern) -> IndexMaps:
     """Variable indexing for the upper triangle of a symmetric pattern.
@@ -113,16 +96,6 @@ def build_index_maps(pattern: SparsityPattern) -> IndexMaps:
     expected = (pattern.size - pattern.n) // 2 + pattern.n
     assert rows.size == expected
     return IndexMaps(n=pattern.n, upper_rows=rows, upper_cols=cols)
-
-
-def weighting_vector(maps: IndexMaps) -> np.ndarray:
-    """Diagonal of the normal product of the symmetric-expansion operator:
-    1 for off-diagonal variables, 1/2 for diagonal ones.
-
-    Exposed for the algebraic identity test against the dense oracle; the
-    reduced program itself never needs it.
-    """
-    return np.where(maps.diagonal_mask, 0.5, 1.0)
 
 
 def expand_symmetric(y: np.ndarray, maps: IndexMaps) -> sp.csr_matrix:
@@ -146,26 +119,6 @@ def _check_pi(pi: ProbabilityVector, n: int):
     if not pi.is_strictly_positive():
         missing = np.setdiff1d(np.arange(n), pi.support)
         raise NonPositivePi(int(missing[0]))
-
-
-def apply_reduced_operator(
-    y: np.ndarray, maps: IndexMaps, pi_hat: np.ndarray
-) -> np.ndarray:
-    """Scaled symmetric expansion as a length ``n^2`` column-major vector.
-
-    Computes ``vec(D_s^{-1} Y D_s)`` for ``Y = expand_symmetric(y)`` without
-    ever materializing an ``n^2 x n^2`` operator; entry ``(i, j)`` of the
-    matrix lands in slot ``j * n + i`` and is scaled by ``s_j / s_i``.
-    """
-    pi_hat = np.asarray(pi_hat, dtype=float).ravel()
-    if pi_hat.size != maps.n:
-        raise DimensionMismatch("pi_hat has wrong length")
-    if np.any(pi_hat <= 0.0):
-        raise NonPositivePi(int(np.argmin(pi_hat)))
-    Y = expand_symmetric(y, maps).tocoo()
-    out = np.zeros(maps.n * maps.n)
-    out[Y.col * maps.n + Y.row] = Y.data * pi_hat[Y.col] / pi_hat[Y.row]
-    return out
 
 
 @dataclass(frozen=True)
@@ -203,10 +156,10 @@ class ReducedQP:
     def y_m(self) -> int:
         return self.maps.y_m
 
-    def objective(self, y: np.ndarray, include_constant: bool = True) -> float:
+    def objective(self, y: np.ndarray) -> float:
         y = np.asarray(y, dtype=float).ravel()
         value = 0.5 * float(y @ (self.hessian_diag * y)) + float(self.linear @ y)
-        return value + (self.constant if include_constant else 0.0)
+        return value + self.constant
 
 
 def build_reduced_qp(

@@ -6,32 +6,26 @@
 with diagonal positive-definite ``Q``, by a semismooth Newton method on the
 dual: because ``Q`` is diagonal, the dual in the ``n`` equality multipliers
 is unconstrained and piecewise quadratic, and each Newton step is one n-by-n
-normal-equations solve on the current free set.  :func:`oracle_solve`
-enumerates every active set for small instances as an independent check.
+normal-equations solve on the current free set.
 
-Since the objective is strongly convex the minimizer is unique, so both
-routes must agree; the test suite holds them to that.
+Since the objective is strongly convex the minimizer is unique; the test
+suite holds the solver to the one found by enumerating every active set of
+small instances.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .exceptions import (
-    Infeasible,
-    MaxIterations,
-    NumericalBreakdown,
-    TooLarge,
-)
+from .exceptions import MaxIterations, NumericalBreakdown
 from .qp_build import ReducedQP
+from .sparse_core import _symmetric_lu
 
 __all__ = [
     "SolverOptions",
@@ -39,7 +33,6 @@ __all__ = [
     "SolverResult",
     "solve_qp",
     "kkt_residuals",
-    "oracle_solve",
 ]
 
 #: Normal matrices of at most this order are factored by dense Cholesky, larger
@@ -47,9 +40,6 @@ __all__ = [
 #: ``ensemble`` benchmark (n 100-300) about 60 % slower on a 2-core machine: at
 #: that size a dense factor takes 0.07-2.0 ms against 0.7-3.6 ms for sparse LU.
 _DENSE_LIMIT = 600
-
-#: Active-set enumeration cap for the brute-force oracle.
-ORACLE_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -124,12 +114,7 @@ def _normal_solve(a: sp.csr_matrix, w: np.ndarray, rhs: np.ndarray) -> np.ndarra
                 factor = scipy.linalg.cho_factor(M, check_finite=False)
                 return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
             M = S + reg * sp.identity(n) if reg else S
-            return spla.splu(
-                M.tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            ).solve(rhs)
+            return _symmetric_lu(M.tocsc()).solve(rhs)
         except (scipy.linalg.LinAlgError, RuntimeError) as err:
             reg = 1e-14 if reg == 0.0 else reg * 100.0
             if reg > 1e-6:
@@ -271,72 +256,3 @@ def solve_qp(qp: ReducedQP, opts: SolverOptions | None = None) -> SolverResult:
     if residuals.worst > opts.kkt_tolerance:
         raise MaxIterations(result)
     return result
-
-
-# -- brute-force oracle --------------------------------------------------------
-
-
-def oracle_solve(qp: ReducedQP, enumeration_limit: int = ORACLE_LIMIT) -> np.ndarray:
-    """Global minimizer by exhaustive active-set enumeration.
-
-    Every subset of the nonnegativity constraints is pinned at zero in turn;
-    the remaining equality-constrained problem is solved by a dense
-    factorization of the bordered system (least-norm on singular systems), and
-    candidates violating primal or dual sign conditions are discarded.  The
-    least objective among survivors is the unique optimum, exact up to dense
-    roundoff, which makes this an independent check of the iterative solvers.
-
-    Raises
-    ------
-    TooLarge
-        If ``y_m`` exceeds ``enumeration_limit`` (the loop is ``2^y_m``).
-    Infeasible
-        If no active set produces a feasible candidate; cannot happen for a
-        full-diagonal pattern with strictly positive target.
-    """
-    m = qp.y_m
-    if m > enumeration_limit:
-        raise TooLarge(m, enumeration_limit)
-    q = np.diag(qp.hessian_diag)
-    a = qp.a_eq.toarray()
-    b, c = qp.b_eq, qp.linear
-    n = qp.n
-
-    bit_table = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(bool)
-    best_y, best_val = None, np.inf
-    with warnings.catch_warnings():
-        # singular active sets are probed on purpose; lstsq handles them
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        for mask in range(1 << m):
-            active = bit_table[mask]
-            free = ~active
-            f = int(free.sum())
-            if f == 0:
-                continue
-            kkt = np.zeros((f + n, f + n))
-            kkt[:f, :f] = q[np.ix_(free, free)]
-            kkt[:f, f:] = a[:, free].T
-            kkt[f:, :f] = a[:, free]
-            rhs = np.concatenate([-c[free], b])
-            try:
-                sol = scipy.linalg.solve(kkt, rhs, assume_a="sym")
-                if not np.all(np.isfinite(sol)):
-                    raise scipy.linalg.LinAlgError
-            except scipy.linalg.LinAlgError:
-                sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            y_f, lam = sol[:f], -sol[f:]
-            if np.abs(a[:, free] @ y_f - b).max() > 1e-8:
-                continue
-            if y_f.size and y_f.min() < -1e-9:
-                continue
-            y = np.zeros(m)
-            y[free] = y_f
-            z = qp.hessian_diag * y + c - a.T @ lam
-            if active.any() and z[active].min() < -1e-9:
-                continue
-            value = qp.objective(y, include_constant=False)
-            if value < best_val - 1e-15:
-                best_val, best_y = value, np.maximum(y, 0.0)
-    if best_y is None:
-        raise Infeasible("no active set produced a feasible candidate")
-    return best_y

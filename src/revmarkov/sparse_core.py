@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .exceptions import DimensionMismatch, ZeroRow
 
@@ -37,6 +38,19 @@ def _canonical_csr(matrix, dtype=float) -> sp.csr_matrix:
     csr.eliminate_zeros()
     csr.sort_indices()
     return csr
+
+
+def _symmetric_lu(matrix: sp.csc_matrix):
+    """Sparse LU in SuperLU's symmetric mode: minimum-degree order on the
+    structure of ``A + A^T`` and diagonal pivots only.  Both callers factor
+    matrices that need no off-diagonal pivots: nonsingular M-matrices and
+    symmetric positive definite normal matrices."""
+    return splu(
+        matrix,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
 
 
 def _freeze(csr: sp.csr_matrix) -> sp.csr_matrix:
@@ -167,6 +181,8 @@ class ProbabilityVector:
         vals = np.array(values, dtype=float).ravel()
         if vals.size == 0:
             raise ValueError("probability vector must not be empty")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("probabilities must be finite")
         if vals.min() < 0.0:
             raise ValueError("probabilities must be nonnegative")
         total = vals.sum()
@@ -278,9 +294,6 @@ class SparsityPattern:
 
     def row_degrees(self) -> np.ndarray:
         return np.diff(self._csr.indptr)
-
-    def contains(self, i: int, j: int) -> bool:
-        return self._csr[i, j] != 0
 
     def restrict(self, indices) -> "SparsityPattern":
         idx = np.asarray(indices, dtype=np.intp)

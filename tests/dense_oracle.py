@@ -4,12 +4,19 @@ Builds the commutation matrix, the half-weighted upper-triangle projector,
 and the Kronecker scaling explicitly, then forms the quadratic program by
 plain matrix products.  Everything here is deliberately naive (dense, n^2
 vectors) so it cannot share a bug with the sparse closed-form assembly it is
-used to validate.
+used to validate.  :func:`oracle_solve` minimizes the reduced program by
+enumerating every active set, independently of the dual Newton solver.
 """
 
+import warnings
+
 import numpy as np
+import scipy.linalg
 
 from revmarkov import IndexMaps, build_index_maps
+
+#: Active-set enumeration cap for :func:`oracle_solve`.
+ORACLE_LIMIT = 16
 
 
 def vec(Y: np.ndarray) -> np.ndarray:
@@ -110,3 +117,66 @@ def kkt_certificate(qp, y) -> float:
         float(np.abs(z[support]).max(initial=0.0)),
         float(np.max(-z[~support], initial=0.0)),
     )
+
+
+def oracle_solve(qp) -> np.ndarray:
+    """Global minimizer by exhaustive active-set enumeration.
+
+    Every subset of the nonnegativity constraints is pinned at zero in turn;
+    the remaining equality-constrained problem is solved by a dense
+    factorization of the bordered system (least-norm on singular systems), and
+    candidates violating primal or dual sign conditions are discarded.  The
+    least objective among survivors is the unique optimum, exact up to dense
+    roundoff, which makes this an independent check of the iterative solver.
+
+    Raises ``ValueError`` when ``y_m`` exceeds ``ORACLE_LIMIT`` (the loop is
+    ``2^y_m``) and when no active set produces a feasible candidate, which
+    cannot happen for a full-diagonal pattern with strictly positive target.
+    """
+    m = qp.y_m
+    if m > ORACLE_LIMIT:
+        raise ValueError(f"{m} variables exceed the enumeration bound {ORACLE_LIMIT}")
+    q = np.diag(qp.hessian_diag)
+    a = qp.a_eq.toarray()
+    b, c = qp.b_eq, qp.linear
+    n = qp.n
+
+    bit_table = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(bool)
+    best_y, best_val = None, np.inf
+    with warnings.catch_warnings():
+        # singular active sets are probed on purpose; lstsq handles them
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        for mask in range(1 << m):
+            active = bit_table[mask]
+            free = ~active
+            f = int(free.sum())
+            if f == 0:
+                continue
+            kkt = np.zeros((f + n, f + n))
+            kkt[:f, :f] = q[np.ix_(free, free)]
+            kkt[:f, f:] = a[:, free].T
+            kkt[f:, :f] = a[:, free]
+            rhs = np.concatenate([-c[free], b])
+            try:
+                sol = scipy.linalg.solve(kkt, rhs, assume_a="sym")
+                if not np.all(np.isfinite(sol)):
+                    raise scipy.linalg.LinAlgError
+            except scipy.linalg.LinAlgError:
+                sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+            y_f, lam = sol[:f], -sol[f:]
+            if np.abs(a[:, free] @ y_f - b).max() > 1e-8:
+                continue
+            if y_f.size and y_f.min() < -1e-9:
+                continue
+            y = np.zeros(m)
+            y[free] = y_f
+            z = qp.hessian_diag * y + c - a.T @ lam
+            if active.any() and z[active].min() < -1e-9:
+                continue
+            # the constant 1/2 ||P||_F^2 does not change the minimizer
+            value = 0.5 * float(y @ (qp.hessian_diag * y)) + float(c @ y)
+            if value < best_val - 1e-15:
+                best_val, best_y = value, np.maximum(y, 0.0)
+    if best_y is None:
+        raise ValueError("no active set produced a feasible candidate")
+    return best_y

@@ -46,6 +46,20 @@ def test_nearest_missing_file_is_io_error(tmp_path):
     assert main(["nearest", str(tmp_path / "absent.mtx")]) == 1
 
 
+def test_nearest_rejects_nan_pi(tmp_path, capsys):
+    from revmarkov import row_normalize
+
+    matrix = tmp_path / "P.mtx"
+    rmio.write_matrix(
+        matrix,
+        row_normalize(np.array([[1, 0, 0, 0], [0, 1, 2, 0], [0, 0, 1, 2], [0, 2, 0, 1]])),
+    )
+    pi_file = tmp_path / "pi.txt"
+    pi_file.write_text("nan\n" + "0.3333333333333333\n" * 3)
+    assert main(["nearest", str(matrix), "--pi", str(pi_file)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_mh_exit_codes(chain_files, capsys):
     tmp, matrix, pi_file, *_ = chain_files
     out = tmp / "T.mtx"

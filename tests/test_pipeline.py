@@ -15,15 +15,17 @@ from revmarkov import (
     detailed_balance_residual,
     ergodic_decomposition,
     frobenius_distance,
+    mh_baseline_distance,
     nearest_sparse_reversible,
     reversibilize,
-    oracle_solve,
     row_normalize,
     solve_qp,
     stationary_mixture,
     symmetrized_pattern,
     verify,
 )
+
+from dense_oracle import oracle_solve
 
 
 def two_blocks_with_transients(perturb=True, seed=0):
@@ -125,6 +127,19 @@ class TestNearestSparseReversible:
         per_class = sum(c.distance**2 for c in diag.per_class)
         assert diag.distance**2 == pytest.approx(per_class, rel=1e-10)
 
+    @pytest.mark.parametrize("recurse", [True, False])
+    def test_totals_match_direct_computation(self, recurse):
+        P = two_blocks_with_transients()
+        R, diag = nearest_sparse_reversible(P, PipelineOptions(recurse_ergodic=recurse))
+        pi = stationary_mixture(P)
+        classes = ergodic_decomposition(P, pi).classes if recurse else [pi.support]
+        mh = [
+            mh_baseline_distance(P.submatrix(c, stochastic=True), pi.restrict(c))
+            for c in classes
+        ]
+        assert diag.distance == pytest.approx(frobenius_distance(R, P), rel=1e-12)
+        assert diag.mh_distance == pytest.approx(np.sqrt(np.sum(np.square(mh))), rel=1e-12)
+
     def test_explicit_pi_override(self, chain_factory):
         P = chain_factory(6, 23)
         pi = ProbabilityVector.uniform(6)
@@ -196,7 +211,7 @@ class TestNearestSparseReversible:
         assert [members[0] for members, _ in err.value.failures] == starts.tolist()
         assert [members.size for members, _ in err.value.failures] == sizes
 
-    def test_parallel_class_solves_match_serial(self):
+    def test_class_blocks_match_separate_solves(self):
         # the reports come out in class order, and each class block of the
         # result is that class solved on its own
         P = two_blocks_with_transients()

@@ -15,17 +15,17 @@ from revmarkov import (
     PatternNotSymmetric,
     ProbabilityVector,
     SparsityPattern,
-    apply_reduced_operator,
     build_index_maps,
     build_reduced_qp,
     expand_symmetric,
     frobenius_distance,
     proposal_from_pattern,
     reversibilize,
+    row_normalize,
+    solve_qp,
     stationary_mixture,
     symmetrized_pattern,
     unscale_solution,
-    weighting_vector,
 )
 
 
@@ -35,8 +35,6 @@ def random_instance(n, seed, extra_edges=None):
     mask = rng.random((n, n)) < 0.4
     mask[np.arange(n), (np.arange(n) + 1) % n] = True
     np.fill_diagonal(mask, True)
-    from revmarkov import row_normalize
-
     P = row_normalize(np.where(mask, rng.random((n, n)), 0.0))
     pi = stationary_mixture(P)
     pattern = symmetrized_pattern(P)
@@ -47,7 +45,8 @@ class TestBuildIndexMaps:
     def test_full_two_by_two(self):
         maps = build_index_maps(SparsityPattern(np.ones((2, 2))))
         assert maps.y_m == 3
-        assert maps.upper_positions() == [(0, 0), (0, 1), (1, 1)]
+        assert maps.upper_rows.tolist() == [0, 0, 1]
+        assert maps.upper_cols.tolist() == [0, 1, 1]
 
     def test_identity_pattern(self):
         maps = build_index_maps(SparsityPattern.identity(5))
@@ -71,16 +70,6 @@ class TestBuildIndexMaps:
     def test_missing_diagonal_rejected(self):
         with pytest.raises(MissingDiagonal):
             build_index_maps(SparsityPattern(np.array([[1.0, 1.0], [1.0, 0.0]])))
-
-    def test_r_of_is_column_major(self):
-        maps = build_index_maps(SparsityPattern(np.ones((3, 3))))
-        assert maps.r_of(1, 2) == 2 * 3 + 1
-
-    def test_k_of_bijection(self, pattern_factory):
-        pattern = pattern_factory(5, 9, extra_edges=6)
-        maps = build_index_maps(pattern)
-        k_of = maps.k_of
-        assert sorted(k_of.values()) == list(range(maps.y_m))
 
 
 class TestExpandSymmetric:
@@ -116,21 +105,24 @@ class TestExpandSymmetric:
 
 
 class TestApplyReducedOperator:
+    """The scaled symmetric expansion ``D_s^{-1} Y D_s`` as applied by
+    :func:`unscale_solution`, on feasible ``y``: rows sum to 1, so no
+    renormalization runs."""
+
     def test_uniform_target_is_plain_vec(self):
         maps = build_index_maps(SparsityPattern(np.ones((3, 3))))
-        y = np.arange(1.0, 7.0)
-        pi_hat = np.full(3, np.sqrt(1.0 / 3.0))
-        result = apply_reduced_operator(y, maps, pi_hat)
-        Y = expand_symmetric(y, maps).toarray()
-        assert np.abs(result - dense_oracle.vec(Y)).max() <= 1e-15
+        Y = np.array([[0.5, 0.2, 0.3], [0.2, 0.6, 0.2], [0.3, 0.2, 0.5]])
+        y = Y[maps.upper_rows, maps.upper_cols]
+        R = unscale_solution(y, maps, np.full(3, np.sqrt(1.0 / 3.0)))
+        assert np.abs(dense_oracle.vec(R.toarray()) - dense_oracle.vec(Y)).max() <= 1e-15
 
     def test_diagonal_invariant_under_scaling(self):
+        # Y s = s with s = (1/2, sqrt(3)/2) and off-diagonal entry 0.1
         maps = build_index_maps(SparsityPattern(np.ones((2, 2))))
         pi_hat = np.sqrt(np.array([0.25, 0.75]))
-        out = dense_oracle.unvec(
-            apply_reduced_operator([1.0, 0.0, 0.0], maps, pi_hat), 2
-        )
-        assert np.array_equal(out, [[1.0, 0.0], [0.0, 0.0]])
+        diagonal = 1.0 - 0.1 * pi_hat[::-1] / pi_hat
+        R = unscale_solution([diagonal[0], 0.1, diagonal[1]], maps, pi_hat)
+        assert np.array_equal(R.toarray().diagonal(), diagonal)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_dense_kronecker(self, n):
@@ -138,15 +130,15 @@ class TestApplyReducedOperator:
         dense = np.eye(n)
         extra = rng.random((n, n)) < 0.5
         pattern = SparsityPattern(np.maximum(dense, extra | extra.T))
-        maps = build_index_maps(pattern)
         raw = rng.random(n) + 0.1
-        pi_hat = np.sqrt(raw / raw.sum())
-        operator = dense_oracle.full_operator(maps, pi_hat)
-        for _ in range(5):
-            y = rng.standard_normal(maps.y_m)
-            assert np.abs(
-                apply_reduced_operator(y, maps, pi_hat) - operator @ y
-            ).max() <= 1e-14
+        pi = ProbabilityVector(raw / raw.sum())
+        P = row_normalize(pattern.csr.multiply(rng.random((n, n))))
+        qp = build_reduced_qp(P, pi, pattern)
+        y = solve_qp(qp).y
+        expected = dense_oracle.full_operator(qp.maps, qp.pi_hat) @ y
+        assert np.abs(dense_oracle.unvec(expected, n).sum(axis=1) - 1.0).max() <= 1e-12
+        R = unscale_solution(y, qp.maps, qp.pi_hat)
+        assert np.abs(dense_oracle.vec(R.toarray()) - expected).max() <= 1e-14
 
 
 class TestBuildReducedQP:
@@ -230,7 +222,8 @@ class TestBuildReducedQP:
         K = dense_oracle.commutation_matrix(n)
         Pi = dense_oracle.projector(maps)
         product = Pi.T @ (np.eye(n * n) + K) @ Pi
-        assert np.abs(product - np.diag(weighting_vector(maps))).max() <= 1e-15
+        weights = np.where(maps.diagonal_mask, 0.5, 1.0)
+        assert np.abs(product - np.diag(weights)).max() <= 1e-15
 
     def test_entries_outside_pattern_shift_constant(self):
         # restricting the pattern must charge the unreachable entries to the

@@ -191,6 +191,11 @@ class TestProbabilityVector:
         with pytest.raises(ValueError):
             ProbabilityVector([1.5, -0.5])
 
+    def test_finite_enforced(self):
+        # NaN passes both the sign and the sum comparison
+        with pytest.raises(ValueError, match="finite"):
+            ProbabilityVector([np.nan, 1 / 3, 1 / 3, 1 / 3])
+
     def test_support_excludes_zeros(self):
         pi = ProbabilityVector([0.5, 0.0, 0.5])
         assert pi.support.tolist() == [0, 2]
