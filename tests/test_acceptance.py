@@ -5,13 +5,11 @@ calibrated at runtime."""
 import time
 
 import numpy as np
-import pytest
 
 import dense_oracle
 from revmarkov import (
     AcceptanceRule,
     BenchmarkConfig,
-    SolverOptions,
     SparseStochasticMatrix,
     build_reduced_qp,
     nearest_sparse_reversible,
@@ -19,9 +17,7 @@ from revmarkov import (
     row_normalize,
     run_benchmark,
     solve_qp,
-    stationary_mixture,
     strongly_connected_components,
-    symmetrized_pattern,
 )
 
 from test_pipeline import two_blocks_with_transients

@@ -18,7 +18,6 @@ from revmarkov import (
     build_index_maps,
     build_reduced_qp,
     expand_symmetric,
-    frobenius_distance,
     proposal_from_pattern,
     reversibilize,
     row_normalize,
