@@ -3,9 +3,9 @@
 A chain with several ergodic classes has a whole polytope of stationary
 vectors; detailed balance is decided inside each closed class, while
 transient states carry no stationary mass and satisfy the balance equations
-trivially.  The pipeline therefore restricts to the stationary support,
-splits it into classes, solves one program per class, and copies transient
-rows through unchanged.
+trivially.  The pipeline therefore takes the classes from the chain's
+closed strongly connected components, solves one program per class, and
+copies transient rows through unchanged.
 """
 
 import numpy as np

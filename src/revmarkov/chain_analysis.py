@@ -159,16 +159,11 @@ def _closed_components(P: SparseStochasticMatrix):
 
 @dataclass(frozen=True)
 class ErgodicDecomposition:
-    """Ergodic classes, transient states, and the block-order permutation.
-
-    ``permutation`` lists the original indices class by class, transient
-    states last, so ``P[permutation][:, permutation]`` is block lower
-    triangular with the irreducible class blocks on top.
-    """
+    """Ergodic classes (ascending index arrays, ordered by their first
+    state) and the transient states, ascending."""
 
     classes: list = field(default_factory=list)
     transient: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.intp))
-    permutation: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.intp))
 
     @property
     def num_classes(self) -> int:
@@ -176,49 +171,40 @@ class ErgodicDecomposition:
 
 
 def ergodic_decomposition(
-    P: SparseStochasticMatrix, pi: ProbabilityVector, tolerance: float = 1e-12
+    P: SparseStochasticMatrix, pi: ProbabilityVector
 ) -> ErgodicDecomposition:
     """Split the state space into ergodic classes and transient states.
 
-    The transient set is the complement of ``supp(pi)``; the classes are the
-    strongly connected components of ``P`` restricted to ``supp(pi)``.  Each
-    class must be closed (its rows sum to 1 inside the class); otherwise the
-    supplied ``pi`` cannot be a stationary vector and ``InconsistentSupport``
-    is raised.
+    The classes are the closed strongly connected components of ``P`` that
+    hold part of ``supp(pi)``; every other state is transient.  ``pi`` must
+    be positive on every class state and carry no support anywhere else.
+    Otherwise ``InconsistentSupport`` names a state with mass off the
+    classes or, failing that, the class state that sends the most
+    probability outside the classes' positive set, with that probability.
     """
     if P.n != pi.n:
         raise DimensionMismatch("dimensions of P and pi disagree")
-    support = pi.support
-    transient = np.setdiff1d(np.arange(P.n), support, assume_unique=False)
-
-    csr = P.csr
-    inside = csr[support][:, support]
-    inside_mass = np.asarray(inside.sum(axis=1)).ravel()
-    outflow = P.row_sums[support] - inside_mass
-    if outflow.size and outflow.max() > tolerance:
-        bad = int(outflow.argmax())
-        raise InconsistentSupport(int(support[bad]), float(outflow[bad]))
-
-    labels, components = _scc(inside)
-    rows = _edge_rows(inside)
-    within = labels[rows] == labels[inside.indices]
-    class_mass = np.bincount(
-        rows[within], weights=inside.data[within], minlength=support.size
+    in_support = np.zeros(P.n, dtype=bool)
+    in_support[pi.support] = True
+    closed, _ = _closed_components(P)
+    classes = sorted(
+        (members for members in closed if in_support[members].any()),
+        key=lambda members: int(members[0]),
     )
-    defects = np.abs(class_mass - P.row_sums[support])
-    if defects.size and defects.max() > tolerance:
-        bad = int(defects.argmax())
-        raise InconsistentSupport(int(support[bad]), float(defects[bad]))
-
-    classes = [support[members] for members in components]
-    classes.sort(key=lambda members: int(members[0]))
-
-    permutation = np.concatenate([*classes, transient]) if classes else transient
-    return ErgodicDecomposition(
-        classes=classes,
-        transient=np.asarray(transient, dtype=np.intp),
-        permutation=np.asarray(permutation, dtype=np.intp),
-    )
+    in_class = np.zeros(P.n, dtype=bool)
+    for members in classes:
+        in_class[members] = True
+    positive = in_class & (pi.values > 0.0)
+    if np.any(in_support & ~in_class) or np.any(in_class & ~positive):
+        csr = P.csr
+        leak = np.bincount(
+            _edge_rows(csr), weights=csr.data * ~positive[csr.indices], minlength=P.n
+        )
+        stray = np.flatnonzero(in_support & ~in_class)
+        suspects = stray if stray.size else pi.support
+        bad = int(suspects[leak[suspects].argmax()])
+        raise InconsistentSupport(bad, float(leak[bad]))
+    return ErgodicDecomposition(classes=classes, transient=np.flatnonzero(~in_class))
 
 
 def stationary_mixture(

@@ -19,7 +19,7 @@ from . import io
 from .chain_analysis import kolmogorov_cycle_check, stationary_mixture
 from .exceptions import RevMarkovError
 from .experiments import BenchmarkConfig, LangevinConfig, count_matrix, langevin_trajectory, run_benchmark
-from .pipeline import PipelineOptions, nearest_sparse_reversible, verify
+from .pipeline import PipelineOptions, nearest_sparse_reversible
 from .qp_solve import SolverOptions
 from .reversibilize import AcceptanceRule, reversibilize
 from .sparse_core import (

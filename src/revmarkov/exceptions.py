@@ -22,14 +22,14 @@ class ZeroRow(RevMarkovError):
 
 
 class InconsistentSupport(RevMarkovError):
-    """A state inside supp(pi) leaks probability mass outside supp(pi)."""
+    """``pi`` puts mass off the ergodic classes or none on some class state."""
 
     def __init__(self, state: int, outflow: float):
         self.state = state
         self.outflow = outflow
         super().__init__(
             f"state {state} carries stationary mass but sends {outflow:.3e} "
-            "outside the stationary support; the stationary vector is suspect"
+            "outside the classes' positive set; the stationary vector is suspect"
         )
 
 

@@ -1,8 +1,9 @@
 """End-to-end nearest reversible sparse chain computation.
 
-Steps: compute (or accept) a stationary vector, drop transient states,
-split the support into ergodic classes, solve one reduced program per class,
-unscale, and reassemble with the transient rows copied from the input.
+Steps: compute (or accept) a stationary vector, take the ergodic classes from
+the chain's closed components (every other state is transient), solve one
+reduced program per class, unscale, and reassemble with the transient rows
+copied from the input.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class PipelineOptions:
     ``pi`` overrides the stationary vector, which is otherwise computed by
     :func:`~revmarkov.chain_analysis.stationary_mixture` from the uniform
     start; ``pattern`` overrides the admissible modification pattern
-    (restricted per class); with ``recurse_ergodic`` off the whole
-    stationary support is treated as one block; ``solver`` holds the QP
+    (restricted per class); with ``recurse_ergodic`` off the union of the
+    ergodic classes is treated as one block; ``solver`` holds the QP
     solver controls.
     """
 
@@ -138,7 +139,7 @@ def verify(R, pi) -> tuple:
 
 def _solve_class(P, pi, members, pattern_override, solver_opts):
     start = time.perf_counter()
-    block = P.submatrix(members, stochastic=True)
+    block = P.submatrix(members)
     pi_block = pi.restrict(members)
     if pattern_override is not None:
         pattern = pattern_override.restrict(members)
@@ -208,7 +209,7 @@ def nearest_sparse_reversible(
     if options.recurse_ergodic:
         classes = decomposition.classes
     else:
-        classes = [pi.support]
+        classes = [np.sort(np.concatenate(decomposition.classes))]
     transient = decomposition.transient
 
     solver_opts = options.solver or SolverOptions()

@@ -116,8 +116,8 @@ def expand_symmetric(y: np.ndarray, maps: IndexMaps) -> sp.csr_matrix:
 def _check_pi(pi: ProbabilityVector, n: int):
     if pi.n != n:
         raise DimensionMismatch("dimensions of pi and pattern disagree")
-    if not pi.is_strictly_positive():
-        missing = np.setdiff1d(np.arange(n), pi.support)
+    missing = np.flatnonzero(pi.values <= 0.0)
+    if missing.size:
         raise NonPositivePi(int(missing[0]))
 
 

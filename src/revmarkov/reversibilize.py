@@ -96,9 +96,7 @@ def reversibilize(
     rows, cols, q_vals = coo.row[off], coo.col[off], coo.data[off]
 
     pi_vals = pi.values
-    in_support = np.zeros(n, dtype=bool)
-    in_support[pi.support] = True
-    bad = np.unique(rows[~in_support[rows]])
+    bad = np.unique(rows[pi_vals[rows] <= 0.0])
     if bad.size:
         raise NonPositivePi(int(bad[0]))
 

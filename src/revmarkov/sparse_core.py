@@ -139,14 +139,10 @@ class SparseStochasticMatrix:
         coo = self._csr.tocoo()
         return coo.row, coo.col, coo.data
 
-    def submatrix(self, indices, stochastic: bool | None = None):
+    def submatrix(self, indices, stochastic: bool = True):
         """Restriction to ``indices`` x ``indices`` (a new canonical matrix)."""
         idx = np.asarray(indices, dtype=np.intp)
-        sub = self._csr[idx][:, idx]
-        if stochastic is None:
-            rs = np.asarray(sub.sum(axis=1)).ravel()
-            stochastic = bool(rs.size == 0 or np.abs(rs - 1.0).max() <= STOCHASTIC_TOL)
-        return SparseStochasticMatrix(sub, stochastic=stochastic)
+        return SparseStochasticMatrix(self._csr[idx][:, idx], stochastic=stochastic)
 
     def __repr__(self):
         kind = "stochastic" if self.stochastic else "nonnegative"
@@ -169,10 +165,13 @@ class SparseStochasticMatrix:
 
 
 class ProbabilityVector:
-    """Nonnegative vector summing to 1, with its strictly-positive support.
+    """Nonnegative vector summing to 1, with its support.
 
     The support uses the zero threshold ``10 * eps * n``: entries at or below
-    it are treated as exact zeros (transient states).
+    it count as zero mass.  Which states are transient is decided by the
+    chain's structure (see
+    :func:`~revmarkov.chain_analysis.ergodic_decomposition`); the threshold
+    only judges whether a supplied vector puts mass off the ergodic classes.
     """
 
     __slots__ = ("_values", "_support", "_sqrt")
@@ -224,9 +223,6 @@ class ProbabilityVector:
             s.setflags(write=False)
             self._sqrt = s
         return self._sqrt
-
-    def is_strictly_positive(self) -> bool:
-        return self._support.size == self.n
 
     def restrict(self, indices) -> "ProbabilityVector":
         """Restriction to ``indices``, renormalized to sum 1."""

@@ -3,10 +3,13 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revmarkov import (
     AcceptanceRule,
     InconsistentSupport,
+    PipelineOptions,
     ProbabilityVector,
     SparseStochasticMatrix,
     detailed_balance_residual,
@@ -14,6 +17,7 @@ from revmarkov import (
     irreducible_stationary,
     is_irreducible,
     kolmogorov_cycle_check,
+    nearest_sparse_reversible,
     reversibilize,
     row_normalize,
     stationarity_residual,
@@ -21,7 +25,7 @@ from revmarkov import (
     strongly_connected_components,
 )
 
-from test_pipeline import two_blocks_with_transients
+from test_pipeline import ring_chain, two_blocks_with_transients
 from test_sparse_core import dense_stationary
 
 
@@ -132,16 +136,6 @@ class TestStationaryMixture:
         assert np.allclose(pi.values, 1.0 / 3.0, atol=1e-12)
 
 
-def ring_chain(weights):
-    """Periodic ring with the diagonal and both neighbours weighted by
-    ``weights`` (length 3n), row-normalized."""
-    n = weights.size // 3
-    i = np.arange(n)
-    rows = np.concatenate([i, i, i])
-    cols = np.concatenate([i, (i + 1) % n, (i - 1) % n])
-    return row_normalize(sp.coo_matrix((weights, (rows, cols)), shape=(n, n)))
-
-
 def reachability(dense):
     """Boolean reachability closure (every state reaches itself) of the
     support digraph of a dense matrix, by Warshall's algorithm."""
@@ -172,7 +166,7 @@ def dense_mixture(P, x0):
         weights += x0[transient] @ np.linalg.solve(np.eye(transient.size) - T_block, B)
     pi = np.zeros(n)
     for c, weight in zip(closed, weights):
-        pi[c] = weight * irreducible_stationary(P.submatrix(c, stochastic=True)).values
+        pi[c] = weight * irreducible_stationary(P.submatrix(c)).values
     return pi / pi.sum()
 
 
@@ -344,7 +338,6 @@ class TestErgodicDecomposition:
         dec = ergodic_decomposition(P, pi)
         assert dec.transient.tolist() == [4]
         assert sorted(c.tolist() for c in dec.classes) == [[0], [1], [2, 3]]
-        assert dec.permutation.tolist() == [0, 1, 2, 3, 4]
 
     def test_classes_are_closed(self, chain_factory):
         P = chain_factory(9, 4)
@@ -360,6 +353,54 @@ class TestErgodicDecomposition:
         fake = np.array([0.5, 0.5, 0.0, 0.0, 0.0])
         with pytest.raises(InconsistentSupport):
             ergodic_decomposition(P, ProbabilityVector(fake))
+
+    def test_mass_on_transient_state_detected(self):
+        P = two_blocks_with_transients()
+        values = stationary_mixture(P).values.copy()
+        assert values[7:].max() == 0.0
+        values[[0, 8]] += [-0.01, 0.01]
+        with pytest.raises(InconsistentSupport) as err:
+            ergodic_decomposition(P, ProbabilityVector(values))
+        # the transient state is the one that sends mass off the classes
+        assert err.value.state == 8
+        assert err.value.outflow == pytest.approx(P.toarray()[8, 7:].sum())
+        with pytest.raises(InconsistentSupport):
+            nearest_sparse_reversible(P, PipelineOptions(pi=ProbabilityVector(values)))
+        # a transient state that sends everything into the classes is named too
+        P = SparseStochasticMatrix.from_dense([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]])
+        with pytest.raises(InconsistentSupport) as err:
+            ergodic_decomposition(P, ProbabilityVector([0.4, 0.4, 0.2]))
+        assert (err.value.state, err.value.outflow) == (2, 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_classes_are_closed_components_with_mass(self, data):
+        n = data.draw(st.integers(1, 9), label="n")
+        weights = data.draw(
+            st.lists(
+                st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 2.0]), min_size=n * n, max_size=n * n
+            ),
+            label="weights",
+        )
+        dense = np.array(weights).reshape(n, n)
+        empty = dense.sum(axis=1) == 0.0
+        dense[empty, empty] = 1.0
+        P = row_normalize(dense)
+        pi = stationary_mixture(P)
+        dec = ergodic_decomposition(P, pi)
+        # independent oracle: closed classes from the reachability closure
+        reach = reachability(dense)
+        recurrent = (reach <= reach.T).all(axis=1)
+        closed = {tuple(np.flatnonzero(row).tolist()) for row in reach[recurrent]}
+        with_mass = sorted(c for c in closed if pi.values[list(c)].sum() > 0.0)
+        assert [tuple(c.tolist()) for c in dec.classes] == with_mass
+        assert dec.transient.tolist() == np.flatnonzero(pi.values == 0.0).tolist()
+        # relabelling the states relabels the classes
+        perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
+        permuted = SparseStochasticMatrix.from_dense(P.toarray()[np.ix_(perm, perm)])
+        dec_perm = ergodic_decomposition(permuted, stationary_mixture(permuted))
+        relabelled = sorted(tuple(sorted(perm[c].tolist())) for c in dec_perm.classes)
+        assert relabelled == with_mass
 
 
 class TestKolmogorovCycleCheck:

@@ -12,7 +12,6 @@ from revmarkov import (
     gen_random_chain,
     is_irreducible,
     langevin_trajectory,
-    row_normalize,
     run_benchmark,
     stochasticity_residual,
     torsion_potential,

@@ -54,6 +54,16 @@ def two_blocks_with_transients(perturb=True, seed=0):
     return SparseStochasticMatrix.from_dense(P)
 
 
+def ring_chain(weights):
+    """Periodic ring with the diagonal and both neighbours weighted by
+    ``weights`` (length 3n), row-normalized."""
+    n = weights.size // 3
+    i = np.arange(n)
+    rows = np.concatenate([i, i, i])
+    cols = np.concatenate([i, (i + 1) % n, (i - 1) % n])
+    return row_normalize(sp.coo_matrix((weights, (rows, cols)), shape=(n, n)))
+
+
 class TestNearestSparseReversible:
     def test_reversible_input_is_fixed_point(self, reversible_factory):
         P, _ = reversible_factory(8, 0)
@@ -103,6 +113,18 @@ class TestNearestSparseReversible:
         R_perm, _ = nearest_sparse_reversible(SparseStochasticMatrix.from_dense(dense))
         assert np.abs(R_perm.toarray() - R.toarray()[np.ix_(perm, perm)]).max() <= 1e-9
 
+    @pytest.mark.parametrize("recurse", [True, False])
+    def test_recurrent_states_below_zero_threshold(self, recurse):
+        # a periodic ring whose min pi is 5e-19: 360 of its 1000 recurrent
+        # states fall under the support threshold, yet the chain is one class
+        P = ring_chain(np.random.default_rng(4).random(3000) + 0.1)
+        assert stationary_mixture(P).support.size == 640
+        R, diag = nearest_sparse_reversible(P, PipelineOptions(recurse_ergodic=recurse))
+        assert diag.num_classes == 1
+        assert diag.transient.size == 0
+        assert max(diag.residuals) <= 1e-10
+        assert diag.distance <= diag.mh_distance
+
     def test_perturbed_block_localizes_delta(self):
         P = two_blocks_with_transients(perturb=True)
         R, diag = nearest_sparse_reversible(P)
@@ -134,7 +156,7 @@ class TestNearestSparseReversible:
         pi = stationary_mixture(P)
         classes = ergodic_decomposition(P, pi).classes if recurse else [pi.support]
         mh = [
-            mh_baseline_distance(P.submatrix(c, stochastic=True), pi.restrict(c))
+            mh_baseline_distance(P.submatrix(c), pi.restrict(c))
             for c in classes
         ]
         assert diag.distance == pytest.approx(frobenius_distance(R, P), rel=1e-12)
@@ -184,7 +206,7 @@ class TestNearestSparseReversible:
         P = row_normalize(sp.block_diag(blocks).toarray())
         pi = stationary_mixture(P)
         for members in ergodic_decomposition(P, pi).classes:
-            block = P.submatrix(members, stochastic=True)
+            block = P.submatrix(members)
             qp = build_reduced_qp(block, pi.restrict(members), symmetrized_pattern(block))
             assert (solve_qp(qp).y == 0.0).any()
         options = PipelineOptions(solver=SolverOptions(max_iterations=1))
@@ -223,7 +245,7 @@ class TestNearestSparseReversible:
         ]
         for members in classes:
             alone, _ = nearest_sparse_reversible(
-                P.submatrix(members, stochastic=True),
+                P.submatrix(members),
                 PipelineOptions(pi=pi.restrict(members)),
             )
             block = R.toarray()[np.ix_(members, members)]
@@ -293,7 +315,7 @@ def test_wide_span_chains_match_oracle():
         assert max(diag.residuals) <= 1e-10
         pi = stationary_mixture(P)
         for members in ergodic_decomposition(P, pi).classes:
-            block = P.submatrix(members, stochastic=True)
+            block = P.submatrix(members)
             qp = build_reduced_qp(block, pi.restrict(members), symmetrized_pattern(block))
             if qp.y_m > 10:
                 continue

@@ -199,7 +199,6 @@ class TestProbabilityVector:
     def test_support_excludes_zeros(self):
         pi = ProbabilityVector([0.5, 0.0, 0.5])
         assert pi.support.tolist() == [0, 2]
-        assert not pi.is_strictly_positive()
 
     def test_sqrt_values(self):
         pi = ProbabilityVector([0.25, 0.75])
