@@ -184,9 +184,13 @@ def ergodic_decomposition(
     """
     if P.n != pi.n:
         raise DimensionMismatch("dimensions of P and pi disagree")
+    return _decompose(P, pi, _closed_components(P)[0])
+
+
+def _decompose(P, pi, closed) -> ErgodicDecomposition:
+    """:func:`ergodic_decomposition` given the closed components of ``P``."""
     in_support = np.zeros(P.n, dtype=bool)
     in_support[pi.support] = True
-    closed, _ = _closed_components(P)
     classes = sorted(
         (members for members in closed if in_support[members].any()),
         key=lambda members: int(members[0]),
@@ -224,8 +228,8 @@ def stationary_mixture(
     The result is the Cesàro limit of the iterates, which equals their plain
     limit whenever that exists; it is exact for any spectral gap and for
     periodic chains.  It is the only stationary solve of the end-to-end
-    pipeline: :func:`~revmarkov.pipeline.nearest_sparse_reversible` calls it
-    with the uniform start, and a caller who wants another start passes
+    pipeline: :func:`~revmarkov.pipeline.nearest_sparse_reversible` computes
+    it with the uniform start, and a caller who wants another start passes
     ``PipelineOptions(pi=stationary_mixture(P, x0))``.
     """
     n = P.n
@@ -235,8 +239,12 @@ def stationary_mixture(
         if initial_distribution.n != n:
             raise DimensionMismatch("initial distribution has wrong length")
         x0 = initial_distribution.values
+    return _mixture(P, x0, *_closed_components(P))
 
-    closed, open_ = _closed_components(P)
+
+def _mixture(P, x0, closed, open_) -> ProbabilityVector:
+    """:func:`stationary_mixture` from the start ``x0`` given the closed and
+    open components of ``P``."""
     if not closed:
         raise ValueError("chain has no closed class; row sums cannot all be 1")
 
@@ -252,7 +260,7 @@ def stationary_mixture(
         visits = splu(I_minus_T).solve(x0[transient], trans="T")
         mass = x0 + visits @ rows
 
-    pi = np.zeros(n)
+    pi = np.zeros(P.n)
     for members in closed:
         weight = mass[members].sum()
         if weight > 0.0:

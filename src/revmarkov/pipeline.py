@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chain_analysis import ergodic_decomposition, stationary_mixture
+from .chain_analysis import _closed_components, _decompose, _mixture
 from .exceptions import ClassSolveFailed, DimensionMismatch
 from .qp_build import build_reduced_qp, unscale_solution
 from .qp_solve import SolverOptions, solve_qp
@@ -196,16 +196,18 @@ def nearest_sparse_reversible(
     options = options or PipelineOptions()
     t_start = time.perf_counter()
 
+    # one SCC pass serves both the stationary solve and the decomposition
+    closed, open_ = _closed_components(P)
     t_pi = time.perf_counter()
     if options.pi is not None:
         if options.pi.n != P.n:
             raise DimensionMismatch("dimensions of P and pi disagree")
         pi = options.pi
     else:
-        pi = stationary_mixture(P)
+        pi = _mixture(P, np.full(P.n, 1.0 / P.n), closed, open_)
     stationary_seconds = time.perf_counter() - t_pi
 
-    decomposition = ergodic_decomposition(P, pi)
+    decomposition = _decompose(P, pi, closed)
     if options.recurse_ergodic:
         classes = decomposition.classes
     else:

@@ -5,8 +5,11 @@
 
 with diagonal positive-definite ``Q``, by a semismooth Newton method on the
 dual: because ``Q`` is diagonal, the dual in the ``n`` equality multipliers
-is unconstrained and piecewise quadratic, and each Newton step is one n-by-n
-normal-equations solve on the current free set.
+is unconstrained and piecewise quadratic, and each Newton step solves the
+n-by-n normal equations ``A_F diag(1/q_F) A_F^T d = g`` of the current free
+set ``F``.  That system is solved by Jacobi-preconditioned conjugate
+gradients without forming the matrix, and by a sparse factor of the formed
+matrix only when conjugate gradients break down or stall.
 
 Since the objective is strongly convex the minimizer is unique; the test
 suite holds the solver to the one found by enumerating every active set of
@@ -15,12 +18,12 @@ small instances.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .exceptions import MaxIterations, NumericalBreakdown
@@ -35,11 +38,17 @@ __all__ = [
     "kkt_residuals",
 ]
 
-#: Normal matrices of at most this order are factored by dense Cholesky, larger
-#: ones by sparse LU.  Sparse LU everywhere made the median model of the
-#: ``ensemble`` benchmark (n 100-300) about 60 % slower on a 2-core machine: at
-#: that size a dense factor takes 0.07-2.0 ms against 0.7-3.6 ms for sparse LU.
-_DENSE_LIMIT = 600
+logger = logging.getLogger(__name__)
+
+#: Conjugate gradients on a Newton system stop once the recurred residual
+#: satisfies ``||r||_inf <= _CG_TOLERANCE * ||g||_inf``.  The stop rule of
+#: the Newton loop needs its last unit step solved to machine precision: at
+#: 1e-14 the worst pipeline residual rose to 1e-13 on wide-span chains.
+_CG_TOLERANCE = 1e-16
+
+#: Conjugate-gradient iterations after which a Newton system is handed to the
+#: sparse factor; well-conditioned systems converge in about 20-40.
+_CG_MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -91,16 +100,14 @@ class SolverResult:
 
 
 def _normal_solve(a: sp.csr_matrix, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(A diag(w) A^T) x = rhs``.
+    """Solve ``(A diag(w) A^T) x = rhs`` by an exact sparse factor.
 
-    The Hessian is diagonal, so every linear solve of this module is a solve
-    with such a normal matrix: the dual Newton step (with ``A`` restricted to
-    a free set) and the least-squares multiplier estimate of
-    :func:`kkt_residuals`.  The matrix is symmetric positive definite, so
-    beyond ``_DENSE_LIMIT`` it is factored by symmetric-mode sparse LU in
-    minimum-degree order without pivoting; up to it, dense Cholesky is
-    faster.  On factorization failure a diagonal regularization is escalated
-    from 1e-14 to 1e-6 before giving up with :class:`NumericalBreakdown`.
+    The fallback of a dual Newton step whose conjugate gradients broke down
+    or stalled, with ``A`` restricted to the free set.  The formed matrix is
+    symmetric positive semidefinite, so it is factored by symmetric-mode
+    sparse LU in minimum-degree order without pivoting.  On factorization
+    failure a diagonal regularization is escalated from 1e-14 to 1e-6 before
+    giving up with :class:`NumericalBreakdown`.
     """
     n = a.shape[0]
     # column scaling without ``a.multiply(w)``'s round trip through COO
@@ -108,14 +115,9 @@ def _normal_solve(a: sp.csr_matrix, w: np.ndarray, rhs: np.ndarray) -> np.ndarra
     reg = 0.0
     while True:
         try:
-            if n <= _DENSE_LIMIT:
-                M = S.toarray()
-                M[np.diag_indices_from(M)] += reg
-                factor = scipy.linalg.cho_factor(M, check_finite=False)
-                return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
             M = S + reg * sp.identity(n) if reg else S
             return _symmetric_lu(M.tocsc()).solve(rhs)
-        except (scipy.linalg.LinAlgError, RuntimeError) as err:
+        except RuntimeError as err:
             reg = 1e-14 if reg == 0.0 else reg * 100.0
             if reg > 1e-6:
                 raise NumericalBreakdown(
@@ -123,23 +125,58 @@ def _normal_solve(a: sp.csr_matrix, w: np.ndarray, rhs: np.ndarray) -> np.ndarra
                 ) from err
 
 
+def _newton_pcg(matvec, diag: np.ndarray, rhs: np.ndarray):
+    """Solve ``S x = rhs`` by Jacobi-preconditioned conjugate gradients for a
+    symmetric positive semidefinite ``S`` applied by ``matvec``.
+
+    ``diag`` is the diagonal of ``S``.  Returns ``(x, iterations,
+    residual)`` with ``residual = ||r||_inf`` of the recurred residual;
+    ``x`` is ``None`` when the iteration breaks down (a zero diagonal entry
+    or a direction of nonpositive curvature) or misses ``_CG_TOLERANCE``
+    within ``_CG_MAX_ITERATIONS``.
+    """
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    residual = float(np.abs(r).max())
+    target = _CG_TOLERANCE * residual
+    if residual <= target:
+        return x, 0, residual
+    if not diag.all():
+        return None, 0, residual
+    inv_diag = 1.0 / diag
+    z = inv_diag * r
+    p = z.copy()
+    rz = float(r @ z)
+    for iteration in range(1, _CG_MAX_ITERATIONS + 1):
+        s = matvec(p)
+        curvature = float(p @ s)
+        if curvature <= 0.0:
+            return None, iteration, residual
+        alpha = rz / curvature
+        x += alpha * p
+        r -= alpha * s
+        residual = float(np.abs(r).max())
+        if residual <= target:
+            return x, iteration, residual
+        z = inv_diag * r
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    return None, _CG_MAX_ITERATIONS, residual
+
+
 def kkt_residuals(
     qp: ReducedQP,
     y: np.ndarray,
-    lam: Optional[np.ndarray] = None,
+    lam: np.ndarray,
     z: Optional[np.ndarray] = None,
 ) -> KKTResiduals:
-    """KKT residual tuple at ``y``.
+    """KKT residual tuple at ``y`` for the equality multipliers ``lam``.
 
-    Multipliers not supplied are estimated by least squares on the support
-    of ``y``, where the bound multipliers vanish at a minimizer.
+    Bound multipliers ``z`` not supplied are the ones stationarity leaves,
+    ``Q y + c - A^T lam``.
     """
     y = np.asarray(y, dtype=float).ravel()
     g = qp.hessian_diag * y + qp.linear
-    if lam is None:
-        support = y > 0.0
-        a_s = qp.a_eq[:, support]
-        lam = _normal_solve(a_s, np.ones(a_s.shape[1]), a_s @ g[support])
     if z is None:
         z = g - qp.a_eq.T @ lam
         stationarity = 0.0
@@ -182,10 +219,18 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
     iterate, so only ``||A y - b||`` has to converge (Qi & Sun, SIAM J.
     Matrix Anal. Appl. 28, 2006; Zhao, Sun & Toh, SIAM J. Optim. 20, 2010).
 
+    Each Newton system goes to :func:`_newton_pcg` (Newton-CG) with the
+    matrix applied as ``A (w_F * (A^T p))``, ``w_F = 1/q`` on ``F`` and zero
+    elsewhere, and the Jacobi diagonal ``(A o A) w_F``.  When conjugate
+    gradients break down or stall, as where the free-set matrix is singular
+    on bipartite chains, :func:`_normal_solve` factors it and a ``DEBUG``
+    record on this module's logger gives the order, the free-set size, the
+    iterations and the residual reached.
+
     The method stops once ``||b - A y||_inf <= kkt_tolerance`` after a unit
     step whose free set is also the free set ``y > 0`` it produced.  That step
-    solved the equality-constrained program on its active set exactly, so
-    the residuals sit at machine precision.  A stalled line search, a
+    solved the equality-constrained program on its active set to machine
+    precision, so the residuals sit there too.  A stalled line search, a
     :class:`NumericalBreakdown` or an exhausted ``max_iterations`` returns
     the iterate with the smallest ``||b - A y||_inf`` instead.
 
@@ -193,9 +238,11 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
     """
     q, c, a, b = qp.hessian_diag, qp.linear, qp.a_eq, qp.b_eq
     w = 1.0 / q
+    at = a.T
+    a_squared = sp.csr_matrix((a.data**2, a.indices, a.indptr), a.shape)
 
     def dual_point(lam):
-        v = a.T @ lam - c
+        v = at @ lam - c
         y = np.maximum(v, 0.0) / q
         return v, y, b - a @ y
 
@@ -204,11 +251,24 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
     best = (float(np.abs(grad).max()), lam, 0)
     for iteration in range(1, opts.max_iterations + 1):
         free = y > 0.0
-        try:
-            step = _normal_solve(a[:, free], w[free], grad)
-        except NumericalBreakdown:
-            break
-        u = a.T @ step
+        w_f = np.where(free, w, 0.0)
+        step, cg_iterations, residual = _newton_pcg(
+            lambda p: a @ (w_f * (at @ p)), a_squared @ w_f, grad
+        )
+        if step is None:
+            logger.debug(
+                "Newton system of order %d (free set %d) handed to the sparse "
+                "factor after %d CG iterations at residual %.3g",
+                qp.n,
+                int(free.sum()),
+                cg_iterations,
+                residual,
+            )
+            try:
+                step = _normal_solve(a[:, free], w[free], grad)
+            except NumericalBreakdown:
+                break
+        u = at @ step
         slope = float(grad @ step)
         t = 1.0
         for _ in range(60):

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from revmarkov import IndexMaps, build_index_maps
 
@@ -117,6 +118,21 @@ def kkt_certificate(qp, y) -> float:
         float(np.abs(z[support]).max(initial=0.0)),
         float(np.max(-z[~support], initial=0.0)),
     )
+
+
+def least_squares_multipliers(qp, y) -> np.ndarray:
+    """Equality multipliers fitted by least squares to stationarity on the
+    support of ``y``, where the bound multipliers vanish at a minimizer.
+
+    Solves ``A_S A_S^T lam = A_S g_S`` with ``g = Q y + c`` by a sparse
+    direct solve, independent of the solver's Newton steps; unlike
+    :func:`kkt_certificate` it stays sparse, so it serves large instances.
+    """
+    y = np.asarray(y, dtype=float)
+    support = y > 0.0
+    g = qp.hessian_diag[support] * y[support] + qp.linear[support]
+    a_s = qp.a_eq.tocsc()[:, support]
+    return scipy.sparse.linalg.spsolve((a_s @ a_s.T).tocsc(), a_s @ g)
 
 
 def oracle_solve(qp) -> np.ndarray:

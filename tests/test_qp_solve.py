@@ -1,3 +1,5 @@
+import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,8 +24,9 @@ from revmarkov import (
     unscale_solution,
 )
 
-from dense_oracle import kkt_certificate, oracle_solve
+from dense_oracle import kkt_certificate, least_squares_multipliers, oracle_solve
 from test_chain_analysis import ring_chain
+from test_pipeline import wide_span_chain
 from test_qp_build import random_instance
 
 
@@ -146,26 +149,50 @@ def _solve_with_peak(qp):
 
 
 def test_ring_above_dense_limit():
-    # n = 3000 puts every normal-equations solve on the sparse branch; the
-    # allocation bound is an eighth of one dense n-by-n float64 array
+    # a banded ring of n = 3000; the allocation bound is an eighth of one
+    # dense n-by-n float64 array
     n = 3000
     P = ring_chain(1.0 + 0.1 * np.random.default_rng(0).random(3 * n))
     qp = build_reduced_qp(P, stationary_mixture(P), symmetrized_pattern(P))
     newton, peak = _solve_with_peak(qp)
-    assert max(newton.kkt_residuals.worst, kkt_residuals(qp, newton.y).worst) <= 1e-13
+    lam = least_squares_multipliers(qp, newton.y)
+    assert max(newton.kkt_residuals.worst, kkt_residuals(qp, newton.y, lam).worst) <= 1e-13
     assert peak < n * n
 
 
-def test_expander_above_dense_limit():
-    # a heavy-fill expander (n 792) on the sparse branch whose optimum has
-    # active bounds, so the Newton free set changes from step to step
-    P = gen_random_chain(BenchmarkConfig(n_min=800, n_max=800, seed=1), 0)
+@pytest.mark.parametrize("size", [800, 2500])
+def test_expander_above_dense_limit(size, caplog):
+    # heavy-fill expanders (n 792 and 2,454) whose optima have active bounds,
+    # so the Newton free set changes from step to step; conjugate gradients
+    # solve every Newton system without handing one to the sparse factor
+    P = gen_random_chain(BenchmarkConfig(n_min=size, n_max=size, seed=1), 0)
     qp = build_reduced_qp(P, stationary_mixture(P), symmetrized_pattern(P))
-    result, peak = _solve_with_peak(qp)
-    assert max(result.kkt_residuals.worst, kkt_residuals(qp, result.y).worst) <= 1e-13
+    with caplog.at_level(logging.DEBUG, logger="revmarkov.qp_solve"):
+        result, peak = _solve_with_peak(qp)
+    assert not caplog.records
+    lam = least_squares_multipliers(qp, result.y)
+    assert max(result.kkt_residuals.worst, kkt_residuals(qp, result.y, lam).worst) <= 1e-13
     assert result.y.min() >= 0.0
     assert (result.y == 0.0).any()
     assert peak < P.n * P.n
+
+
+def test_singular_newton_system_falls_back_to_factor(caplog):
+    # on a bipartite chain the free-set normal matrix is singular, conjugate
+    # gradients stall, and the sparse factor takes the step
+    P = wide_span_chain(111)
+    qp = build_reduced_qp(P, stationary_mixture(P), symmetrized_pattern(P))
+    with caplog.at_level(logging.DEBUG, logger="revmarkov.qp_solve"):
+        result = solve_qp(qp)
+    assert caplog.records
+    for record in caplog.records:
+        assert record.levelno == logging.DEBUG
+        assert re.fullmatch(
+            rf"Newton system of order {qp.n} \(free set \d+\) handed to the sparse "
+            r"factor after \d+ CG iterations at residual \S+",
+            record.getMessage(),
+        )
+    assert np.abs(result.y - oracle_solve(qp)).max() <= 1e-9
 
 
 class TestOracleSolve:
@@ -194,7 +221,7 @@ class TestOracleSolve:
         pi = stationary_mixture(P)
         qp = build_reduced_qp(P, pi, SparsityPattern(ring))
         y = oracle_solve(qp)
-        residuals = kkt_residuals(qp, y)
+        residuals = kkt_residuals(qp, y, least_squares_multipliers(qp, y))
         assert residuals.primal_eq <= 1e-9
         assert residuals.primal_ineq <= 1e-9
         assert residuals.complementarity <= 1e-7
