@@ -37,8 +37,8 @@ print("irreducible:", is_irreducible(T))
 pi = stationary_mixture(T)
 print("\nstationary vector:", pi.values)
 
-check = kolmogorov_cycle_check(T, max_cycle_length=3)
-print("\ncycle check up to length 3:")
+check = kolmogorov_cycle_check(T)
+print("\ncycle check:")
 print("  violating cycle:", tuple(v + 1 for v in check.cycle))
 print("  forward product:", check.forward_product)
 print("  reverse product:", check.reverse_product)

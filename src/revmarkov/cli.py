@@ -84,12 +84,11 @@ def _cmd_check(args) -> int:
     pi = io.read_probability_vector(args.pi)
     stoch = stochasticity_residual(P)
     db = detailed_balance_residual(P, pi)
-    cycles = args.cycles if args.cycles is not None else min(P.n, 8)
-    cycle_result = kolmogorov_cycle_check(P, max_cycle_length=cycles)
+    cycle_result = kolmogorov_cycle_check(P)
     print(f"stochasticity residual   = {stoch:.3e}")
     print(f"detailed balance residual = {db:.3e}")
     if cycle_result.passed:
-        print(f"cycle condition: no violation up to length {cycle_result.max_length_checked}")
+        print("cycle condition: holds on every cycle")
     else:
         cyc = " -> ".join(str(v + 1) for v in cycle_result.cycle)
         print(
@@ -181,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="reversibility diagnostics for a chain")
     p.add_argument("matrix")
     p.add_argument("--pi", required=True)
-    p.add_argument("--cycles", type=int, default=None, help="max cycle length (default min(n, 8))")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("bench", help="random sparse chain ensemble")

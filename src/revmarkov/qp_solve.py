@@ -47,7 +47,8 @@ logger = logging.getLogger(__name__)
 _CG_TOLERANCE = 1e-16
 
 #: Conjugate-gradient iterations after which a Newton system is handed to the
-#: sparse factor; well-conditioned systems converge in about 20-40.
+#: sparse factor, lowered to ``4 m`` for order ``m`` (exact arithmetic needs
+#: ``m``); well-conditioned systems converge in about 20-40.
 _CG_MAX_ITERATIONS = 200
 
 
@@ -133,7 +134,7 @@ def _newton_pcg(matvec, diag: np.ndarray, rhs: np.ndarray):
     residual)`` with ``residual = ||r||_inf`` of the recurred residual;
     ``x`` is ``None`` when the iteration breaks down (a zero diagonal entry
     or a direction of nonpositive curvature) or misses ``_CG_TOLERANCE``
-    within ``_CG_MAX_ITERATIONS``.
+    within ``min(_CG_MAX_ITERATIONS, 4 * rhs.size)`` iterations.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -147,7 +148,7 @@ def _newton_pcg(matvec, diag: np.ndarray, rhs: np.ndarray):
     z = inv_diag * r
     p = z.copy()
     rz = float(r @ z)
-    for iteration in range(1, _CG_MAX_ITERATIONS + 1):
+    for iteration in range(1, min(_CG_MAX_ITERATIONS, 4 * rhs.size) + 1):
         s = matvec(p)
         curvature = float(p @ s)
         if curvature <= 0.0:
@@ -161,7 +162,7 @@ def _newton_pcg(matvec, diag: np.ndarray, rhs: np.ndarray):
         z = inv_diag * r
         rz, rz_old = float(r @ z), rz
         p = z + (rz / rz_old) * p
-    return None, _CG_MAX_ITERATIONS, residual
+    return None, iteration, residual
 
 
 def kkt_residuals(

@@ -1,3 +1,4 @@
+import itertools
 import logging
 
 import numpy as np
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 
 from revmarkov import (
     AcceptanceRule,
+    BenchmarkConfig,
     InconsistentSupport,
     PipelineOptions,
     ProbabilityVector,
     SparseStochasticMatrix,
     detailed_balance_residual,
     ergodic_decomposition,
+    gen_random_chain,
     irreducible_stationary,
     is_irreducible,
     kolmogorov_cycle_check,
@@ -403,13 +406,53 @@ class TestErgodicDecomposition:
         assert relabelled == with_mass
 
 
+def simple_cycles(dense):
+    """Every simple cycle of length 3 or more of the support digraph of a
+    small dense matrix, each once, from its smallest state."""
+    n = len(dense)
+    for k in range(3, n + 1):
+        for states in itertools.combinations(range(n), k):
+            for rest in itertools.permutations(states[1:]):
+                cycle = states[:1] + rest
+                if all(dense[a, b] > 0.0 for a, b in zip(cycle, cycle[1:] + cycle[:1])):
+                    yield cycle
+
+
+def cycle_products(dense, cycle):
+    ahead = list(cycle[1:] + cycle[:1])
+    return np.prod(dense[list(cycle), ahead]), np.prod(dense[ahead, list(cycle)])
+
+
+def violates(dense, cycle):
+    forward, reverse = cycle_products(dense, cycle)
+    return abs(forward - reverse) > 1e-10 * max(forward, reverse)
+
+
+def block_diagonal_classes(count, perturbed=None):
+    """``count`` reversible three-state classes, then a transient path of 10
+    states whose last state leaks into the first class; the class numbered
+    ``perturbed`` has one entry raised."""
+    rng = np.random.default_rng(5)
+    blocks = []
+    for c in range(count):
+        W = rng.random((3, 3))
+        W = W + W.T
+        if c == perturbed:
+            W[0, 1] *= 1.5
+        blocks.append(W)
+    path = np.eye(10) + 0.5 * np.eye(10, k=1) + 0.25 * np.eye(10, k=-1)
+    P = sp.block_diag(blocks + [path], format="lil")
+    P[3 * count + 9, 0] = 0.5
+    return row_normalize(P.tocsr())
+
+
 class TestKolmogorovCycleCheck:
     def test_symmetric_passes(self):
         P = row_normalize(np.full((5, 5), 0.2))
-        assert kolmogorov_cycle_check(P, 5).passed
+        assert kolmogorov_cycle_check(P).passed
 
     def test_ring4_violation(self, ring4):
-        result = kolmogorov_cycle_check(ring4.T, 3)
+        result = kolmogorov_cycle_check(ring4.T)
         assert not result.passed
         assert result.cycle == (0, 1, 2)
         assert result.forward_product == pytest.approx(0.5)
@@ -420,14 +463,55 @@ class TestKolmogorovCycleCheck:
         pi = stationary_mixture(P)
         T = reversibilize(P, pi, AcceptanceRule.METROPOLIS_HASTINGS)
         assert detailed_balance_residual(T, pi) <= 1e-14
-        assert kolmogorov_cycle_check(T, 6).passed
+        assert kolmogorov_cycle_check(T).passed
 
     def test_balanced_implies_pass(self, reversible_factory):
         for seed in range(3):
             P, pi = reversible_factory(6, seed)
             assert detailed_balance_residual(P, pi) <= 1e-15
-            assert kolmogorov_cycle_check(P, 6).passed
+            assert kolmogorov_cycle_check(P).passed
 
-    def test_respects_length_cap(self, ring4):
-        # the only violating cycles have length 3; capping at 2 must pass
-        assert kolmogorov_cycle_check(ring4.T, 2).passed
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_enumeration(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        weights = data.draw(
+            st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]), min_size=n * n, max_size=n * n),
+            label="weights",
+        )
+        W = np.array(weights).reshape(n, n)
+        kind = data.draw(st.sampled_from(["reversible", "perturbed", "one-way"]), label="kind")
+        if kind != "one-way":
+            W = W + W.T
+            edges = np.argwhere((W > 0.0) & ~np.eye(n, dtype=bool))
+            if kind == "perturbed" and edges.size:
+                i, j = edges[data.draw(st.integers(0, len(edges) - 1), label="edge")]
+                W[i, j] *= data.draw(st.sampled_from([0.5, 1.5, 3.0]), label="factor")
+        empty = W.sum(axis=1) == 0.0
+        W[empty, empty] = 1.0
+        P = row_normalize(W)
+        dense = P.toarray()
+        result = kolmogorov_cycle_check(P)
+        assert result.passed == (not any(violates(dense, c) for c in simple_cycles(dense)))
+        if not result.passed:
+            assert result.cycle in set(simple_cycles(dense))
+            assert violates(dense, result.cycle)
+            assert (result.forward_product, result.reverse_product) == cycle_products(
+                dense, result.cycle
+            )
+
+    def test_expander_and_ring_outputs_pass(self):
+        expander = gen_random_chain(BenchmarkConfig(n_min=800, n_max=800, seed=1), 0)
+        ring = ring_chain(1.0 + 0.1 * np.random.default_rng(0).random(30_000))
+        for P in (expander, ring):
+            # the input has one-way edges (expander) or a biased cycle (ring)
+            assert not kolmogorov_cycle_check(P).passed
+            R, _ = nearest_sparse_reversible(P)
+            # every chord's log-sum mismatch is at most 1e-12
+            assert kolmogorov_cycle_check(R, relative_tolerance=1e-12).passed
+
+    def test_many_classes_with_transient_path(self):
+        assert kolmogorov_cycle_check(block_diagonal_classes(1000)).passed
+        result = kolmogorov_cycle_check(block_diagonal_classes(1000, perturbed=617))
+        assert not result.passed
+        assert result.cycle == (3 * 617, 3 * 617 + 1, 3 * 617 + 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from revmarkov import io as rmio
-from revmarkov import stationary_mixture
+from revmarkov import kolmogorov_cycle_check, stationary_mixture
 from revmarkov.cli import main
 
 
@@ -68,13 +68,14 @@ def test_mh_exit_codes(chain_files, capsys):
     assert out.exists()
 
 
-def test_check_reversible_vs_not(tmp_path, reversible_factory, chain_factory):
+def test_check_reversible_vs_not(tmp_path, reversible_factory, chain_factory, capsys):
     P, pi = reversible_factory(6, 1)
     matrix = tmp_path / "rev.mtx"
     pi_file = tmp_path / "pi.txt"
     rmio.write_matrix(matrix, P)
     rmio.write_probability_vector(pi_file, pi)
     assert main(["check", str(matrix), "--pi", str(pi_file)]) == 0
+    assert "cycle condition: holds on every cycle" in capsys.readouterr().out
 
     Q = chain_factory(6, 5)
     matrix2 = tmp_path / "chain.mtx"
@@ -82,7 +83,10 @@ def test_check_reversible_vs_not(tmp_path, reversible_factory, chain_factory):
     pi2_file = tmp_path / "pi2.txt"
     rmio.write_matrix(matrix2, Q)
     rmio.write_probability_vector(pi2_file, pi2)
-    assert main(["check", str(matrix2), "--pi", str(pi2_file), "--cycles", "4"]) == 2
+    assert main(["check", str(matrix2), "--pi", str(pi2_file)]) == 2
+    cycle = kolmogorov_cycle_check(Q).cycle
+    path = " -> ".join(str(v + 1) for v in cycle + cycle[:1])
+    assert f"cycle condition VIOLATED on {path}: forward" in capsys.readouterr().out
 
 
 def test_bench_small(tmp_path, capsys):

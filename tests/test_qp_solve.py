@@ -187,11 +187,14 @@ def test_singular_newton_system_falls_back_to_factor(caplog):
     assert caplog.records
     for record in caplog.records:
         assert record.levelno == logging.DEBUG
-        assert re.fullmatch(
+        match = re.fullmatch(
             rf"Newton system of order {qp.n} \(free set \d+\) handed to the sparse "
-            r"factor after \d+ CG iterations at residual \S+",
+            r"factor after (\d+) CG iterations at residual \S+",
             record.getMessage(),
         )
+        assert match
+        # a singular system is not left to run to the fixed iteration cap
+        assert int(match.group(1)) <= 4 * qp.n
     assert np.abs(result.y - oracle_solve(qp)).max() <= 1e-9
 
 
