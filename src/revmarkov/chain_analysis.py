@@ -72,14 +72,22 @@ def irreducible_stationary(P: SparseStochasticMatrix) -> ProbabilityVector:
 def _class_stationary(block: sp.csr_matrix) -> np.ndarray:
     """Stationary vector of one irreducible stochastic block.
 
-    Solves the balance equations ``pi (D - O) = 0``, where ``O`` is the
+    Works with the balance equations ``pi (D - O) = 0``, where ``O`` is the
     off-diagonal part of the block and ``D`` holds its row sums, so that
-    ``1 - p_ii`` never comes from a subtraction (the GTH trick).  State 0 is
-    pinned and the remaining nonsingular M-matrix is factored once by sparse
-    LU.  LU is accurate in norm, not entry by entry, so the result is kept
-    only if every entry is positive and the componentwise balance residual
-    is at most ``BALANCE_TOLERANCE``; otherwise the block is solved by dense
-    GTH elimination and a warning names the class size and the residual.
+    ``1 - p_ii`` never comes from a subtraction (the GTH trick).  Three
+    methods are tried in turn:
+
+    * :func:`_jump_chain_sweep`, kept when it converges fast, as on expanders.
+    * Sparse LU with state 0 pinned, as on rings and torsion chains.  LU is
+      accurate in norm, not entry by entry, so its result is kept only if
+      every entry is positive and the componentwise balance residual
+      ``|(pi O)_j - pi_j d_j| / (pi_j d_j)`` is at most ``BALANCE_TOLERANCE``.
+    * Dense GTH elimination, with a warning naming the class size and the
+      rejected residual.  A rejected LU result is never swept: a small
+      residual alone does not certify an iterate of a slowly mixing chain.
+
+    A ``DEBUG`` record on this module's logger names the class size and the
+    method kept, with its residual.
     """
     n = block.shape[0]
     if n == 1:
@@ -88,6 +96,12 @@ def _class_stationary(block: sp.csr_matrix) -> np.ndarray:
     off = coo.row != coo.col
     O = sp.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])), shape=(n, n))
     d = np.asarray(O.sum(axis=1)).ravel()
+    pi, steps, residual = _jump_chain_sweep(O, d)
+    if pi is not None:
+        logger.debug(
+            "class of %d states by the jump-chain sweep: %d steps, residual %.3g", n, steps, residual
+        )
+        return pi
     M = (sp.diags(d) - O).T.tocsc()
     residual = np.inf
     try:
@@ -100,6 +114,12 @@ def _class_stationary(block: sp.csr_matrix) -> np.ndarray:
         outflow = pi * d
         residual = float(np.max(np.abs(pi @ O - outflow) / outflow))
         if residual <= BALANCE_TOLERANCE:
+            logger.debug(
+                "class of %d states by sparse LU: residual %.3g (sweep declined at step %d)",
+                n,
+                residual,
+                steps,
+            )
             return pi
     logger.warning(
         "sparse stationary solve rejected for a class of %d states "
@@ -109,6 +129,60 @@ def _class_stationary(block: sp.csr_matrix) -> np.ndarray:
         BALANCE_TOLERANCE,
     )
     return _gth(block.toarray())
+
+
+#: Componentwise balance residual at which the jump-chain sweep stops: the
+#: rounding floor of one sweep step, so the sweep is kept only once it has
+#: converged as far as double precision allows.
+_SWEEP_FLOOR = 1e-14
+#: Most steps the sweep may take on a class; a class whose observed
+#: contraction projects more goes to sparse LU instead.
+_SWEEP_BUDGET = 400
+#: Steps between two residual checks of the sweep.
+_SWEEP_CHECK = 10
+
+
+def _jump_chain_sweep(O: sp.csr_matrix, d: np.ndarray):
+    """Lazy power iteration ``x <- (x + O^T (x / d)) / 2`` on the jump chain
+    ``D^-1 O``, whose stationary vector is ``x = pi * d``.
+
+    Started from uniform ``pi``.  Each step adds nonnegative terms only, as
+    GTH elimination does (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985),
+    so every entry of ``pi`` comes out to relative accuracy; the lazy half
+    step makes periodic classes converge too.  The componentwise balance
+    residual ``max_j |O^T (x / d) - x|_j / x_j``, read off the step's own
+    product, falls geometrically at the jump chain's spectral gap (Stewart,
+    *Introduction to the Numerical Solution of Markov Chains*, 1994, ch. 3).
+    The sweep is kept only when the residual crosses ``_SWEEP_FLOOR`` between
+    two checks, and it declines as soon as the contraction between two checks
+    projects more than ``_SWEEP_BUDGET`` steps in all, or a start already at
+    the floor shows no contraction to certify it.
+
+    Returns ``(pi, steps, residual)``, with ``pi`` ``None`` when declined.
+    """
+    scale = 1.0 / d
+    flow_in = O.T  # transposed view, no copy
+    x = d / d.sum()
+    for step in range(_SWEEP_BUDGET + 1):
+        y = flow_in @ (x * scale)
+        if step % _SWEEP_CHECK == 0:
+            residual = float(np.max(np.abs(y - x) / x))
+            if step:
+                if residual <= _SWEEP_FLOOR < previous:
+                    pi = x * scale
+                    return pi / pi.sum(), step, residual
+                # decline unless this check's contraction, kept up for the
+                # rest of the budget, reaches the floor (NaN declines too)
+                checks_left = (_SWEEP_BUDGET - step) / _SWEEP_CHECK
+                if not (
+                    _SWEEP_FLOOR < previous
+                    and residual < previous
+                    and residual * (residual / previous) ** checks_left <= _SWEEP_FLOOR
+                ):
+                    return None, step, residual
+            previous = residual
+        x = 0.5 * (x + y)
+    return None, _SWEEP_BUDGET, residual
 
 
 def strongly_connected_components(P) -> list[np.ndarray]:
@@ -218,11 +292,14 @@ def stationary_mixture(
     """The limit of ``x0^T P^k`` computed in closed form.
 
     Decomposes the chain into closed classes and transient states, solves
-    each class stationary vector by a residual-checked sparse LU solve of its
-    balance equations (GTH elimination when the check fails; see
-    ``BALANCE_TOLERANCE``), and weights the classes by the probability that a
-    walk started from ``initial_distribution`` (uniform by default) is
-    absorbed into them.  Transient states get exactly zero mass, so the zero
+    each class stationary vector from its balance equations, and weights the
+    classes by the probability that a walk started from
+    ``initial_distribution`` (uniform by default) is absorbed into them.  A
+    class is solved by a subtraction-free power sweep on its jump chain when
+    that converges fast (expanders), else by a residual-checked sparse LU
+    solve (rings, torsion chains), else by GTH elimination when the LU check
+    fails (see ``BALANCE_TOLERANCE``); :func:`_class_stationary` gives the
+    rules.  Transient states get exactly zero mass, so the zero
     set of the result is exactly the set of transient states.
 
     The result is the Cesàro limit of the iterates, which equals their plain
@@ -276,6 +353,9 @@ class CycleCheckResult:
     cycle: Optional[tuple] = None
     forward_product: float = 0.0
     reverse_product: float = 0.0
+    #: ``log(forward / reverse)`` summed edge by edge around the cycle, so it
+    #: stays finite where both products underflow; ``+inf`` for a one-way edge.
+    log_sum: float = 0.0
 
     def __bool__(self):
         return self.passed
@@ -297,7 +377,8 @@ def kolmogorov_cycle_check(
     its tree path.  The tolerance thus bounds the log-sum around a cycle,
     whose rounding grows with the tree depth times ``max |log P_ij|``.  The
     first violating edge in CSR order is reported with its cycle, from the
-    cycle's smallest state.
+    cycle's smallest state, and with that log-sum, which stays finite on
+    long cycles whose products both underflow.
     """
     n = P.n
     csr = P.csr
@@ -311,7 +392,7 @@ def kolmogorov_cycle_check(
     reverse = edges[cols, rows]
     one_way = np.flatnonzero(reverse == 0.0)
     if one_way.size:
-        return _violation(edges, edges.T, rows[one_way[0]], cols[one_way[0]])
+        return _violation(edges, edges.T, rows[one_way[0]], cols[one_way[0]], np.inf)
 
     # one breadth-first forest carrying g = log P_ij - log P_ji, its virtual
     # root n joined to the first state of each component by edges of g = 0
@@ -329,16 +410,19 @@ def kolmogorov_cycle_check(
         phi[v] = phi[p] + g_v
     phi = np.array(phi)
     chord = (pred[cols] != rows) & (pred[rows] != cols)
-    failing = np.flatnonzero(chord & (np.abs(phi[rows] + g - phi[cols]) > relative_tolerance))
+    mismatch = phi[rows] + g - phi[cols]
+    failing = np.flatnonzero(chord & (np.abs(mismatch) > relative_tolerance))
     if not failing.size:
         return CycleCheckResult(passed=True)
     tree = sp.csr_array((np.ones(n), (parent, order)), shape=(n + 1, n + 1))
-    return _violation(edges, tree + tree.T, rows[failing[0]], cols[failing[0]])
+    k = failing[0]
+    return _violation(edges, tree + tree.T, rows[k], cols[k], float(mismatch[k]))
 
 
-def _violation(edges: sp.csr_array, backward, i, j) -> CycleCheckResult:
+def _violation(edges: sp.csr_array, backward, i, j, log_sum) -> CycleCheckResult:
     """Failing verdict on ``i -> j`` closed by the shortest path from ``j`` to
-    ``i``, searched from ``i`` in the reversed graph ``backward``."""
+    ``i``, searched from ``i`` in the reversed graph ``backward``, with the
+    cycle's ``log_sum``."""
     toward = breadth_first_order(backward, i, return_predecessors=True)[1]
     cycle = [int(j)]
     while cycle[-1] != i:
@@ -351,4 +435,5 @@ def _violation(edges: sp.csr_array, backward, i, j) -> CycleCheckResult:
         cycle=tuple(cycle),
         forward_product=float(np.prod(edges[cycle, ahead])),
         reverse_product=float(np.prod(edges[ahead, cycle])),
+        log_sum=log_sum,
     )

@@ -93,7 +93,8 @@ def _cmd_check(args) -> int:
         cyc = " -> ".join(str(v + 1) for v in cycle_result.cycle)
         print(
             f"cycle condition VIOLATED on {cyc} -> {cycle_result.cycle[0] + 1}: "
-            f"forward {cycle_result.forward_product:.6e} vs reverse {cycle_result.reverse_product:.6e}"
+            f"forward {cycle_result.forward_product:.6e} vs reverse {cycle_result.reverse_product:.6e}, "
+            f"log-sum {cycle_result.log_sum:.6g}"
         )
     ok = stoch <= VERIFY_TOLERANCE and db <= VERIFY_TOLERANCE and cycle_result.passed
     return 0 if ok else 2

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .chain_analysis import stationary_mixture
+from .chain_analysis import _edge_rows, stationary_mixture
 from .exceptions import DimensionMismatch, NonPositivePi, ZeroRow
 from .sparse_core import (
     ProbabilityVector,
@@ -91,17 +91,18 @@ def reversibilize(
     if Q.n != pi.n:
         raise DimensionMismatch("dimensions of Q and pi disagree")
     n = Q.n
-    coo = Q.csr.tocoo()
-    off = coo.row != coo.col
-    rows, cols, q_vals = coo.row[off], coo.col[off], coo.data[off]
+    csr = Q.csr
+    rows = _edge_rows(csr)
+    off = rows != csr.indices
+    rows, cols, q_vals = rows[off], csr.indices[off], csr.data[off]
 
     pi_vals = pi.values
     bad = np.unique(rows[pi_vals[rows] <= 0.0])
     if bad.size:
         raise NonPositivePi(int(bad[0]))
 
-    # align each edge with its reciprocal (0 when absent); the coo of a
-    # canonical csr is sorted by (row, col), so the keys are sorted too
+    # align each edge with its reciprocal (0 when absent); the entries of a
+    # canonical csr are sorted by (row, col), so the keys are sorted too
     keys = rows.astype(np.int64) * n + cols
     wanted = cols.astype(np.int64) * n + rows
     slot = np.searchsorted(keys, wanted)
@@ -121,17 +122,19 @@ def reversibilize(
         raise ValueError(f"unknown acceptance rule {rule!r}")
 
     t_vals = kept_flux / pi_vals[rows]
-    T = sp.coo_matrix((t_vals, (rows, cols)), shape=(n, n)).tocsr()
-    T.eliminate_zeros()
-    off_diag_sums = np.asarray(T.sum(axis=1)).ravel()
-    diag = 1.0 - off_diag_sums
+    diag = 1.0 - np.bincount(rows, weights=t_vals, minlength=n)
     undershoot = diag.min() if n else 0.0
     if undershoot < -DIAGONAL_CLAMP_TOL:
         raise ValueError(
             f"off-diagonal mass exceeds 1 by {-undershoot:.3e}; proposal is invalid"
         )
-    diag = np.maximum(diag, 0.0)
-    T = T + sp.diags(diag)
+    # one COO of the kept flux and the diagonal complement; the constructor
+    # drops the zeros of one-way edges and canonicalizes it once
+    states = np.arange(n)
+    T = sp.coo_matrix(
+        (np.r_[t_vals, np.maximum(diag, 0.0)], (np.r_[rows, states], np.r_[cols, states])),
+        shape=(n, n),
+    )
     return SparseStochasticMatrix(T, stochastic=True)
 
 

@@ -28,7 +28,7 @@ from revmarkov import (
     strongly_connected_components,
 )
 
-from test_pipeline import ring_chain, two_blocks_with_transients
+from test_pipeline import ring_chain, two_blocks_with_transients, wide_span_chain
 from test_sparse_core import dense_stationary
 
 
@@ -197,11 +197,51 @@ class TestSparseStationarySolve:
         assert max_relative_deviation(pi.values, reference) <= 1e-10
 
     def test_ring_matches_gth_without_fallback(self, caplog):
+        # the ring mixes too slowly for the sweep, so sparse LU solves it
         P = ring_chain(1.0 + 0.1 * np.random.default_rng(0).random(3000))
-        with caplog.at_level(logging.WARNING, logger="revmarkov.chain_analysis"):
+        with caplog.at_level(logging.DEBUG, logger="revmarkov.chain_analysis"):
             pi = stationary_mixture(P)
-        assert not caplog.records
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert "1000 states by sparse LU" in record.getMessage()
         assert max_relative_deviation(pi.values, irreducible_stationary(P).values) <= 1e-10
+
+    def test_expander_is_solved_by_the_sweep(self, caplog):
+        P = gen_random_chain(BenchmarkConfig(n_min=800, n_max=800, seed=1), 0)
+        with caplog.at_level(logging.DEBUG, logger="revmarkov.chain_analysis"):
+            stationary_mixture(P)
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert "792 states by the jump-chain sweep" in record.getMessage()
+
+    def test_start_at_the_floor_goes_to_lu(self, caplog):
+        # uniform pi balances from the start, so the sweep observes no
+        # contraction and may not certify its iterate
+        P = lazy_uniform_mixture(50, 0.3)
+        with caplog.at_level(logging.DEBUG, logger="revmarkov.chain_analysis"):
+            pi = stationary_mixture(P)
+        [record] = caplog.records
+        assert "50 states by sparse LU" in record.getMessage()
+        assert np.allclose(pi.values, 1.0 / 50, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("case", range(3))
+    @pytest.mark.parametrize("n", [200, 800, 2000])
+    def test_sweep_accepted_expanders_match_gth(self, caplog, n, case):
+        P = gen_random_chain(BenchmarkConfig(n_min=n, n_max=n, seed=1), case)
+        with caplog.at_level(logging.DEBUG, logger="revmarkov.chain_analysis"):
+            pi = stationary_mixture(P)
+        [record] = caplog.records
+        assert "jump-chain sweep" in record.getMessage()
+        assert max_relative_deviation(pi.values, irreducible_stationary(P).values) <= 1e-12
+
+    def test_wide_span_chains_match_gth(self):
+        # entries spanning 1e-8 to 1 on 2-11 states, a quarter bipartite;
+        # whichever method keeps each class must agree with GTH entrywise
+        for seed in range(100, 300):
+            P = wide_span_chain(seed)
+            assert is_irreducible(P)
+            reference = irreducible_stationary(P).values
+            assert max_relative_deviation(stationary_mixture(P).values, reference) <= 1e-11
 
     def test_metastable_ring_falls_back_to_gth(self, caplog):
         # min pi is about 3e-12: plain sparse LU is off by ~1e-6 relative
@@ -457,6 +497,23 @@ class TestKolmogorovCycleCheck:
         assert result.cycle == (0, 1, 2)
         assert result.forward_product == pytest.approx(0.5)
         assert result.reverse_product == 0.0
+        assert result.log_sum == np.inf
+
+    def test_pass_reports_zero_log_sum(self):
+        assert kolmogorov_cycle_check(row_normalize(np.full((5, 5), 0.2))).log_sum == 0.0
+
+    def test_long_cycle_reports_log_sum_where_products_underflow(self):
+        P = ring_chain(1.0 + 0.1 * np.random.default_rng(0).random(3000))
+        result = kolmogorov_cycle_check(P)
+        assert not result.passed
+        assert len(result.cycle) == 1000
+        assert result.forward_product == result.reverse_product == 0.0
+        assert np.isfinite(result.log_sum) and abs(result.log_sum) > 1e-3
+        dense = P.toarray()
+        cycle = list(result.cycle)
+        ahead = cycle[1:] + cycle[:1]
+        exact = np.sum(np.log(dense[cycle, ahead]) - np.log(dense[ahead, cycle]))
+        assert result.log_sum == pytest.approx(exact, abs=1e-12)
 
     def test_reversibilized_chain_passes(self, chain_factory):
         P = chain_factory(6, 12)
@@ -496,9 +553,12 @@ class TestKolmogorovCycleCheck:
         if not result.passed:
             assert result.cycle in set(simple_cycles(dense))
             assert violates(dense, result.cycle)
-            assert (result.forward_product, result.reverse_product) == cycle_products(
-                dense, result.cycle
-            )
+            forward, reverse = cycle_products(dense, result.cycle)
+            assert (result.forward_product, result.reverse_product) == (forward, reverse)
+            if reverse == 0.0:
+                assert result.log_sum == np.inf
+            else:
+                assert result.log_sum == pytest.approx(np.log(forward / reverse), abs=1e-12)
 
     def test_expander_and_ring_outputs_pass(self):
         expander = gen_random_chain(BenchmarkConfig(n_min=800, n_max=800, seed=1), 0)

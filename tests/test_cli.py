@@ -84,9 +84,11 @@ def test_check_reversible_vs_not(tmp_path, reversible_factory, chain_factory, ca
     rmio.write_matrix(matrix2, Q)
     rmio.write_probability_vector(pi2_file, pi2)
     assert main(["check", str(matrix2), "--pi", str(pi2_file)]) == 2
-    cycle = kolmogorov_cycle_check(Q).cycle
-    path = " -> ".join(str(v + 1) for v in cycle + cycle[:1])
-    assert f"cycle condition VIOLATED on {path}: forward" in capsys.readouterr().out
+    result = kolmogorov_cycle_check(Q)
+    path = " -> ".join(str(v + 1) for v in result.cycle + result.cycle[:1])
+    out = capsys.readouterr().out
+    assert f"cycle condition VIOLATED on {path}: forward" in out
+    assert f"log-sum {result.log_sum:.6g}" in out
 
 
 def test_bench_small(tmp_path, capsys):

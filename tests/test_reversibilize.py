@@ -86,6 +86,25 @@ class TestReversibilize:
         # the diagonal only ever grows
         assert np.all(np.diag(t) >= np.diag(q) - 1e-15)
 
+    @pytest.mark.parametrize("rule", list(AcceptanceRule))
+    def test_matches_dense_formula(self, chain_factory, rule):
+        for seed in range(5):
+            Q = chain_factory(12, seed, density=0.3)
+            pi = stationary_mixture(Q).values
+            flux = pi[:, None] * Q.toarray()
+            np.fill_diagonal(flux, 0.0)
+            if rule is AcceptanceRule.METROPOLIS_HASTINGS:
+                kept = np.minimum(flux, flux.T)
+            else:
+                total = flux + flux.T
+                kept = np.divide(flux * flux.T, total, out=np.zeros_like(total), where=total > 0)
+            expected = kept / pi[:, None]
+            expected[np.diag_indices(12)] = 1.0 - expected.sum(axis=1)
+            T = reversibilize(Q, ProbabilityVector(pi), rule)
+            assert np.abs(T.toarray() - expected).max() <= 1e-15
+            # one-way edges and empty diagonals leave no stored zeros
+            assert T.nnz == np.count_nonzero(expected)
+
     def test_rejects_zero_mass_with_outgoing(self):
         Q = SparseStochasticMatrix.from_dense([[0.5, 0.5], [0.5, 0.5]])
         pi = ProbabilityVector([1.0, 0.0])
