@@ -172,7 +172,8 @@ def _jump_chain_sweep(O: sp.csr_matrix, d: np.ndarray):
                     pi = x * scale
                     return pi / pi.sum(), step, residual
                 # decline unless this check's contraction, kept up for the
-                # rest of the budget, reaches the floor (NaN declines too)
+                # rest of the budget, reaches the floor (NaN declines too; at
+                # step _SWEEP_BUDGET no checks are left, so the loop ends here)
                 checks_left = (_SWEEP_BUDGET - step) / _SWEEP_CHECK
                 if not (
                     _SWEEP_FLOOR < previous
@@ -182,7 +183,6 @@ def _jump_chain_sweep(O: sp.csr_matrix, d: np.ndarray):
                     return None, step, residual
             previous = residual
         x = 0.5 * (x + y)
-    return None, _SWEEP_BUDGET, residual
 
 
 def strongly_connected_components(P) -> list[np.ndarray]:
