@@ -17,6 +17,8 @@ from .sparse_core import (
     ProbabilityVector,
     SparseStochasticMatrix,
     _as_csr,
+    _edge_rows,
+    _gather,
     _symmetric_lu,
 )
 
@@ -69,8 +71,9 @@ def irreducible_stationary(P: SparseStochasticMatrix) -> ProbabilityVector:
     return ProbabilityVector(_gth(P.toarray()))
 
 
-def _class_stationary(block: sp.csr_matrix) -> np.ndarray:
-    """Stationary vector of one irreducible stochastic block.
+def _class_stationary(n: int, rows, cols, vals) -> np.ndarray:
+    """Stationary vector of one irreducible stochastic block of ``n`` states,
+    given its entries in canonical row-major order.
 
     Works with the balance equations ``pi (D - O) = 0``, where ``O`` is the
     off-diagonal part of the block and ``D`` holds its row sums, so that
@@ -89,12 +92,11 @@ def _class_stationary(block: sp.csr_matrix) -> np.ndarray:
     A ``DEBUG`` record on this module's logger names the class size and the
     method kept, with its residual.
     """
-    n = block.shape[0]
     if n == 1:
         return np.ones(1)
-    coo = block.tocoo()
-    off = coo.row != coo.col
-    O = sp.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])), shape=(n, n))
+    off = rows != cols
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[off], minlength=n))])
+    O = sp.csr_matrix((vals[off], cols[off], indptr), shape=(n, n))
     d = np.asarray(O.sum(axis=1)).ravel()
     pi, steps, residual = _jump_chain_sweep(O, d)
     if pi is not None:
@@ -128,7 +130,9 @@ def _class_stationary(block: sp.csr_matrix) -> np.ndarray:
         residual,
         BALANCE_TOLERANCE,
     )
-    return _gth(block.toarray())
+    block = np.zeros((n, n))
+    block[rows, cols] = vals
+    return _gth(block)
 
 
 #: Componentwise balance residual at which the jump-chain sweep stops: the
@@ -209,11 +213,6 @@ def _scc(csr: sp.csr_matrix):
     count, labels = connected_components(csr, directed=True, connection="strong")
     order = np.argsort(labels, kind="stable")
     return labels, np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
-
-
-def _edge_rows(csr: sp.csr_matrix) -> np.ndarray:
-    """Row index of every stored entry."""
-    return np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
 
 
 def _closed_components(P: SparseStochasticMatrix):
@@ -316,12 +315,13 @@ def stationary_mixture(
         if initial_distribution.n != n:
             raise DimensionMismatch("initial distribution has wrong length")
         x0 = initial_distribution.values
-    return _mixture(P, x0, *_closed_components(P))
+    closed, open_ = _closed_components(P)
+    return _mixture(P, x0, closed, open_, [_gather(P.csr, members) for members in closed])
 
 
-def _mixture(P, x0, closed, open_) -> ProbabilityVector:
+def _mixture(P, x0, closed, open_, blocks) -> ProbabilityVector:
     """:func:`stationary_mixture` from the start ``x0`` given the closed and
-    open components of ``P``."""
+    open components of ``P`` and the gathered entries of each closed one."""
     if not closed:
         raise ValueError("chain has no closed class; row sums cannot all be 1")
 
@@ -338,10 +338,10 @@ def _mixture(P, x0, closed, open_) -> ProbabilityVector:
         mass = x0 + visits @ rows
 
     pi = np.zeros(P.n)
-    for members in closed:
+    for members, block in zip(closed, blocks):
         weight = mass[members].sum()
         if weight > 0.0:
-            pi[members] = weight * _class_stationary(csr[members][:, members])
+            pi[members] = weight * _class_stationary(members.size, *block)
     return ProbabilityVector(pi / pi.sum())
 
 

@@ -4,6 +4,14 @@ Steps: compute (or accept) a stationary vector, take the ergodic classes from
 the chain's closed components (every other state is transient), solve one
 reduced program per class, unscale, and reassemble with the transient rows
 copied from the input.
+
+Each class is handled on one *pair table*: the class's entries are gathered
+once from the CSR arrays of ``P`` by index arithmetic, the upper-triangle
+positions of the admissible pattern are keyed ``j * m + i`` (the variable
+order of :class:`~revmarkov.qp_build.IndexMaps`), and ``P_ij`` and ``P_ji``
+are carried onto each position.  The reduced program, the unscaled entries of
+``R``, the class distance and the Metropolis-Hastings baseline are all read
+from that table, so the only chain object a call builds is the result.
 """
 
 from __future__ import annotations
@@ -17,18 +25,21 @@ import numpy as np
 
 from .chain_analysis import _closed_components, _decompose, _mixture
 from .exceptions import ClassSolveFailed, DimensionMismatch
-from .qp_build import build_reduced_qp, unscale_solution
+from .qp_build import IndexMaps, _assemble, _unscale
 from .qp_solve import SolverOptions, solve_qp
-from .reversibilize import mh_baseline_distance
+from .reversibilize import _mh_squared_distance
 from .sparse_core import (
     ProbabilityVector,
     SparseStochasticMatrix,
     SparsityPattern,
+    _gather,
+    _pair_table,
+    _pair_values,
+    _pattern_positions,
+    _row_edges,
     detailed_balance_residual,
-    frobenius_distance,
     stationarity_residual,
     stochasticity_residual,
-    symmetrized_pattern,
 )
 
 __all__ = [
@@ -137,26 +148,52 @@ def verify(R, pi) -> tuple:
     )
 
 
-def _solve_class(P, pi, members, pattern_override, solver_opts):
+def _solve_pair_table(pi, members, block, pattern, solver_opts):
+    """Nearest reversible block of one class, read off the pair table of its
+    gathered entries ``block``.
+
+    Returns the block's entries of ``R`` in global indices, its squared
+    distances to ``P`` and to the Metropolis-Hastings adjustment, the number
+    of its entries that moved, and the class report.
+    """
     start = time.perf_counter()
-    block = P.submatrix(members)
-    pi_block = pi.restrict(members)
-    if pattern_override is not None:
-        pattern = pattern_override.restrict(members)
+    m = members.size
+    rows, cols, vals = block
+    # the baseline keeps to the support of P, and so does the program unless
+    # a pattern is given
+    support = _pair_table(m, rows, cols, vals)
+    if pattern is None:
+        i, j, p_up, p_down = support
+        outside = vals[:0]
     else:
-        pattern = symmetrized_pattern(block)
-    qp = build_reduced_qp(block, pi_block, pattern)
+        i, j = _pattern_positions(m, *_gather(pattern.csr, members)[:2])
+        p_up, p_down, outside = _pair_values(m, i, j, rows, cols, vals)
+    pi_class = pi.values[members]
+    pi_class = pi_class / pi_class.sum()
+    maps = IndexMaps(n=m, upper_rows=i, upper_cols=j)
+    qp = _assemble(maps, pi_class, p_up, p_down, 0.5 * float(np.sum(vals**2)))
     result = solve_qp(qp, solver_opts)
-    R_block = unscale_solution(result.y, qp.maps, qp.pi_hat)
+    r_up, r_down = _unscale(result.y, maps, qp.pi_hat)
+
+    off = ~maps.diagonal_mask
+    moved = np.r_[r_up - p_up, (r_down - p_down)[off], outside]
+    squared = float(np.sum(moved**2))
     report = ClassReport(
         indices=np.asarray(members, dtype=np.intp),
         y_m=qp.y_m,
-        distance=frobenius_distance(R_block, block),
+        distance=float(np.sqrt(squared)),
         iterations=result.iterations,
         kkt_residuals=tuple(result.kkt_residuals),
         wall_time=time.perf_counter() - start,
     )
-    return R_block, mh_baseline_distance(block, pi_block), report
+    entries = (members[np.r_[i, j[off]]], members[np.r_[j, i[off]]], np.r_[r_up, r_down[off]])
+    return (
+        entries,
+        squared,
+        _mh_squared_distance(*support, pi_class),
+        int(np.count_nonzero(np.abs(moved) > 1e-15)),
+        report,
+    )
 
 
 def nearest_sparse_reversible(
@@ -168,6 +205,16 @@ def nearest_sparse_reversible(
     Rows of transient states are copied from ``P`` unchanged: their
     detailed-balance equations hold trivially (zero stationary mass), so
     leaving them alone is free and keeps ``R`` stochastic.
+
+    Each class is solved on its pair table (see the module docstring), with
+    the positions of ``options.pattern`` restricted to the class when one is
+    given.  The results are those of the public calls
+    :meth:`~revmarkov.SparseStochasticMatrix.submatrix`,
+    :func:`~revmarkov.symmetrized_pattern`,
+    :func:`~revmarkov.build_reduced_qp`, :func:`~revmarkov.solve_qp`,
+    :func:`~revmarkov.unscale_solution` and
+    :func:`~revmarkov.mh_baseline_distance` made class by class, but the
+    only chain object built is ``R``, canonicalized once.
 
     Parameters
     ----------
@@ -196,74 +243,58 @@ def nearest_sparse_reversible(
     options = options or PipelineOptions()
     t_start = time.perf_counter()
 
-    # one SCC pass serves both the stationary solve and the decomposition
+    # one SCC pass serves both the stationary solve and the decomposition,
+    # and one gather per closed class serves both its stationary solve and
+    # its pair table
     closed, open_ = _closed_components(P)
+    csr = P.csr
+    blocks = [_gather(csr, members) for members in closed]
     t_pi = time.perf_counter()
     if options.pi is not None:
         if options.pi.n != P.n:
             raise DimensionMismatch("dimensions of P and pi disagree")
         pi = options.pi
     else:
-        pi = _mixture(P, np.full(P.n, 1.0 / P.n), closed, open_)
+        pi = _mixture(P, np.full(P.n, 1.0 / P.n), closed, open_, blocks)
     stationary_seconds = time.perf_counter() - t_pi
 
     decomposition = _decompose(P, pi, closed)
     if options.recurse_ergodic:
         classes = decomposition.classes
+        by_first = {int(members[0]): block for members, block in zip(closed, blocks)}
+        blocks = [by_first[int(members[0])] for members in classes]
     else:
         classes = [np.sort(np.concatenate(decomposition.classes))]
+        blocks = [_gather(csr, classes[0])]
     transient = decomposition.transient
 
     solver_opts = options.solver or SolverOptions()
-    results, failures = [], []
-    for members in classes:
+    solved, failures = [], []
+    for members, block in zip(classes, blocks):
         try:
-            results.append(
-                _solve_class(P, pi, members, options.pattern, solver_opts)
-            )
+            solved.append(_solve_pair_table(pi, members, block, options.pattern, solver_opts))
         except Exception as exc:  # aggregated below
             failures.append((members, exc))
     if failures:
         raise ClassSolveFailed(failures)
 
-    # reassemble: transient rows verbatim, class blocks from the solves
-    csr = P.csr
-    rows, cols, vals = [], [], []
-    if transient.size:
-        coo = csr[transient].tocoo()
-        rows.append(transient[coo.row])
-        cols.append(coo.col)
-        vals.append(coo.data)
-    per_class = []
-    for R_block, _, report in results:
-        per_class.append(report)
-        members = report.indices
-        coo = R_block.csr.tocoo()
-        rows.append(members[coo.row])
-        cols.append(members[coo.col])
-        vals.append(coo.data)
-    R = SparseStochasticMatrix.from_coo(
-        P.n,
-        np.concatenate(rows) if rows else [],
-        np.concatenate(cols) if cols else [],
-        np.concatenate(vals) if vals else [],
-        stochastic=True,
-    )
+    # reassemble: transient rows verbatim, class blocks from the pair tables,
+    # into the one chain object built, canonicalized once
+    entries, squared, mh_squared, moved, reports = zip(*solved)
+    edges, owner = _row_edges(csr, transient)
+    parts = [(transient[owner], csr.indices[edges], csr.data[edges]), *entries]
+    R = SparseStochasticMatrix.from_coo(P.n, *map(np.concatenate, zip(*parts)))
 
-    delta = (R.csr - csr).tocoo()
-    keep_mask = np.abs(delta.data) > 1e-15
-    distance = float(np.sqrt(np.sum(delta.data**2))) if delta.nnz else 0.0
-    mh_distance = float(np.sqrt(sum(mh**2 for _, mh, _ in results)))
     diagnostics = PipelineDiagnostics(
         num_classes=len(classes),
         transient=np.asarray(transient, dtype=np.intp),
-        per_class=per_class,
-        distance=distance,
-        delta_nnz=int(keep_mask.sum()),
+        per_class=list(reports),
+        distance=float(np.sqrt(sum(squared))),
+        delta_nnz=sum(moved),
         nnz_input=P.nnz,
         nnz_output=R.nnz,
         residuals=verify(R, pi),
-        mh_distance=mh_distance,
+        mh_distance=float(np.sqrt(sum(mh_squared))),
         stationary_seconds=stationary_seconds,
         total_seconds=time.perf_counter() - t_start,
     )

@@ -15,6 +15,12 @@ Hessian:
 because each variable feeds exactly the two vector slots (i,j) and (j,i) of
 the scaled residual with weights ``s_j/s_i`` and ``s_i/s_j``.  The closed form
 is validated against a dense Kronecker-product oracle in the test suite.
+
+The program is assembled from a *pair table*: the variable positions with
+``P_ij`` and ``P_ji`` beside each.  The pipeline builds that table straight
+from the CSR arrays of each class; the public :func:`build_reduced_qp` and
+:func:`unscale_solution` are thin wrappers that build it from their matrix
+arguments and share the one assembly and the one unscaling with it.
 """
 
 from __future__ import annotations
@@ -28,12 +34,17 @@ import scipy.sparse as sp
 from .exceptions import (
     DimensionMismatch,
     LengthMismatch,
-    MissingDiagonal,
     NegativeEntry,
     NonPositivePi,
-    PatternNotSymmetric,
 )
-from .sparse_core import ProbabilityVector, SparseStochasticMatrix, SparsityPattern
+from .sparse_core import (
+    ProbabilityVector,
+    SparseStochasticMatrix,
+    SparsityPattern,
+    _edge_rows,
+    _pair_values,
+    _pattern_positions,
+)
 
 __all__ = [
     "IndexMaps",
@@ -88,13 +99,8 @@ def build_index_maps(pattern: SparsityPattern) -> IndexMaps:
     MissingDiagonal
         If some diagonal position is missing.
     """
-    if not pattern.symmetric:
-        raise PatternNotSymmetric("reduction requires a symmetric pattern")
-    if not pattern.has_full_diagonal:
-        raise MissingDiagonal("reduction requires every diagonal position")
-    rows, cols = pattern.triu_positions()
-    expected = (pattern.size - pattern.n) // 2 + pattern.n
-    assert rows.size == expected
+    csr = pattern.csr
+    rows, cols = _pattern_positions(pattern.n, _edge_rows(csr), csr.indices)
     return IndexMaps(n=pattern.n, upper_rows=rows, upper_cols=cols)
 
 
@@ -175,28 +181,35 @@ def build_reduced_qp(
     if P.n != pattern.n:
         raise DimensionMismatch("dimensions of P and pattern disagree")
     _check_pi(pi, pattern.n)
+    csr = P.csr
+    p_up, p_down, _ = _pair_values(
+        maps.n, maps.upper_rows, maps.upper_cols, _edge_rows(csr), csr.indices, csr.data
+    )
+    return _assemble(maps, pi.values, p_up, p_down, 0.5 * float(np.sum(csr.data**2)))
 
-    pi_vals = pi.values
-    pi_hat = pi.sqrt_values.copy()
+
+def _assemble(maps: IndexMaps, pi_vals, p_up, p_down, constant: float) -> ReducedQP:
+    """The reduced program on the pair table ``p_up = P_ij``,
+    ``p_down = P_ji`` of the positions ``maps``, for a positive ``pi``."""
+    pi_hat = np.sqrt(pi_vals)
     i, j = maps.upper_rows, maps.upper_cols
     diag = maps.diagonal_mask
 
     ratio = pi_vals[i] / pi_vals[j]
     hessian_diag = np.where(diag, 1.0, ratio + 1.0 / ratio)
-
-    csr = P.csr
-    p_up = np.asarray(csr[i, j]).ravel()
-    p_down = np.asarray(csr[j, i]).ravel()
     scale_up = pi_hat[j] / pi_hat[i]
     linear = np.where(diag, -p_up, -(p_up * scale_up + p_down / scale_up))
 
+    # column k of Y s = s holds s_j in row i and, off the diagonal, s_i in row j
     off = ~diag
-    rows = np.concatenate([i, j[off]])
-    cols = np.concatenate([np.arange(maps.y_m), np.flatnonzero(off)])
-    vals = np.concatenate([np.where(diag, pi_hat[i], pi_hat[j]), pi_hat[i[off]]])
-    a_eq = sp.coo_matrix((vals, (rows, cols)), shape=(maps.n, maps.y_m)).tocsr()
+    indptr = np.concatenate([[0], np.cumsum(1 + off)])
+    first, second = indptr[:-1], indptr[:-1][off] + 1
+    rows = np.empty(indptr[-1], dtype=i.dtype)
+    vals = np.empty(indptr[-1])
+    rows[first], vals[first] = i, pi_hat[j]
+    rows[second], vals[second] = j[off], pi_hat[i[off]]
+    a_eq = sp.csc_matrix((vals, rows, indptr), shape=(maps.n, maps.y_m)).tocsr()
 
-    constant = 0.5 * float(np.sum(csr.data**2))
     return ReducedQP(
         maps=maps,
         hessian_diag=hessian_diag,
@@ -221,17 +234,29 @@ def unscale_solution(
     y = np.asarray(y, dtype=float).ravel()
     if y.size != maps.y_m:
         raise LengthMismatch(f"expected length {maps.y_m}, got {y.size}")
+    r_up, r_down = _unscale(y, maps, np.asarray(pi_hat, dtype=float).ravel())
+    i, j = maps.upper_rows, maps.upper_cols
+    off = ~maps.diagonal_mask
+    return SparseStochasticMatrix.from_coo(
+        maps.n, np.r_[i, j[off]], np.r_[j, i[off]], np.r_[r_up, r_down[off]]
+    )
+
+
+def _unscale(y: np.ndarray, maps: IndexMaps, pi_hat: np.ndarray):
+    """``R_ij`` and ``R_ji`` at each variable position ``(i, j)`` (both
+    ``R_ii`` on the diagonal), with the clamp and renormalization of
+    :func:`unscale_solution`."""
     worst = int(np.argmin(y)) if y.size else 0
     if y.size and y[worst] < -NEGATIVE_TOLERANCE:
         raise NegativeEntry(worst, float(y[worst]))
     y = np.maximum(y, 0.0)
+    i, j = maps.upper_rows, maps.upper_cols
+    r_up = y * pi_hat[j] / pi_hat[i]
+    r_down = y * pi_hat[i] / pi_hat[j]
 
-    pi_hat = np.asarray(pi_hat, dtype=float).ravel()
-    Y = expand_symmetric(y, maps).tocoo()
-    r_vals = Y.data * pi_hat[Y.col] / pi_hat[Y.row]
-    R = sp.coo_matrix((r_vals, (Y.row, Y.col)), shape=(maps.n, maps.n)).tocsr()
-
-    row_sums = np.asarray(R.sum(axis=1)).ravel()
+    off = ~maps.diagonal_mask
+    row_sums = np.bincount(i, weights=r_up, minlength=maps.n)
+    row_sums += np.bincount(j[off], weights=r_down[off], minlength=maps.n)
     deviation = float(np.abs(row_sums - 1.0).max()) if row_sums.size else 0.0
     if deviation > STOCHASTICITY_TOLERANCE:
         logger.warning(
@@ -239,5 +264,6 @@ def unscale_solution(
             deviation,
             STOCHASTICITY_TOLERANCE,
         )
-        R = sp.diags(1.0 / row_sums) @ R
-    return SparseStochasticMatrix(R, stochastic=True)
+        inverse = 1.0 / row_sums
+        r_up, r_down = r_up * inverse[i], r_down * inverse[j]
+    return r_up, r_down

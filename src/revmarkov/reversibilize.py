@@ -20,13 +20,14 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .chain_analysis import _edge_rows, stationary_mixture
+from .chain_analysis import stationary_mixture
 from .exceptions import DimensionMismatch, NonPositivePi, ZeroRow
 from .sparse_core import (
     ProbabilityVector,
     SparseStochasticMatrix,
     SparsityPattern,
-    frobenius_distance,
+    _edge_rows,
+    _pair_table,
 )
 
 __all__ = [
@@ -90,52 +91,18 @@ def reversibilize(
     """
     if Q.n != pi.n:
         raise DimensionMismatch("dimensions of Q and pi disagree")
-    n = Q.n
     csr = Q.csr
-    rows = _edge_rows(csr)
-    off = rows != csr.indices
-    rows, cols, q_vals = rows[off], csr.indices[off], csr.data[off]
-
-    pi_vals = pi.values
-    bad = np.unique(rows[pi_vals[rows] <= 0.0])
-    if bad.size:
-        raise NonPositivePi(int(bad[0]))
-
-    # align each edge with its reciprocal (0 when absent); the entries of a
-    # canonical csr are sorted by (row, col), so the keys are sorted too
-    keys = rows.astype(np.int64) * n + cols
-    wanted = cols.astype(np.int64) * n + rows
-    slot = np.searchsorted(keys, wanted)
-    slot[slot >= keys.size] = 0
-    found = keys[slot] == wanted
-    q_back = np.where(found, q_vals[slot], 0.0)
-
-    f_fwd = pi_vals[rows] * q_vals
-    f_back = pi_vals[cols] * q_back
-    if rule is AcceptanceRule.METROPOLIS_HASTINGS:
-        kept_flux = np.minimum(f_fwd, f_back)
-    elif rule is AcceptanceRule.BARKER:
-        total = f_fwd + f_back
-        with np.errstate(invalid="ignore", divide="ignore"):
-            kept_flux = np.where(total > 0.0, f_fwd * f_back / np.where(total > 0, total, 1.0), 0.0)
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown acceptance rule {rule!r}")
-
-    t_vals = kept_flux / pi_vals[rows]
-    diag = 1.0 - np.bincount(rows, weights=t_vals, minlength=n)
-    undershoot = diag.min() if n else 0.0
-    if undershoot < -DIAGONAL_CLAMP_TOL:
-        raise ValueError(
-            f"off-diagonal mass exceeds 1 by {-undershoot:.3e}; proposal is invalid"
-        )
-    # one COO of the kept flux and the diagonal complement; the constructor
-    # drops the zeros of one-way edges and canonicalizes it once
-    states = np.arange(n)
-    T = sp.coo_matrix(
-        (np.r_[t_vals, np.maximum(diag, 0.0)], (np.r_[rows, states], np.r_[cols, states])),
-        shape=(n, n),
+    i, j, q_up, q_down = _pair_table(Q.n, _edge_rows(csr), csr.indices, csr.data)
+    t_up, t_down, t_diag = _adjust(i, j, q_up, q_down, pi.values, rule)
+    # the constructor drops the zeros of one-way edges and canonicalizes once
+    off = i != j
+    states = np.arange(Q.n)
+    return SparseStochasticMatrix.from_coo(
+        Q.n,
+        np.r_[i[off], j[off], states],
+        np.r_[j[off], i[off], states],
+        np.r_[t_up[off], t_down[off], t_diag],
     )
-    return SparseStochasticMatrix(T, stochastic=True)
 
 
 def mh_baseline_distance(
@@ -149,5 +116,50 @@ def mh_baseline_distance(
     """
     if pi is None:
         pi = stationary_mixture(P)
-    adjusted = reversibilize(P, pi, AcceptanceRule.METROPOLIS_HASTINGS)
-    return frobenius_distance(adjusted, P)
+    if P.n != pi.n:
+        raise DimensionMismatch("dimensions of Q and pi disagree")
+    csr = P.csr
+    table = _pair_table(P.n, _edge_rows(csr), csr.indices, csr.data)
+    return float(np.sqrt(_mh_squared_distance(*table, pi.values)))
+
+
+def _adjust(i, j, p_up, p_down, pi_vals, rule=AcceptanceRule.METROPOLIS_HASTINGS):
+    """The adjusted chain on a pair table with the full diagonal: ``T_ij`` and
+    ``T_ji`` at each upper position ``(i, j)`` (zero on the diagonal, where
+    ``p_down`` is zero) and the diagonal complement of every state."""
+    moves = np.r_[i[(i != j) & (p_up > 0.0)], j[p_down > 0.0]]
+    bad = moves[pi_vals[moves] <= 0.0]
+    if bad.size:
+        raise NonPositivePi(int(bad.min()))
+
+    f_up, f_down = pi_vals[i] * p_up, pi_vals[j] * p_down
+    if rule is AcceptanceRule.METROPOLIS_HASTINGS:
+        kept_flux = np.minimum(f_up, f_down)
+    elif rule is AcceptanceRule.BARKER:
+        total = f_up + f_down
+        kept_flux = np.divide(f_up * f_down, total, out=np.zeros_like(total), where=total > 0.0)
+    else:  # pragma: no cover - enum is exhaustive
+        raise ValueError(f"unknown acceptance rule {rule!r}")
+
+    # positive kept flux means both states have mass, so no 0/0 is formed
+    t_up, t_down = (
+        np.divide(kept_flux, pi_vals[k], out=np.zeros_like(kept_flux), where=kept_flux > 0.0)
+        for k in (i, j)
+    )
+    n = pi_vals.size
+    diag = 1.0 - np.bincount(i, weights=t_up, minlength=n) - np.bincount(j, weights=t_down, minlength=n)
+    undershoot = diag.min() if n else 0.0
+    if undershoot < -DIAGONAL_CLAMP_TOL:
+        raise ValueError(
+            f"off-diagonal mass exceeds 1 by {-undershoot:.3e}; proposal is invalid"
+        )
+    return t_up, t_down, np.maximum(diag, 0.0)
+
+
+def _mh_squared_distance(i, j, p_up, p_down, pi_vals) -> float:
+    """Squared Frobenius distance from the chain of a pair table to its
+    Metropolis-Hastings adjustment."""
+    t_up, t_down, t_diag = _adjust(i, j, p_up, p_down, pi_vals)
+    on_diagonal = i == j
+    t_up = np.where(on_diagonal, t_diag[i], t_up)
+    return float(np.sum((t_up - p_up) ** 2) + np.sum((t_down - p_down) ** 2))

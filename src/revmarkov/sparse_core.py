@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .exceptions import DimensionMismatch, ZeroRow
+from .exceptions import DimensionMismatch, MissingDiagonal, PatternNotSymmetric, ZeroRow
 
 __all__ = [
     "SparseStochasticMatrix",
@@ -51,6 +51,93 @@ def _symmetric_lu(matrix: sp.csc_matrix):
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
+
+
+def _edge_rows(csr: sp.csr_matrix) -> np.ndarray:
+    """Row index of every stored entry."""
+    return np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+
+
+def _row_edges(csr: sp.csr_matrix, rows: np.ndarray):
+    """Storage positions of the entries of ``rows``, in order, and each
+    one's position in ``rows``."""
+    starts = csr.indptr[rows]
+    counts = csr.indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(rows.size), counts)
+    return np.arange(owner.size) + np.repeat(starts - np.cumsum(counts) + counts, counts), owner
+
+
+def _gather(csr: sp.csr_matrix, members: np.ndarray):
+    """Entries of ``csr`` inside ``members x members`` (distinct states) as
+    local ``(rows, cols, vals)``, found by index arithmetic on ``indptr``;
+    in canonical row-major order when ``members`` is ascending."""
+    edges, rows = _row_edges(csr, members)
+    local = np.full(csr.shape[0], -1)
+    local[members] = np.arange(members.size)
+    cols = local[csr.indices[edges]]
+    inside = cols >= 0
+    return rows[inside], cols[inside], csr.data[edges[inside]]
+
+
+def _upper_keys(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Key ``j * n + i`` of the upper-triangle position ``(i, j)``,
+    ``i <= j``, of each position ``(rows, cols)`` or its transpose."""
+    return np.maximum(rows, cols).astype(np.int64) * n + np.minimum(rows, cols)
+
+
+def _pattern_positions(n: int, rows: np.ndarray, cols: np.ndarray):
+    """Upper-triangle positions ``(i, j)``, ``i <= j``, of the pattern made
+    of the distinct positions ``(rows, cols)``, ordered column-major then row
+    (ascending key ``j * n + i``).
+
+    Raises
+    ------
+    PatternNotSymmetric
+        If some position's transpose is missing.
+    MissingDiagonal
+        If some diagonal position is missing.
+    """
+    keys, counts = np.unique(_upper_keys(n, rows, cols), return_counts=True)
+    on_diagonal = keys % (n + 1) == 0
+    if np.any(counts != 2 - on_diagonal):
+        raise PatternNotSymmetric("reduction requires a symmetric pattern")
+    if np.count_nonzero(on_diagonal) != n:
+        raise MissingDiagonal("reduction requires every diagonal position")
+    return keys % n, keys // n
+
+
+def _carry(slot, rows, cols, vals, size: int):
+    """``X_ij`` and ``X_ji`` at each of ``size`` upper positions from the
+    entries of ``X`` on the positions ``slot``."""
+    lower = rows > cols
+    return (
+        np.bincount(slot[~lower], weights=vals[~lower], minlength=size),
+        np.bincount(slot[lower], weights=vals[lower], minlength=size),
+    )
+
+
+def _pair_table(n: int, rows, cols, vals):
+    """The pair table ``(i, j, X_ij, X_ji)`` of the distinct entries of
+    ``X``: its upper positions are those of the entries, their transposes
+    and the full diagonal, in the order of :func:`_pattern_positions`, and
+    ``X_ji`` is zero on the diagonal."""
+    keys = np.r_[_upper_keys(n, rows, cols), np.arange(n, dtype=np.int64) * (n + 1)]
+    keys, slot = np.unique(keys, return_inverse=True)
+    return (keys % n, keys // n, *_carry(slot[: rows.size], rows, cols, vals, keys.size))
+
+
+def _pair_values(n: int, i: np.ndarray, j: np.ndarray, rows, cols, vals):
+    """``X_ij`` and ``X_ji`` at the given upper positions ``(i, j)``, from
+    the distinct entries of ``X``, and the values of the entries that fall
+    on none of them."""
+    keys = _upper_keys(n, i, j)
+    union, slot = np.unique(np.r_[keys, _upper_keys(n, rows, cols)], return_inverse=True)
+    position = np.full(union.size, -1)
+    position[slot[: keys.size]] = np.arange(keys.size)
+    slot = position[slot[keys.size :]]
+    inside = slot >= 0
+    carried = _carry(slot[inside], rows[inside], cols[inside], vals[inside], keys.size)
+    return (*carried, vals[~inside])
 
 
 def _freeze(csr: sp.csr_matrix) -> sp.csr_matrix:
@@ -140,9 +227,12 @@ class SparseStochasticMatrix:
         return coo.row, coo.col, coo.data
 
     def submatrix(self, indices, stochastic: bool = True):
-        """Restriction to ``indices`` x ``indices`` (a new canonical matrix)."""
+        """Restriction to ``indices`` x ``indices`` (distinct, in any order),
+        as a new canonical matrix."""
         idx = np.asarray(indices, dtype=np.intp)
-        return SparseStochasticMatrix(self._csr[idx][:, idx], stochastic=stochastic)
+        return SparseStochasticMatrix.from_coo(
+            idx.size, *_gather(self._csr, idx), stochastic=stochastic
+        )
 
     def __repr__(self):
         kind = "stochastic" if self.stochastic else "nonnegative"
@@ -383,9 +473,13 @@ def detailed_balance_residual(P, pi: ProbabilityVector) -> float:
         raise DimensionMismatch(
             f"matrix is {csr.shape[0]}x{csr.shape[1]} but pi has length {pi_values.size}"
         )
-    flux = sp.diags(pi_values) @ csr
-    asym = (flux - flux.T).tocoo()
-    return float(np.abs(asym.data).max()) if asym.nnz else 0.0
+    if not csr.has_canonical_format:
+        csr = _canonical_csr(csr)
+    # each entry meets its reciprocal (0 when absent) in the pair table
+    i, j, up, down = _pair_table(csr.shape[0], _edge_rows(csr), csr.indices, csr.data)
+    off = i != j
+    flux_gap = pi_values[i[off]] * up[off] - pi_values[j[off]] * down[off]
+    return float(np.max(np.abs(flux_gap), initial=0.0))
 
 
 def frobenius_distance(A, B) -> float:

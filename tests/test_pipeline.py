@@ -1,11 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from revmarkov import (
+    BenchmarkConfig,
     ClassSolveFailed,
+    MissingDiagonal,
+    PatternNotSymmetric,
     PipelineOptions,
     ProbabilityVector,
     SolverOptions,
@@ -15,6 +19,7 @@ from revmarkov import (
     detailed_balance_residual,
     ergodic_decomposition,
     frobenius_distance,
+    gen_random_chain,
     mh_baseline_distance,
     nearest_sparse_reversible,
     reversibilize,
@@ -22,6 +27,7 @@ from revmarkov import (
     solve_qp,
     stationary_mixture,
     symmetrized_pattern,
+    unscale_solution,
     verify,
 )
 
@@ -288,6 +294,120 @@ class TestRandomReducibleChains:
         per_class = sum(c.distance**2 for c in diag.per_class)
         assert diag.distance**2 == pytest.approx(per_class, rel=1e-9, abs=1e-18)
 
+
+
+def composed(P, options):
+    """The pipeline as the public calls compose it, class by class: the
+    dense result, its distance to ``P`` and the baseline distance."""
+    pi = options.pi or stationary_mixture(P)
+    classes = ergodic_decomposition(P, pi).classes
+    if not options.recurse_ergodic:
+        classes = [np.sort(np.concatenate(classes))]
+    R = P.toarray()
+    mh = []
+    for members in classes:
+        block = P.submatrix(members)
+        pi_block = pi.restrict(members)
+        if options.pattern is None:
+            pattern = symmetrized_pattern(block)
+        else:
+            pattern = options.pattern.restrict(members)
+        qp = build_reduced_qp(block, pi_block, pattern)
+        result = solve_qp(qp, options.solver)
+        R[np.ix_(members, members)] = unscale_solution(result.y, qp.maps, qp.pi_hat).toarray()
+        mh.append(mh_baseline_distance(block, pi_block))
+    return R, np.linalg.norm(R - P.toarray()), np.sqrt(np.sum(np.square(mh)))
+
+
+def equivalence_cases():
+    """Reducible chains with transient states, each with a pattern that
+    covers its support and one that does not, and a second stationary
+    vector (the mixture from a skewed start)."""
+    chains = [two_blocks_with_transients(seed=s) for s in range(3)]
+    chains += [TestRandomReducibleChains.random_reducible(s)[0] for s in range(6)]
+    for k, P in enumerate(chains):
+        rng = np.random.default_rng(k)
+        n = P.n
+        extra = np.triu(rng.random((n, n)) < 0.3, k=1)
+        extra = (extra | extra.T | np.eye(n, dtype=bool)).astype(float)
+        covering = SparsityPattern(symmetrized_pattern(P).csr + sp.csr_matrix(extra))
+        start = rng.random(n) ** 4
+        yield k, P, covering, SparsityPattern(extra), ProbabilityVector(start / start.sum())
+
+
+@pytest.mark.parametrize("recurse", [True, False])
+@pytest.mark.parametrize("override", [None, "pi", "covering", "partial"])
+def test_pipeline_matches_public_composition(recurse, override):
+    for k, P, covering, partial, start in equivalence_cases():
+        options = PipelineOptions(
+            pi=stationary_mixture(P, start) if override == "pi" else None,
+            pattern={"covering": covering, "partial": partial}.get(override),
+            recurse_ergodic=recurse,
+        )
+        R, diag = nearest_sparse_reversible(P, options)
+        R_ref, distance, mh = composed(P, options)
+        assert np.abs(R.toarray() - R_ref).max() <= 1e-14, k
+        assert diag.distance == pytest.approx(distance, rel=1e-12, abs=1e-300), k
+        assert diag.mh_distance == pytest.approx(mh, rel=1e-12, abs=1e-300), k
+        assert diag.delta_nnz == np.count_nonzero(np.abs(R_ref - P.toarray()) > 1e-15), k
+
+
+@pytest.mark.parametrize(
+    "dense, error",
+    [
+        (np.triu(np.ones((10, 10))), PatternNotSymmetric),
+        (np.ones((10, 10)) - np.eye(10), MissingDiagonal),
+    ],
+)
+def test_pattern_override_errors_reach_the_caller(dense, error):
+    P = two_blocks_with_transients()
+    with pytest.raises(ClassSolveFailed) as err:
+        nearest_sparse_reversible(P, PipelineOptions(pattern=SparsityPattern(dense)))
+    assert [type(exc) for _, exc in err.value.failures] == [error, error]
+
+
+def test_one_chain_object_per_call(monkeypatch):
+    # the result is the only SparseStochasticMatrix a call builds: no class
+    # block, unscaled block or baseline chain on the way
+    built = []
+    init = SparseStochasticMatrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    P = two_blocks_with_transients()
+    monkeypatch.setattr(SparseStochasticMatrix, "__init__", counting_init)
+    R, diag = nearest_sparse_reversible(P)
+    assert diag.num_classes == 2 and diag.transient.size == 3
+    assert len(built) == 1
+
+
+#: A pipeline run may hold at most this many traced bytes per stored entry
+#: of ``P`` at once; an O(n^2) temporary exceeds it by orders of magnitude.
+PEAK_BYTES_PER_ENTRY = 512
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ring_chain(1.0 + 0.1 * np.random.default_rng(0).random(300_000)),
+        lambda: gen_random_chain(BenchmarkConfig(n_min=6000, n_max=6000, seed=1), 0),
+    ],
+    ids=["benign-ring-1e5", "expander-5930"],
+)
+def test_scale_ladder(make):
+    P = make()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        R, diag = nearest_sparse_reversible(P)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert max(diag.residuals) <= 1e-10
+    assert diag.distance <= diag.mh_distance
+    assert peak < PEAK_BYTES_PER_ENTRY * P.nnz, f"{peak / P.nnz:.0f} B per entry of P"
 
 
 def wide_span_chain(seed):

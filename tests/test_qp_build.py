@@ -322,3 +322,9 @@ class TestUnscaleSolution:
         assert [r.name for r in caplog.records] == ["revmarkov.qp_build"]
         assert "renormalizing" in caplog.records[0].getMessage()
         assert np.allclose(R.toarray(), np.eye(2))
+
+    def test_renormalization_divides_each_row_by_its_sum(self, caplog):
+        maps = build_index_maps(SparsityPattern(np.ones((2, 2))))
+        with caplog.at_level(logging.WARNING, logger="revmarkov.qp_build"):
+            R = unscale_solution([0.5, 0.2, 0.4], maps, np.full(2, np.sqrt(0.5)))
+        assert np.abs(R.toarray() - [[5 / 7, 2 / 7], [1 / 3, 2 / 3]]).max() <= 1e-15
