@@ -469,7 +469,7 @@ def detailed_balance_residual(P, pi: ProbabilityVector) -> float:
         pi_values = pi.values
     else:
         pi_values = np.asarray(pi, dtype=float).ravel()
-    if csr.shape[0] != pi_values.size:
+    if csr.shape != (pi_values.size, pi_values.size):
         raise DimensionMismatch(
             f"matrix is {csr.shape[0]}x{csr.shape[1]} but pi has length {pi_values.size}"
         )

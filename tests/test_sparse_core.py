@@ -82,6 +82,8 @@ class TestDetailedBalanceResidual:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             detailed_balance_residual(np.eye(3), ProbabilityVector.uniform(2))
+        with pytest.raises(DimensionMismatch):
+            detailed_balance_residual(np.ones((2, 3)) / 3.0, ProbabilityVector.uniform(2))
 
     def test_zero_implies_stationarity(self, reversible_factory):
         # flux symmetry plus unit row sums forces pi P = pi (summing the
