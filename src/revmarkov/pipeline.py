@@ -71,12 +71,19 @@ class PipelineOptions:
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Solve record for one ergodic class."""
+    """Solve record for one ergodic class.
+
+    ``iterations`` counts Newton steps, ``cg_iterations`` the conjugate
+    gradient iterations over all of them, and ``factor_steps`` the Newton
+    systems handed to the sparse factor.
+    """
 
     indices: np.ndarray
     y_m: int
     distance: float
     iterations: int
+    cg_iterations: int
+    factor_steps: int
     kkt_residuals: tuple
     wall_time: float
 
@@ -87,6 +94,8 @@ class ClassReport:
             "y_m": int(self.y_m),
             "distance": float(self.distance),
             "iterations": int(self.iterations),
+            "cg_iterations": int(self.cg_iterations),
+            "factor_steps": int(self.factor_steps),
             "kkt_residuals": [float(r) for r in self.kkt_residuals],
             "wall_time": float(self.wall_time),
         }
@@ -183,6 +192,8 @@ def _solve_pair_table(pi, members, block, pattern, solver_opts):
         y_m=qp.y_m,
         distance=float(np.sqrt(squared)),
         iterations=result.iterations,
+        cg_iterations=result.cg_iterations,
+        factor_steps=result.factor_steps,
         kkt_residuals=tuple(result.kkt_residuals),
         wall_time=time.perf_counter() - start,
     )

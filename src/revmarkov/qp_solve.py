@@ -7,9 +7,12 @@ with diagonal positive-definite ``Q``, by a semismooth Newton method on the
 dual: because ``Q`` is diagonal, the dual in the ``n`` equality multipliers
 is unconstrained and piecewise quadratic, and each Newton step solves the
 n-by-n normal equations ``A_F diag(1/q_F) A_F^T d = g`` of the current free
-set ``F``.  That system is solved by Jacobi-preconditioned conjugate
-gradients without forming the matrix, and by a sparse factor of the formed
-matrix only when conjugate gradients break down or stall.
+set ``F``.  Each stored entry of ``A`` stands for one entry of that matrix
+in the same row, so the matrix is formed once per Newton step by writing its
+entries into one array over ``A``'s row pointers, with no sparse product.
+That system is solved by Jacobi-preconditioned conjugate gradients,
+one sparse product per iteration, and by a sparse factor of the same matrix
+only when conjugate gradients break down or stall.
 
 Since the objective is strongly convex the minimizer is unique; the test
 suite holds the solver to the one found by enumerating every active set of
@@ -28,7 +31,7 @@ import scipy.sparse as sp
 
 from .exceptions import MaxIterations, NumericalBreakdown
 from .qp_build import ReducedQP
-from .sparse_core import _symmetric_lu
+from .sparse_core import _edge_rows, _symmetric_lu
 
 __all__ = [
     "SolverOptions",
@@ -90,9 +93,18 @@ class KKTResiduals(NamedTuple):
 
 @dataclass(frozen=True)
 class SolverResult:
+    """Solution of :func:`solve_qp`.
+
+    ``iterations`` counts Newton steps, ``cg_iterations`` the conjugate
+    gradient iterations over all of them, and ``factor_steps`` the Newton
+    systems handed to the sparse factor.
+    """
+
     y: np.ndarray
     objective: float
     iterations: int
+    cg_iterations: int
+    factor_steps: int
     kkt_residuals: KKTResiduals
     wall_time: float
 
@@ -100,23 +112,20 @@ class SolverResult:
         self.y.setflags(write=False)
 
 
-def _normal_solve(a: sp.csr_matrix, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(A diag(w) A^T) x = rhs`` by an exact sparse factor.
+def _normal_solve(normal: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve the free-set normal equations ``S x = rhs`` by an exact sparse
+    factor of the formed ``S``.
 
     The fallback of a dual Newton step whose conjugate gradients broke down
-    or stalled, with ``A`` restricted to the free set.  The formed matrix is
-    symmetric positive semidefinite, so it is factored by symmetric-mode
-    sparse LU in minimum-degree order without pivoting.  On factorization
-    failure a diagonal regularization is escalated from 1e-14 to 1e-6 before
-    giving up with :class:`NumericalBreakdown`.
+    or stalled.  ``S`` is symmetric positive semidefinite, so it is factored
+    by symmetric-mode sparse LU in minimum-degree order without pivoting.  On
+    factorization failure a diagonal regularization is escalated from 1e-14
+    to 1e-6 before giving up with :class:`NumericalBreakdown`.
     """
-    n = a.shape[0]
-    # column scaling without ``a.multiply(w)``'s round trip through COO
-    S = sp.csr_matrix((a.data * w[a.indices], a.indices, a.indptr), a.shape) @ a.T
     reg = 0.0
     while True:
         try:
-            M = S + reg * sp.identity(n) if reg else S
+            M = normal + reg * sp.identity(normal.shape[0]) if reg else normal
             return _symmetric_lu(M.tocsc()).solve(rhs)
         except RuntimeError as err:
             reg = 1e-14 if reg == 0.0 else reg * 100.0
@@ -126,9 +135,9 @@ def _normal_solve(a: sp.csr_matrix, w: np.ndarray, rhs: np.ndarray) -> np.ndarra
                 ) from err
 
 
-def _newton_pcg(matvec, diag: np.ndarray, rhs: np.ndarray):
+def _newton_pcg(normal: sp.csr_matrix, diag: np.ndarray, rhs: np.ndarray):
     """Solve ``S x = rhs`` by Jacobi-preconditioned conjugate gradients for a
-    symmetric positive semidefinite ``S`` applied by ``matvec``.
+    symmetric positive semidefinite ``S``.
 
     ``diag`` is the diagonal of ``S``.  Returns ``(x, iterations,
     residual)`` with ``residual = ||r||_inf`` of the recurred residual;
@@ -149,7 +158,7 @@ def _newton_pcg(matvec, diag: np.ndarray, rhs: np.ndarray):
     p = z.copy()
     rz = float(r @ z)
     for iteration in range(1, min(_CG_MAX_ITERATIONS, 4 * rhs.size) + 1):
-        s = matvec(p)
+        s = normal @ p
         curvature = float(p @ s)
         if curvature <= 0.0:
             return None, iteration, residual
@@ -189,6 +198,40 @@ def kkt_residuals(
     return KKTResiduals(stationarity, primal_eq, primal_ineq, complementarity)
 
 
+def _normal_matrix(qp: ReducedQP):
+    """The free-set normal matrix ``S = A diag(w_F) A^T`` of the dual Newton
+    systems, formed without a sparse product on the sparsity of ``A``.
+
+    Column ``k`` of ``A``, the variable of position ``(i, j)``, holds ``s_j``
+    in row ``i`` and, off the diagonal, ``s_i`` in row ``j``.  Two rows of
+    ``A`` share only the column of their position, so the entry of ``A`` in
+    row ``r`` and column ``k`` stands for the entry ``s_i s_j w_k`` of ``S``
+    in column ``i + j - r``, and that of the diagonal variable for
+    ``S_rr = sum_k A_rk^2 w_k``: ``S`` reuses ``indptr`` with the other
+    endpoints as its column indices.
+
+    Returns ``form``: ``form(w_F)`` writes ``S`` for the weights ``w_F`` into
+    the one matrix it returns, with its diagonal.
+    """
+    a, maps = qp.a_eq, qp.maps
+    i, j = maps.upper_rows, maps.upper_cols
+    rows = _edge_rows(a)
+    columns = i[a.indices] + j[a.indices] - rows
+    diagonal = np.flatnonzero(columns == rows)
+    normal = sp.csr_matrix(
+        (np.empty(a.nnz), columns.astype(a.indices.dtype), a.indptr), (qp.n, qp.n)
+    )
+    a_squared = sp.csr_matrix((a.data**2, a.indices, a.indptr), a.shape)
+
+    def form(w_f):
+        diag = a_squared @ w_f
+        np.take(qp.pi_hat[i] * qp.pi_hat[j] * w_f, a.indices, out=normal.data)
+        normal.data[diagonal] = diag
+        return normal, diag
+
+    return form
+
+
 def _dual_gain(v, u, w, slope, t):
     """``theta(lam + t step) - theta(lam)`` for ``v = A^T lam - c``,
     ``u = A^T step``, ``w = 1/q`` and ``slope = (b - A y(lam))^T step``.
@@ -220,13 +263,14 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
     iterate, so only ``||A y - b||`` has to converge (Qi & Sun, SIAM J.
     Matrix Anal. Appl. 28, 2006; Zhao, Sun & Toh, SIAM J. Optim. 20, 2010).
 
-    Each Newton system goes to :func:`_newton_pcg` (Newton-CG) with the
-    matrix applied as ``A (w_F * (A^T p))``, ``w_F = 1/q`` on ``F`` and zero
-    elsewhere, and the Jacobi diagonal ``(A o A) w_F``.  When conjugate
-    gradients break down or stall, as where the free-set matrix is singular
-    on bipartite chains, :func:`_normal_solve` factors it and a ``DEBUG``
-    record on this module's logger gives the order, the free-set size, the
-    iterations and the residual reached.
+    Each Newton system ``A diag(w_F) A^T``, ``w_F = 1/q`` on ``F`` and zero
+    elsewhere, is formed by :func:`_normal_matrix` and goes to
+    :func:`_newton_pcg` (Newton-CG) with its diagonal ``(A o A) w_F`` as the
+    Jacobi preconditioner.  When conjugate gradients break down or stall, as
+    where the free-set matrix is singular on bipartite chains,
+    :func:`_normal_solve` factors the same matrix and a ``DEBUG`` record on
+    this module's logger gives the order, the free-set size, the iterations
+    and the residual reached.
 
     The method stops once ``||b - A y||_inf <= kkt_tolerance`` after a unit
     step whose free set is also the free set ``y > 0`` it produced.  That step
@@ -235,12 +279,14 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
     :class:`NumericalBreakdown` or an exhausted ``max_iterations`` returns
     the iterate with the smallest ``||b - A y||_inf`` instead.
 
-    Returns ``(y, lam, z, iterations)``.
+    Returns ``(y, lam, z, iterations, cg_iterations, factor_steps)``: the
+    Newton steps, the conjugate-gradient iterations over all of them and the
+    systems handed to the factor.
     """
     q, c, a, b = qp.hessian_diag, qp.linear, qp.a_eq, qp.b_eq
     w = 1.0 / q
     at = a.T
-    a_squared = sp.csr_matrix((a.data**2, a.indices, a.indptr), a.shape)
+    form_normal = _normal_matrix(qp)
 
     def dual_point(lam):
         v = at @ lam - c
@@ -250,12 +296,13 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
     lam = np.zeros(qp.n)
     v, y, grad = dual_point(lam)
     best = (float(np.abs(grad).max()), lam, 0)
+    cg_total = factor_steps = 0
     for iteration in range(1, opts.max_iterations + 1):
         free = y > 0.0
         w_f = np.where(free, w, 0.0)
-        step, cg_iterations, residual = _newton_pcg(
-            lambda p: a @ (w_f * (at @ p)), a_squared @ w_f, grad
-        )
+        normal, diag = form_normal(w_f)
+        step, cg_iterations, residual = _newton_pcg(normal, diag, grad)
+        cg_total += cg_iterations
         if step is None:
             logger.debug(
                 "Newton system of order %d (free set %d) handed to the sparse "
@@ -265,8 +312,9 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
                 cg_iterations,
                 residual,
             )
+            factor_steps += 1
             try:
-                step = _normal_solve(a[:, free], w[free], grad)
+                step = _normal_solve(normal, grad)
             except NumericalBreakdown:
                 break
         u = at @ step
@@ -282,12 +330,12 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
         v, y, grad = dual_point(lam)
         worst = float(np.abs(grad).max())
         if worst <= opts.kkt_tolerance and t == 1.0 and np.array_equal(y > 0.0, free):
-            return y, lam, np.maximum(-v, 0.0), iteration
+            return y, lam, np.maximum(-v, 0.0), iteration, cg_total, factor_steps
         if worst < best[0]:
             best = (worst, lam, iteration)
     _, lam, iteration = best
     v, y, _ = dual_point(lam)
-    return y, lam, np.maximum(-v, 0.0), iteration
+    return y, lam, np.maximum(-v, 0.0), iteration, cg_total, factor_steps
 
 
 def solve_qp(qp: ReducedQP, opts: SolverOptions | None = None) -> SolverResult:
@@ -305,12 +353,14 @@ def solve_qp(qp: ReducedQP, opts: SolverOptions | None = None) -> SolverResult:
     """
     opts = opts or SolverOptions()
     start = time.perf_counter()
-    y, lam, z, iterations = _solve_dual_newton(qp, opts)
+    y, lam, z, iterations, cg_iterations, factor_steps = _solve_dual_newton(qp, opts)
     residuals = kkt_residuals(qp, y, lam, z)
     result = SolverResult(
         y=y,
         objective=qp.objective(y),
         iterations=iterations,
+        cg_iterations=cg_iterations,
+        factor_steps=factor_steps,
         kkt_residuals=residuals,
         wall_time=time.perf_counter() - start,
     )

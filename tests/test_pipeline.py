@@ -475,6 +475,17 @@ class TestDiagnostics:
         assert payload["per_class"][0]["y_m"] > 0
         assert payload["timings"]["total_seconds"] > 0
 
+    def test_class_records_count_the_linear_solves(self):
+        # Newton steps, their CG iterations and factor hand-overs, as
+        # solve_qp reports them for the class program
+        P = wide_span_chain(111)
+        _, diag = nearest_sparse_reversible(P)
+        result = solve_qp(build_reduced_qp(P, stationary_mixture(P), symmetrized_pattern(P)))
+        record = json.loads(diag.to_json())["per_class"][0]
+        counts = (result.iterations, result.cg_iterations, result.factor_steps)
+        assert (record["iterations"], record["cg_iterations"], record["factor_steps"]) == counts
+        assert result.cg_iterations >= result.iterations
+
     def test_inline_json(self, chain_factory):
         P = chain_factory(5, 43)
         _, diag = nearest_sparse_reversible(P)

@@ -4,10 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from revmarkov import (
     BenchmarkConfig,
     MaxIterations,
+    PipelineOptions,
     ProbabilityVector,
     SolverOptions,
     SparseStochasticMatrix,
@@ -16,17 +18,21 @@ from revmarkov import (
     gen_random_chain,
     kkt_residuals,
     mh_baseline_distance,
+    nearest_sparse_reversible,
     proposal_from_pattern,
     reversibilize,
+    row_normalize,
     solve_qp,
     stationary_mixture,
     symmetrized_pattern,
     unscale_solution,
 )
 
+from revmarkov.qp_solve import _newton_pcg, _normal_matrix, _normal_solve
+
 from dense_oracle import kkt_certificate, least_squares_multipliers, oracle_solve
 from test_chain_analysis import ring_chain
-from test_pipeline import wide_span_chain
+from test_pipeline import two_blocks_with_transients, wide_span_chain
 from test_qp_build import random_instance
 
 
@@ -198,12 +204,121 @@ def test_singular_newton_system_falls_back_to_factor(caplog):
     assert np.abs(result.y - oracle_solve(qp)).max() <= 1e-9
 
 
+def pipeline_programs(P, options, monkeypatch):
+    """The reduced programs ``nearest_sparse_reversible(P, options)`` solves."""
+    programs = []
+
+    def spy(qp, opts=None):
+        programs.append(qp)
+        return solve_qp(qp, opts)
+
+    monkeypatch.setattr("revmarkov.pipeline.solve_qp", spy)
+    nearest_sparse_reversible(P, options)
+    return programs
+
+
+def own_program(P, pattern=None):
+    return build_reduced_qp(P, stationary_mixture(P), pattern or symmetrized_pattern(P))
+
+
+def identity_program(P):
+    # a diagonal-only pattern leaves a diagonal normal matrix
+    return own_program(P, SparsityPattern.identity(P.n))
+
+
+def pattern_override_programs(monkeypatch):
+    # the symmetrized support of a reducible chain widened by random
+    # positions, restricted to each class by the pipeline
+    P = two_blocks_with_transients()
+    rng = np.random.default_rng(3)
+    extra = np.triu(rng.random((P.n, P.n)) < 0.3, k=1)
+    extra = sp.csr_matrix((extra | extra.T).astype(float))
+    pattern = SparsityPattern(symmetrized_pattern(P).csr + extra)
+    return pipeline_programs(P, PipelineOptions(pattern=pattern), monkeypatch)
+
+
+NORMAL_MATRIX_CASES = {
+    "ensemble": lambda _: [own_program(gen_random_chain(BenchmarkConfig(), 0))],
+    "ring": lambda _: [own_program(ring_chain(1.0 + 0.1 * np.random.default_rng(2).random(120)))],
+    "bipartite": lambda _: [own_program(wide_span_chain(111))],
+    "identity": lambda _: [identity_program(wide_span_chain(5))],
+    "pattern override": pattern_override_programs,
+}
+
+
+@pytest.mark.parametrize("case", NORMAL_MATRIX_CASES)
+def test_formed_normal_matrix_is_the_dense_product(case, monkeypatch):
+    # S = A diag(w_F) A^T is written onto A's own CSR structure; it must be
+    # the dense product for any free set, the empty and the full one included
+    rng = np.random.default_rng(0)
+    for qp in NORMAL_MATRIX_CASES[case](monkeypatch):
+        a = qp.a_eq.toarray()
+        form = _normal_matrix(qp)
+        for density in (0.0, 0.3, 0.7, 1.0):
+            w_f = np.where(rng.random(qp.y_m) < density, 1.0 / qp.hessian_diag, 0.0)
+            normal, diag = form(w_f)
+            assert np.array_equal(normal.indptr, qp.a_eq.indptr)
+            dense = a @ np.diag(w_f) @ a.T
+            np.testing.assert_allclose(normal.toarray(), dense, rtol=1e-14, atol=0.0)
+            np.testing.assert_array_equal(diag, normal.diagonal())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_factor_solves_a_singular_bipartite_system(seed):
+    # a reversible walk on a bipartite graph is its own nearest reversible
+    # chain, with every diagonal variable at zero; on that free set the
+    # normal matrix is singular (A_F^T annihilates s with alternating
+    # signs), and one factor solve of the consistent Newton system still
+    # gives the oracle's minimizer, whether or not its regularization steps in
+    rng = np.random.default_rng(seed)
+    side = np.arange(4) % 2
+    weights = np.where(side[:, None] != side[None, :], rng.random((4, 4)), 0.0)
+    qp = own_program(row_normalize(weights + weights.T))
+    w_f = np.where(qp.maps.diagonal_mask, 0.0, 1.0 / qp.hessian_diag)
+    normal, _ = _normal_matrix(qp)(w_f)
+    assert np.linalg.matrix_rank(normal.toarray()) == qp.n - 1
+    lam = _normal_solve(normal, qp.b_eq + qp.a_eq @ (w_f * qp.linear))
+    y = w_f * (qp.a_eq.T @ lam - qp.linear)
+    assert np.abs(y - oracle_solve(qp)).max() <= 1e-12
+
+
+def test_conjugate_gradients_report_breakdown():
+    rhs = np.array([1.0, -1.0])
+    # a direction of zero curvature: p = rhs is in the null space
+    singular = sp.csr_matrix(np.ones((2, 2)))
+    assert _newton_pcg(singular, singular.diagonal(), rhs) == (None, 1, 1.0)
+    # a zero diagonal entry leaves no Jacobi preconditioner
+    assert _newton_pcg(sp.csr_matrix(np.diag([1.0, 0.0])), np.array([1.0, 0.0]), rhs) == (
+        None,
+        0,
+        1.0,
+    )
+    x, iterations, residual = _newton_pcg(sp.csr_matrix(np.diag([2.0, 4.0])), np.array([2.0, 4.0]), rhs)
+    assert x.tolist() == [0.5, -0.25] and iterations == 1 and residual == 0.0
+
+
+def test_counts_match_the_factor_records(caplog):
+    # factor_steps counts the Newton systems whose hand-over is logged, and
+    # cg_iterations at least the iterations those records name
+    for seed in range(100):
+        P = wide_span_chain(seed)
+        qp = own_program(P)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="revmarkov.qp_solve"):
+            result = solve_qp(qp)
+        logged = [
+            int(re.search(r"after (\d+) CG iterations", record.getMessage()).group(1))
+            for record in caplog.records
+        ]
+        assert result.factor_steps == len(logged)
+        assert result.cg_iterations >= sum(logged)
+        assert result.factor_steps <= result.iterations
+
+
 class TestOracleSolve:
     def test_diagonal_pattern_forces_identity(self):
         # within a diagonal-only pattern the eigenvector equation pins every
         # variable: the expanded matrix is the identity
-        from revmarkov import row_normalize
-
         P = row_normalize(np.eye(4))
         raw = np.array([0.4, 0.3, 0.2, 0.1])
         pi = ProbabilityVector(raw)
@@ -217,8 +332,6 @@ class TestOracleSolve:
         ring = np.eye(3)
         for i in range(3):
             ring[i, (i + 1) % 3] = ring[(i + 1) % 3, i] = 1.0
-        from revmarkov import row_normalize
-
         rng = np.random.default_rng(8)
         P = row_normalize(np.where(ring > 0, rng.random((3, 3)), 0.0))
         pi = stationary_mixture(P)
