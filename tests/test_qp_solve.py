@@ -32,7 +32,7 @@ from revmarkov.qp_solve import _newton_pcg, _normal_matrix, _normal_solve
 
 from dense_oracle import kkt_certificate, least_squares_multipliers, oracle_solve
 from test_chain_analysis import ring_chain
-from test_pipeline import two_blocks_with_transients, wide_span_chain
+from test_pipeline import wide_span_chain
 from test_qp_build import random_instance
 
 
@@ -227,14 +227,15 @@ def identity_program(P):
 
 
 def pattern_override_programs(monkeypatch):
-    # the symmetrized support of a reducible chain widened by random
-    # positions, restricted to each class by the pipeline
-    P = two_blocks_with_transients()
+    # the symmetrized support of a ring widened by random positions
+    P = ring_chain(1.0 + 0.1 * np.random.default_rng(4).random(36))
     rng = np.random.default_rng(3)
     extra = np.triu(rng.random((P.n, P.n)) < 0.3, k=1)
     extra = sp.csr_matrix((extra | extra.T).astype(float))
     pattern = SparsityPattern(symmetrized_pattern(P).csr + extra)
-    return pipeline_programs(P, PipelineOptions(pattern=pattern), monkeypatch)
+    programs = pipeline_programs(P, PipelineOptions(pattern=pattern), monkeypatch)
+    assert [qp.y_m for qp in programs] == [(pattern.csr.nnz + P.n) // 2]
+    return programs
 
 
 NORMAL_MATRIX_CASES = {
@@ -251,7 +252,9 @@ def test_formed_normal_matrix_is_the_dense_product(case, monkeypatch):
     # S = A diag(w_F) A^T is written onto A's own CSR structure; it must be
     # the dense product for any free set, the empty and the full one included
     rng = np.random.default_rng(0)
-    for qp in NORMAL_MATRIX_CASES[case](monkeypatch):
+    programs = NORMAL_MATRIX_CASES[case](monkeypatch)
+    assert programs
+    for qp in programs:
         a = qp.a_eq.toarray()
         form = _normal_matrix(qp)
         for density in (0.0, 0.3, 0.7, 1.0):
@@ -288,13 +291,11 @@ def test_conjugate_gradients_report_breakdown():
     singular = sp.csr_matrix(np.ones((2, 2)))
     assert _newton_pcg(singular, singular.diagonal(), rhs) == (None, 1, 1.0)
     # a zero diagonal entry leaves no Jacobi preconditioner
-    assert _newton_pcg(sp.csr_matrix(np.diag([1.0, 0.0])), np.array([1.0, 0.0]), rhs) == (
-        None,
-        0,
-        1.0,
-    )
-    x, iterations, residual = _newton_pcg(sp.csr_matrix(np.diag([2.0, 4.0])), np.array([2.0, 4.0]), rhs)
-    assert x.tolist() == [0.5, -0.25] and iterations == 1 and residual == 0.0
+    unreachable = sp.csr_matrix(np.diag([1.0, 0.0]))
+    assert _newton_pcg(unreachable, unreachable.diagonal(), rhs) == (None, 0, 1.0)
+    regular = sp.csr_matrix(np.diag([2.0, 4.0]))
+    x, iterations, residual = _newton_pcg(regular, regular.diagonal(), rhs)
+    assert (x.tolist(), iterations, residual) == ([0.5, -0.25], 1, 0.0)
 
 
 def test_counts_match_the_factor_records(caplog):
