@@ -204,19 +204,6 @@ def test_singular_newton_system_falls_back_to_factor(caplog):
     assert np.abs(result.y - oracle_solve(qp)).max() <= 1e-9
 
 
-def pipeline_programs(P, options, monkeypatch):
-    """The reduced programs ``nearest_sparse_reversible(P, options)`` solves."""
-    programs = []
-
-    def spy(qp, opts=None):
-        programs.append(qp)
-        return solve_qp(qp, opts)
-
-    monkeypatch.setattr("revmarkov.pipeline.solve_qp", spy)
-    nearest_sparse_reversible(P, options)
-    return programs
-
-
 def own_program(P, pattern=None):
     return build_reduced_qp(P, stationary_mixture(P), pattern or symmetrized_pattern(P))
 
@@ -227,13 +214,21 @@ def identity_program(P):
 
 
 def pattern_override_programs(monkeypatch):
-    # the symmetrized support of a ring widened by random positions
+    # the programs the pipeline solves for the symmetrized support of a ring
+    # widened by random positions
     P = ring_chain(1.0 + 0.1 * np.random.default_rng(4).random(36))
     rng = np.random.default_rng(3)
     extra = np.triu(rng.random((P.n, P.n)) < 0.3, k=1)
     extra = sp.csr_matrix((extra | extra.T).astype(float))
     pattern = SparsityPattern(symmetrized_pattern(P).csr + extra)
-    programs = pipeline_programs(P, PipelineOptions(pattern=pattern), monkeypatch)
+    programs = []
+
+    def spy(qp, opts=None):
+        programs.append(qp)
+        return solve_qp(qp, opts)
+
+    monkeypatch.setattr("revmarkov.pipeline.solve_qp", spy)
+    nearest_sparse_reversible(P, PipelineOptions(pattern=pattern))
     assert [qp.y_m for qp in programs] == [(pattern.csr.nnz + P.n) // 2]
     return programs
 
