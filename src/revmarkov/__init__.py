@@ -12,7 +12,6 @@ from .chain_analysis import (
     CycleCheckResult,
     ErgodicDecomposition,
     ergodic_decomposition,
-    irreducible_stationary,
     is_irreducible,
     kolmogorov_cycle_check,
     stationary_mixture,
@@ -29,7 +28,6 @@ from .exceptions import (
     MissingDiagonal,
     NegativeEntry,
     NonPositivePi,
-    NumericalBreakdown,
     PatternNotSymmetric,
     RevMarkovError,
     ZeroRow,

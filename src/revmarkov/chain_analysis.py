@@ -25,7 +25,6 @@ from .sparse_core import (
 __all__ = [
     "ErgodicDecomposition",
     "CycleCheckResult",
-    "irreducible_stationary",
     "stationary_mixture",
     "strongly_connected_components",
     "ergodic_decomposition",
@@ -58,17 +57,6 @@ def _gth(P_dense: np.ndarray) -> np.ndarray:
     for k in range(1, n):
         pi[k] = A[0, k] + pi[1:k] @ A[1:k, k]
     return pi / pi.sum()
-
-
-def irreducible_stationary(P: SparseStochasticMatrix) -> ProbabilityVector:
-    """Stationary distribution of an irreducible chain by dense GTH elimination.
-
-    Entrywise accurate for any spectral gap, at O(n^3) time and O(n^2)
-    memory.  The pipeline no longer calls it: it is the reference the sparse
-    solve in :func:`stationary_mixture` is tested against, and the same
-    elimination is that solve's fallback.
-    """
-    return ProbabilityVector(_gth(P.toarray()))
 
 
 def _class_stationary(n: int, rows, cols, vals) -> np.ndarray:

@@ -68,10 +68,6 @@ class MaxIterations(RevMarkovError):
         )
 
 
-class NumericalBreakdown(RevMarkovError):
-    """A linear system inside the solver became singular beyond recovery."""
-
-
 class EmptyTrajectory(RevMarkovError):
     """A trajectory too short to contain a single transition."""
 

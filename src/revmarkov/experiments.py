@@ -18,14 +18,13 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .chain_analysis import strongly_connected_components
 from .exceptions import DegenerateInstance, EmptyTrajectory
-from .pipeline import PipelineOptions, nearest_sparse_reversible
+from .pipeline import nearest_sparse_reversible
 from .sparse_core import row_normalize
 
 __all__ = [
@@ -289,16 +288,12 @@ def count_matrix(bins, num_bins: int) -> sp.csr_matrix:
     )
 
 
-def run_benchmark(
-    cfg: BenchmarkConfig,
-    output_path=None,
-    pipeline_options: Optional[PipelineOptions] = None,
-    max_attempts: int = 8,
-) -> list:
+def run_benchmark(cfg: BenchmarkConfig, output_path=None) -> list:
     """Run the random-chain ensemble through the pipeline, one row per case.
 
     Rows carry size, nonzero counts before and after, the optimal and
     Metropolis-Hastings distances, the residual triple, and the solve time.
+    A case whose instance degenerates is drawn again, up to eight attempts.
     Per-case failures are recorded in the row and the run continues.  When
     ``output_path`` ends in ``.json`` the report is JSON, otherwise CSV.
     """
@@ -306,17 +301,16 @@ def run_benchmark(
     for case in range(cfg.num_cases):
         row = {"case": case}
         try:
-            P = None
-            for attempt in range(max_attempts):
+            for attempt in range(8):
                 try:
                     P = gen_random_chain(cfg, case, attempt)
                     break
                 except DegenerateInstance:
                     continue
-            if P is None:
+            else:
                 raise DegenerateInstance(f"case {case}: no usable instance")
             t0 = time.perf_counter()
-            R, diag = nearest_sparse_reversible(P, pipeline_options)
+            R, diag = nearest_sparse_reversible(P)
             elapsed = time.perf_counter() - t0
             row.update(
                 n=P.n,

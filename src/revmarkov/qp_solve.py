@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .exceptions import MaxIterations, NumericalBreakdown
+from .exceptions import MaxIterations
 from .qp_build import ReducedQP
 from .sparse_core import _edge_rows, _symmetric_lu
 
@@ -112,7 +112,7 @@ class SolverResult:
         self.y.setflags(write=False)
 
 
-def _normal_solve(normal: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+def _normal_solve(normal: sp.csr_matrix, rhs: np.ndarray) -> Optional[np.ndarray]:
     """Solve the free-set normal equations ``S x = rhs`` by an exact sparse
     factor of the formed ``S``.
 
@@ -120,19 +120,16 @@ def _normal_solve(normal: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
     or stalled.  ``S`` is symmetric positive semidefinite, so it is factored
     by symmetric-mode sparse LU in minimum-degree order without pivoting.  On
     factorization failure a diagonal regularization is escalated from 1e-14
-    to 1e-6 before giving up with :class:`NumericalBreakdown`.
+    to 1e-6; returns ``None`` once that is spent.
     """
     reg = 0.0
-    while True:
+    while reg <= 1e-6:
         try:
             M = normal + reg * sp.identity(normal.shape[0]) if reg else normal
             return _symmetric_lu(M.tocsc()).solve(rhs)
-        except RuntimeError as err:
+        except RuntimeError:
             reg = 1e-14 if reg == 0.0 else reg * 100.0
-            if reg > 1e-6:
-                raise NumericalBreakdown(
-                    f"normal equations are singular beyond recovery: {err}"
-                ) from err
+    return None
 
 
 def _newton_pcg(normal: sp.csr_matrix, diag: np.ndarray, rhs: np.ndarray):
@@ -238,14 +235,17 @@ def _dual_gain(v, u, w, slope, t):
 
     It equals ``t slope - sum(w r) / 2`` with every ``r >= 0`` formed without
     cancellation; differencing ``theta`` itself cannot resolve the gain of
-    the last steps, which falls below the rounding of ``theta``.
+    the last steps, which falls below the rounding of ``theta``.  ``r`` is
+    written over ``t u`` case by case, so only two ``y_m``-length arrays
+    are live.
     """
-    v_t = v + t * u
-    r = np.where(
-        v > 0.0,
-        np.where(v_t > 0.0, (t * u) ** 2, -v * (v + 2.0 * t * u)),
-        np.maximum(v_t, 0.0) ** 2,
-    )
+    free = v > 0.0
+    tu = t * u
+    v_t = v + tu
+    r = np.square(tu, out=tu)  # free before and after the step
+    leaving = np.flatnonzero(free & (v_t <= 0.0))
+    r[leaving] = -v[leaving] * (v[leaving] + 2.0 * t * u[leaving])
+    np.square(np.maximum(v_t, 0.0, out=v_t), out=r, where=~free)
     return t * slope - 0.5 * float(r @ w)
 
 
@@ -276,8 +276,9 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
     step whose free set is also the free set ``y > 0`` it produced.  That step
     solved the equality-constrained program on its active set to machine
     precision, so the residuals sit there too.  A stalled line search, a
-    :class:`NumericalBreakdown` or an exhausted ``max_iterations`` returns
-    the iterate with the smallest ``||b - A y||_inf`` instead.
+    factor that fails at every regularization of :func:`_normal_solve` or an
+    exhausted ``max_iterations`` returns the iterate with the smallest
+    ``||b - A y||_inf`` instead.
 
     Returns ``(y, lam, z, iterations, cg_iterations, factor_steps)``: the
     Newton steps, the conjugate-gradient iterations over all of them and the
@@ -313,9 +314,8 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
                 residual,
             )
             factor_steps += 1
-            try:
-                step = _normal_solve(normal, grad)
-            except NumericalBreakdown:
+            step = _normal_solve(normal, grad)
+            if step is None:
                 break
         u = at @ step
         slope = float(grad @ step)

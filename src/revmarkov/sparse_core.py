@@ -165,7 +165,7 @@ class SparseStochasticMatrix:
     identical buffers.  Stored buffers are read-only.
     """
 
-    __slots__ = ("_csr", "_row_sums", "stochastic")
+    __slots__ = ("_csr", "stochastic")
 
     def __init__(self, matrix, stochastic: bool = True):
         csr = _canonical_csr(matrix)
@@ -175,17 +175,14 @@ class SparseStochasticMatrix:
             raise ValueError("matrix entries must be nonnegative")
         if not np.all(np.isfinite(csr.data)):
             raise ValueError("matrix entries must be finite")
-        row_sums = np.asarray(csr.sum(axis=1)).ravel()
         if stochastic and (csr.shape[0] > 0):
-            err = np.abs(row_sums - 1.0).max() if row_sums.size else 0.0
+            err = stochasticity_residual(csr)
             if err > STOCHASTIC_TOL:
                 raise ValueError(
                     f"row sums deviate from 1 by {err:.3e} (> {STOCHASTIC_TOL:.0e}); "
                     "construct with stochastic=False or normalize first"
                 )
-        row_sums.setflags(write=False)
         self._csr = _freeze(csr)
-        self._row_sums = row_sums
         self.stochastic = bool(stochastic)
 
     # -- construction helpers -------------------------------------------------
@@ -214,17 +211,8 @@ class SparseStochasticMatrix:
         """The canonical CSR storage (buffers are read-only)."""
         return self._csr
 
-    @property
-    def row_sums(self) -> np.ndarray:
-        return self._row_sums
-
     def toarray(self) -> np.ndarray:
         return self._csr.toarray()
-
-    def entries(self):
-        """Triplets ``(rows, cols, values)`` in canonical row-major order."""
-        coo = self._csr.tocoo()
-        return coo.row, coo.col, coo.data
 
     def submatrix(self, indices, stochastic: bool = True):
         """Restriction to ``indices`` x ``indices`` (distinct, in any order),
@@ -264,7 +252,7 @@ class ProbabilityVector:
     only judges whether a supplied vector puts mass off the ergodic classes.
     """
 
-    __slots__ = ("_values", "_support", "_sqrt")
+    __slots__ = ("_values", "_support")
 
     def __init__(self, values):
         vals = np.array(values, dtype=float).ravel()
@@ -282,7 +270,6 @@ class ProbabilityVector:
         support = np.flatnonzero(vals > self.zero_threshold(vals.size))
         support.setflags(write=False)
         self._support = support
-        self._sqrt = None
 
     @staticmethod
     def zero_threshold(n: int) -> float:
@@ -305,15 +292,6 @@ class ProbabilityVector:
         """Indices with mass above the zero threshold, ascending."""
         return self._support
 
-    @property
-    def sqrt_values(self) -> np.ndarray:
-        """Entrywise square root (the similarity scaling weights)."""
-        if self._sqrt is None:
-            s = np.sqrt(self._values)
-            s.setflags(write=False)
-            self._sqrt = s
-        return self._sqrt
-
     def restrict(self, indices) -> "ProbabilityVector":
         """Restriction to ``indices``, renormalized to sum 1."""
         idx = np.asarray(indices, dtype=np.intp)
@@ -330,12 +308,11 @@ class ProbabilityVector:
 class SparsityPattern:
     """Binary support of a square matrix.
 
-    The ``symmetric`` and ``has_full_diagonal`` flags are computed at
-    construction, so when a flag is set the corresponding structural property
-    is guaranteed.
+    Any support is accepted; the QP reduction checks that the pattern is
+    symmetric with a full diagonal when it takes the pattern's positions.
     """
 
-    __slots__ = ("_csr", "symmetric", "has_full_diagonal")
+    __slots__ = ("_csr",)
 
     def __init__(self, matrix):
         csr = _canonical_csr(matrix)
@@ -343,8 +320,6 @@ class SparsityPattern:
             raise DimensionMismatch(f"pattern must be square, got {csr.shape}")
         csr.data[:] = 1.0
         self._csr = _freeze(csr)
-        self.symmetric = (csr != csr.T).nnz == 0
-        self.has_full_diagonal = bool(np.all(csr.diagonal() > 0))
 
     @classmethod
     def from_positions(cls, n: int, positions) -> "SparsityPattern":
@@ -385,14 +360,6 @@ class SparsityPattern:
         idx = np.asarray(indices, dtype=np.intp)
         return SparsityPattern(self._csr[idx][:, idx])
 
-    def triu_positions(self):
-        """Upper-triangle positions (i <= j) ordered column-major then row."""
-        coo = self._csr.tocoo()
-        keep = coo.row <= coo.col
-        rows, cols = coo.row[keep], coo.col[keep]
-        order = np.lexsort((rows, cols))
-        return rows[order], cols[order]
-
     def __eq__(self, other):
         if not isinstance(other, SparsityPattern):
             return NotImplemented
@@ -403,13 +370,7 @@ class SparsityPattern:
         return hash((a.shape, a.indices.tobytes(), a.indptr.tobytes()))
 
     def __repr__(self):
-        tags = []
-        if self.symmetric:
-            tags.append("symmetric")
-        if self.has_full_diagonal:
-            tags.append("full diagonal")
-        tag = ", ".join(tags) if tags else "general"
-        return f"<SparsityPattern {self.n}x{self.n}, size={self.size}, {tag}>"
+        return f"<SparsityPattern {self.n}x{self.n}, size={self.size}>"
 
 
 # -- operations ---------------------------------------------------------------

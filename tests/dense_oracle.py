@@ -5,7 +5,9 @@ and the Kronecker scaling explicitly, then forms the quadratic program by
 plain matrix products.  Everything here is deliberately naive (dense, n^2
 vectors) so it cannot share a bug with the sparse closed-form assembly it is
 used to validate.  :func:`oracle_solve` minimizes the reduced program by
-enumerating every active set, independently of the dual Newton solver.
+enumerating every active set, independently of the dual Newton solver, and
+:func:`gth_stationary` is the dense stationary vector the sparse solve is
+held to.
 """
 
 import warnings
@@ -13,6 +15,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
+from scipy.linalg.blas import dger
 
 from revmarkov import IndexMaps, build_index_maps
 
@@ -58,6 +61,33 @@ def full_operator(maps: IndexMaps, pi_hat: np.ndarray) -> np.ndarray:
     K = commutation_matrix(n)
     Pi = projector(maps)
     return kron_scaling(pi_hat) @ (np.eye(n * n) + K) @ Pi
+
+
+def gth_stationary(P) -> np.ndarray:
+    """Stationary vector of an irreducible chain by dense Grassmann-Taksar-
+    Heyman elimination: entrywise accurate for any spectral gap, since it
+    never subtracts.
+
+    State ``k`` is folded into states ``0..k-1`` by one in-place BLAS rank-1
+    update of the C-ordered rows ``A[:k]`` (an F-ordered ``n x k`` array to
+    ``dger``), with the update row zero from column ``k`` on, so no ``k x k``
+    temporary is made.
+    """
+    A = P.toarray()
+    n = A.shape[0]
+    for k in range(n - 1, 0, -1):
+        s = A[k, :k].sum()
+        if s <= 0.0:
+            raise ValueError("chain is not irreducible")
+        A[:k, k] /= s
+        row = np.zeros(n)
+        row[:k] = A[k, :k]
+        dger(1.0, row, A[:k, k], a=A[:k].T, overwrite_a=True)
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = A[0, k] + pi[1:k] @ A[1:k, k]
+    return pi / pi.sum()
 
 
 def dense_qp(P_dense: np.ndarray, pi_values: np.ndarray, pattern):

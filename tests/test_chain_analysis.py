@@ -17,7 +17,6 @@ from revmarkov import (
     detailed_balance_residual,
     ergodic_decomposition,
     gen_random_chain,
-    irreducible_stationary,
     is_irreducible,
     kolmogorov_cycle_check,
     nearest_sparse_reversible,
@@ -28,6 +27,7 @@ from revmarkov import (
     strongly_connected_components,
 )
 
+from dense_oracle import gth_stationary
 from test_pipeline import ring_chain, two_blocks_with_transients, wide_span_chain
 from test_sparse_core import dense_stationary
 
@@ -124,7 +124,8 @@ class TestStationaryMixture:
 
     def test_gth_handles_metastable(self):
         # nearly uncoupled two-block chain: power iteration would need ~1e7
-        # iterations, elimination is exact
+        # iterations, while the class solve (sparse LU, GTH if rejected) is
+        # exact
         eps = 1e-9
         P = SparseStochasticMatrix.from_dense(
             [
@@ -133,7 +134,7 @@ class TestStationaryMixture:
                 [0.0, eps, 1.0 - eps],
             ]
         )
-        pi = irreducible_stationary(P)
+        pi = stationary_mixture(P)
         assert stationarity_residual(P, pi) <= 1e-16
         # the chain is doubly stochastic, so the stationary vector is uniform
         assert np.allclose(pi.values, 1.0 / 3.0, atol=1e-12)
@@ -169,7 +170,7 @@ def dense_mixture(P, x0):
         weights += x0[transient] @ np.linalg.solve(np.eye(transient.size) - T_block, B)
     pi = np.zeros(n)
     for c, weight in zip(closed, weights):
-        pi[c] = weight * irreducible_stationary(P.submatrix(c)).values
+        pi[c] = weight * gth_stationary(P.submatrix(c))
     return pi / pi.sum()
 
 
@@ -188,12 +189,12 @@ class TestSparseStationarySolve:
     def test_random_chains_match_gth(self, chain_factory, seed):
         P = chain_factory(40, seed, density=0.1)
         pi = stationary_mixture(P)
-        assert max_relative_deviation(pi.values, irreducible_stationary(P).values) <= 1e-10
+        assert max_relative_deviation(pi.values, gth_stationary(P)) <= 1e-10
 
     def test_torsion_chain_matches_gth(self, butane):
         assert is_irreducible(butane.P)
         pi = stationary_mixture(butane.P)
-        reference = irreducible_stationary(butane.P).values
+        reference = gth_stationary(butane.P)
         assert max_relative_deviation(pi.values, reference) <= 1e-10
 
     def test_ring_matches_gth_without_fallback(self, caplog):
@@ -204,7 +205,7 @@ class TestSparseStationarySolve:
         [record] = caplog.records
         assert record.levelno == logging.DEBUG
         assert "1000 states by sparse LU" in record.getMessage()
-        assert max_relative_deviation(pi.values, irreducible_stationary(P).values) <= 1e-10
+        assert max_relative_deviation(pi.values, gth_stationary(P)) <= 1e-10
 
     def test_expander_is_solved_by_the_sweep(self, caplog):
         P = gen_random_chain(BenchmarkConfig(n_min=800, n_max=800, seed=1), 0)
@@ -232,7 +233,7 @@ class TestSparseStationarySolve:
             pi = stationary_mixture(P)
         [record] = caplog.records
         assert "jump-chain sweep" in record.getMessage()
-        assert max_relative_deviation(pi.values, irreducible_stationary(P).values) <= 1e-12
+        assert max_relative_deviation(pi.values, gth_stationary(P)) <= 1e-12
 
     def test_wide_span_chains_match_gth(self):
         # entries spanning 1e-8 to 1 on 2-11 states, a quarter bipartite;
@@ -240,7 +241,7 @@ class TestSparseStationarySolve:
         for seed in range(100, 300):
             P = wide_span_chain(seed)
             assert is_irreducible(P)
-            reference = irreducible_stationary(P).values
+            reference = gth_stationary(P)
             assert max_relative_deviation(stationary_mixture(P).values, reference) <= 1e-11
 
     def test_metastable_ring_falls_back_to_gth(self, caplog):
@@ -249,7 +250,7 @@ class TestSparseStationarySolve:
         P = ring_chain(np.random.default_rng(1).random(3000) + 0.1)
         with caplog.at_level(logging.WARNING, logger="revmarkov.chain_analysis"):
             pi = stationary_mixture(P)
-        reference = irreducible_stationary(P).values
+        reference = gth_stationary(P)
         assert reference.min() < 1e-11
         assert max_relative_deviation(pi.values, reference) <= 1e-12
         [record] = caplog.records

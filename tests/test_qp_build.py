@@ -47,6 +47,17 @@ class TestBuildIndexMaps:
         assert maps.upper_rows.tolist() == [0, 0, 1]
         assert maps.upper_cols.tolist() == [0, 1, 1]
 
+    def test_triu_order_is_column_major(self):
+        maps = build_index_maps(SparsityPattern(np.ones((3, 3))))
+        assert list(zip(maps.upper_rows.tolist(), maps.upper_cols.tolist())) == [
+            (0, 0),
+            (0, 1),
+            (1, 1),
+            (0, 2),
+            (1, 2),
+            (2, 2),
+        ]
+
     def test_identity_pattern(self):
         maps = build_index_maps(SparsityPattern.identity(5))
         assert maps.y_m == 5
@@ -177,7 +188,7 @@ class TestBuildReducedQP:
         P, pi, pattern = random_instance(5, 7)
         qp = build_reduced_qp(P, pi, pattern)
         rng = np.random.default_rng(1)
-        pi_hat = pi.sqrt_values
+        pi_hat = np.sqrt(pi.values)
         for _ in range(10):
             y = rng.random(qp.y_m)
             lhs = qp.a_eq @ y - qp.b_eq
@@ -189,7 +200,7 @@ class TestBuildReducedQP:
         P, pi, pattern = random_instance(4, 3)
         qp = build_reduced_qp(P, pi, pattern)
         rng = np.random.default_rng(2)
-        pi_hat = pi.sqrt_values
+        pi_hat = np.sqrt(pi.values)
         dense_p = P.toarray()
         for _ in range(10):
             y = rng.random(qp.y_m)
@@ -209,7 +220,7 @@ class TestBuildReducedQP:
     def test_rank_of_scaled_operator(self):
         P, pi, pattern = random_instance(5, 13)
         maps = build_index_maps(pattern)
-        operator = dense_oracle.full_operator(maps, pi.sqrt_values)
+        operator = dense_oracle.full_operator(maps, np.sqrt(pi.values))
         assert np.linalg.matrix_rank(operator, tol=1e-12) == maps.y_m
 
     def test_weighting_vector_identity(self):
@@ -251,7 +262,7 @@ class TestBuildReducedQP:
         P, pi, pattern = random_instance(4, 23)
         qp = build_reduced_qp(P, pi, pattern)
         eig_map, asymmetry, mask = dense_oracle.unreduced_constraints(pattern)
-        pi_hat = pi.sqrt_values
+        pi_hat = np.sqrt(pi.values)
         rng = np.random.default_rng(0)
         y = rng.random(qp.y_m)
         v = dense_oracle.vec(expand_symmetric(y, qp.maps).toarray())
@@ -269,7 +280,7 @@ class TestFeasibleSetGeometry:
         pattern = pattern_factory(5, 4, extra_edges=6)
         raw = rng.random(5) + 0.2
         pi = ProbabilityVector(raw / raw.sum())
-        pi_hat = pi.sqrt_values
+        pi_hat = np.sqrt(pi.values)
         Q = proposal_from_pattern(pattern)
         qp = build_reduced_qp(Q, pi, pattern)
         maps = qp.maps
@@ -293,7 +304,7 @@ class TestUnscaleSolution:
         P, pi = reversible_factory(6, 2)
         pattern = symmetrized_pattern(P)
         maps = build_index_maps(pattern)
-        pi_hat = pi.sqrt_values
+        pi_hat = np.sqrt(pi.values)
         Y = P.toarray() * (pi_hat[:, None] / pi_hat[None, :])
         y = Y[maps.upper_rows, maps.upper_cols]
         R = unscale_solution(y, maps, pi_hat)

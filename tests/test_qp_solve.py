@@ -28,7 +28,7 @@ from revmarkov import (
     unscale_solution,
 )
 
-from revmarkov.qp_solve import _newton_pcg, _normal_matrix, _normal_solve
+from revmarkov.qp_solve import _dual_gain, _newton_pcg, _normal_matrix, _normal_solve
 
 from dense_oracle import kkt_certificate, least_squares_multipliers, oracle_solve
 from test_chain_analysis import ring_chain
@@ -204,6 +204,25 @@ def test_singular_newton_system_falls_back_to_factor(caplog):
     assert np.abs(result.y - oracle_solve(qp)).max() <= 1e-9
 
 
+def test_spent_regularization_ladder_returns_best_iterate(monkeypatch):
+    # a factor that fails at every shift from 0 through 1e-14 ... 1e-6 ends
+    # the Newton loop on its best iterate, which the tolerance then rejects
+    shifts = []
+
+    def singular_factor(matrix):
+        shifts.append(matrix)
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr("revmarkov.qp_solve._symmetric_lu", singular_factor)
+    P = wide_span_chain(111)
+    qp = build_reduced_qp(P, stationary_mixture(P), symmetrized_pattern(P))
+    with pytest.raises(MaxIterations) as info:
+        solve_qp(qp)
+    assert len(shifts) == 6
+    assert info.value.result.factor_steps == 1
+    assert info.value.result.y.shape == (qp.y_m,)
+
+
 def own_program(P, pattern=None):
     return build_reduced_qp(P, stationary_mixture(P), pattern or symmetrized_pattern(P))
 
@@ -291,6 +310,23 @@ def test_conjugate_gradients_report_breakdown():
     regular = sp.csr_matrix(np.diag([2.0, 4.0]))
     x, iterations, residual = _newton_pcg(regular, regular.diagonal(), rhs)
     assert (x.tolist(), iterations, residual) == ([0.5, -0.25], 1, 0.0)
+
+
+def test_dual_gain_matches_nested_where():
+    # the per-case products of the line search's gain, as one nested
+    # ``np.where`` over full-length arrays; same arithmetic, so equal bits
+    rng = np.random.default_rng(0)
+    v, u, w = rng.normal(size=(3, 1000))
+    v[rng.random(1000) < 0.2] = 0.0
+    w = np.abs(w)
+    for t in (1.0, 0.5, 2.0**-20):
+        v_t = v + t * u
+        r = np.where(
+            v > 0.0,
+            np.where(v_t > 0.0, (t * u) ** 2, -v * (v + 2.0 * t * u)),
+            np.maximum(v_t, 0.0) ** 2,
+        )
+        assert _dual_gain(v, u, w, 0.3, t) == t * 0.3 - 0.5 * float(r @ w)
 
 
 def test_counts_match_the_factor_records(caplog):
