@@ -40,7 +40,6 @@ from .experiments import (
     langevin_trajectory,
     run_benchmark,
     torsion_potential,
-    torsion_potential_gradient,
 )
 from .pipeline import (
     ClassReport,
@@ -54,7 +53,6 @@ from .qp_build import (
     ReducedQP,
     build_index_maps,
     build_reduced_qp,
-    expand_symmetric,
     unscale_solution,
 )
 from .qp_solve import (
@@ -67,7 +65,6 @@ from .qp_solve import (
 from .reversibilize import (
     AcceptanceRule,
     mh_baseline_distance,
-    proposal_from_pattern,
     reversibilize,
 )
 from .sparse_core import (

@@ -226,10 +226,6 @@ class ErgodicDecomposition:
     classes: list = field(default_factory=list)
     transient: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.intp))
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
-
 
 def ergodic_decomposition(
     P: SparseStochasticMatrix, pi: ProbabilityVector

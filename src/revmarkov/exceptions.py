@@ -84,5 +84,5 @@ class ClassSolveFailed(RevMarkovError):
 
     def __init__(self, failures):
         self.failures = failures
-        labels = ", ".join(f"{list(idx)}: {exc!r}" for idx, exc in failures)
+        labels = ", ".join(f"{idx.tolist()}: {exc!r}" for idx, exc in failures)
         super().__init__(f"{len(failures)} ergodic class solve(s) failed ({labels})")

@@ -35,7 +35,6 @@ __all__ = [
     "count_matrix",
     "run_benchmark",
     "torsion_potential",
-    "torsion_potential_gradient",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -148,12 +147,6 @@ def torsion_potential(x, coefficients) -> np.ndarray:
     a, b, c, d = coefficients
     cx = np.cos(x)
     return a + b * cx + c * cx**2 + d * cx**3
-
-
-def torsion_potential_gradient(x, coefficients) -> np.ndarray:
-    a, b, c, d = coefficients
-    cx = np.cos(x)
-    return -np.sin(x) * (b + 2.0 * c * cx + 3.0 * d * cx**2)
 
 
 def _walk_chunk(x, noise, b1, c2, d3, dt, amp, bin_scale, nbins, out, offset):

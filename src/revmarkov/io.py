@@ -13,9 +13,7 @@ __all__ = [
     "read_matrix",
     "write_matrix",
     "read_pattern",
-    "write_pattern",
     "read_probability_vector",
-    "write_probability_vector",
 ]
 
 
@@ -39,16 +37,7 @@ def read_pattern(path) -> SparsityPattern:
     return SparsityPattern(sp.csr_matrix(scipy.io.mmread(path)))
 
 
-def write_pattern(path, pattern: SparsityPattern) -> None:
-    scipy.io.mmwrite(path, pattern.csr.tocoo(), field="real", symmetry="general", precision=2)
-
-
 def read_probability_vector(path) -> ProbabilityVector:
     """Read a probability vector, one value per line."""
     values = np.loadtxt(path, dtype=float, ndmin=1)
     return ProbabilityVector(values)
-
-
-def write_probability_vector(path, pi) -> None:
-    values = pi.values if isinstance(pi, ProbabilityVector) else np.asarray(pi)
-    np.savetxt(path, values, fmt="%.17e")

@@ -57,10 +57,11 @@ class PipelineOptions:
 
     ``pi`` overrides the stationary vector, which is otherwise computed by
     :func:`~revmarkov.chain_analysis.stationary_mixture` from the uniform
-    start; ``pattern`` overrides the admissible modification pattern
-    (restricted per class); with ``recurse_ergodic`` off the union of the
-    ergodic classes is treated as one block; ``solver`` holds the QP
-    solver controls.
+    start; ``pattern`` overrides the admissible modification pattern (it
+    must be ``n x n`` like the chain, else
+    :class:`~revmarkov.DimensionMismatch` is raised, and is restricted per
+    class); with ``recurse_ergodic`` off the union of the ergodic classes is
+    treated as one block; ``solver`` holds the QP solver controls.
     """
 
     pi: Optional[ProbabilityVector] = None
@@ -233,7 +234,8 @@ def nearest_sparse_reversible(
         Row-stochastic input chain.
     options : PipelineOptions, optional
         Stationary-vector override, pattern override, per-class recursion
-        flag, solver controls.
+        flag, solver controls.  Both overrides must have the size ``n`` of
+        ``P``.
 
     Returns
     -------
@@ -244,6 +246,9 @@ def nearest_sparse_reversible(
 
     Raises
     ------
+    DimensionMismatch
+        When ``options.pi`` or ``options.pattern`` does not have the size of
+        ``P``; raised before any class is solved.
     ClassSolveFailed
         When one or more class solves fail; every class is still attempted
         and the failures are aggregated.
@@ -253,6 +258,8 @@ def nearest_sparse_reversible(
     """
     options = options or PipelineOptions()
     t_start = time.perf_counter()
+    if options.pattern is not None and options.pattern.n != P.n:
+        raise DimensionMismatch("dimensions of P and pattern disagree")
 
     # one SCC pass serves both the stationary solve and the decomposition,
     # and one gather per closed class serves both its stationary solve and

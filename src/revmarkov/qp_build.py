@@ -50,7 +50,6 @@ __all__ = [
     "IndexMaps",
     "ReducedQP",
     "build_index_maps",
-    "expand_symmetric",
     "build_reduced_qp",
     "unscale_solution",
 ]
@@ -102,21 +101,6 @@ def build_index_maps(pattern: SparsityPattern) -> IndexMaps:
     csr = pattern.csr
     rows, cols = _pattern_positions(pattern.n, _edge_rows(csr), csr.indices)
     return IndexMaps(n=pattern.n, upper_rows=rows, upper_cols=cols)
-
-
-def expand_symmetric(y: np.ndarray, maps: IndexMaps) -> sp.csr_matrix:
-    """Symmetric matrix with upper-triangle entries ``y`` inside the pattern."""
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != maps.y_m:
-        raise LengthMismatch(f"expected length {maps.y_m}, got {y.size}")
-    off = ~maps.diagonal_mask
-    rows = np.concatenate([maps.upper_rows, maps.upper_cols[off]])
-    cols = np.concatenate([maps.upper_cols, maps.upper_rows[off]])
-    vals = np.concatenate([y, y[off]])
-    out = sp.coo_matrix((vals, (rows, cols)), shape=(maps.n, maps.n)).tocsr()
-    out.eliminate_zeros()
-    out.sort_indices()
-    return out
 
 
 def _check_pi(pi: ProbabilityVector, n: int):
@@ -226,15 +210,20 @@ def unscale_solution(
 ) -> SparseStochasticMatrix:
     """Map a reduced solution back to a stochastic matrix.
 
-    Entries in ``[-NEGATIVE_TOLERANCE, 0)`` are clamped to zero; anything
-    more negative raises :class:`NegativeEntry`.  Rows are renormalized only
+    ``y`` must have ``maps.y_m`` entries and ``pi_hat`` ``maps.n``, or
+    :class:`LengthMismatch` is raised.  Entries in
+    ``[-NEGATIVE_TOLERANCE, 0)`` are clamped to zero; anything more
+    negative raises :class:`NegativeEntry`.  Rows are renormalized only
     when the row-sum deviation exceeds ``STOCHASTICITY_TOLERANCE``, and that
     event is logged because it means the solver left visible slack.
     """
     y = np.asarray(y, dtype=float).ravel()
     if y.size != maps.y_m:
         raise LengthMismatch(f"expected length {maps.y_m}, got {y.size}")
-    r_up, r_down = _unscale(y, maps, np.asarray(pi_hat, dtype=float).ravel())
+    pi_hat = np.asarray(pi_hat, dtype=float).ravel()
+    if pi_hat.size != maps.n:
+        raise LengthMismatch(f"expected pi_hat of length {maps.n}, got {pi_hat.size}")
+    r_up, r_down = _unscale(y, maps, pi_hat)
     i, j = maps.upper_rows, maps.upper_cols
     off = ~maps.diagonal_mask
     return SparseStochasticMatrix.from_coo(

@@ -22,7 +22,6 @@ small instances.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -106,7 +105,6 @@ class SolverResult:
     cg_iterations: int
     factor_steps: int
     kkt_residuals: KKTResiduals
-    wall_time: float
 
     def __post_init__(self):
         self.y.setflags(write=False)
@@ -171,24 +169,12 @@ def _newton_pcg(normal: sp.csr_matrix, diag: np.ndarray, rhs: np.ndarray):
     return None, iteration, residual
 
 
-def kkt_residuals(
-    qp: ReducedQP,
-    y: np.ndarray,
-    lam: np.ndarray,
-    z: Optional[np.ndarray] = None,
-) -> KKTResiduals:
-    """KKT residual tuple at ``y`` for the equality multipliers ``lam``.
-
-    Bound multipliers ``z`` not supplied are the ones stationarity leaves,
-    ``Q y + c - A^T lam``.
-    """
+def kkt_residuals(qp: ReducedQP, y: np.ndarray, lam: np.ndarray, z: np.ndarray) -> KKTResiduals:
+    """KKT residual tuple at ``y`` for the equality multipliers ``lam`` and
+    the bound multipliers ``z``."""
     y = np.asarray(y, dtype=float).ravel()
     g = qp.hessian_diag * y + qp.linear
-    if z is None:
-        z = g - qp.a_eq.T @ lam
-        stationarity = 0.0
-    else:
-        stationarity = float(np.abs(g - qp.a_eq.T @ lam - z).max())
+    stationarity = float(np.abs(g - qp.a_eq.T @ lam - z).max())
     primal_eq = float(np.abs(qp.a_eq @ y - qp.b_eq).max())
     primal_ineq = float(max(0.0, -y.min())) if y.size else 0.0
     complementarity = float(np.abs(np.minimum(y, z)).max()) if y.size else 0.0
@@ -352,7 +338,6 @@ def solve_qp(qp: ReducedQP, opts: SolverOptions | None = None) -> SolverResult:
         If the tolerance is not met; the exception carries the best iterate.
     """
     opts = opts or SolverOptions()
-    start = time.perf_counter()
     y, lam, z, iterations, cg_iterations, factor_steps = _solve_dual_newton(qp, opts)
     residuals = kkt_residuals(qp, y, lam, z)
     result = SolverResult(
@@ -362,7 +347,6 @@ def solve_qp(qp: ReducedQP, opts: SolverOptions | None = None) -> SolverResult:
         cg_iterations=cg_iterations,
         factor_steps=factor_steps,
         kkt_residuals=residuals,
-        wall_time=time.perf_counter() - start,
     )
     if residuals.worst > opts.kkt_tolerance:
         raise MaxIterations(result)

@@ -18,21 +18,13 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
 from .chain_analysis import stationary_mixture
-from .exceptions import DimensionMismatch, NonPositivePi, ZeroRow
-from .sparse_core import (
-    ProbabilityVector,
-    SparseStochasticMatrix,
-    SparsityPattern,
-    _edge_rows,
-    _pair_table,
-)
+from .exceptions import DimensionMismatch, NonPositivePi
+from .sparse_core import ProbabilityVector, SparseStochasticMatrix, _edge_rows, _pair_table
 
 __all__ = [
     "AcceptanceRule",
-    "proposal_from_pattern",
     "reversibilize",
     "mh_baseline_distance",
 ]
@@ -46,25 +38,6 @@ class AcceptanceRule(Enum):
 
     METROPOLIS_HASTINGS = "metropolis-hastings"
     BARKER = "barker"
-
-
-def proposal_from_pattern(pattern: SparsityPattern) -> SparseStochasticMatrix:
-    """Uniform random-walk proposal on a pattern: each admissible move from a
-    state gets probability one over the state's degree.
-
-    Raises
-    ------
-    ZeroRow
-        If some state has no admissible move at all.
-    """
-    degrees = pattern.row_degrees()
-    empty = np.flatnonzero(degrees == 0)
-    if empty.size:
-        raise ZeroRow(int(empty[0]))
-    csr = pattern.csr
-    data = np.repeat(1.0 / degrees, degrees)
-    Q = sp.csr_matrix((data, csr.indices.copy(), csr.indptr.copy()), shape=csr.shape)
-    return SparseStochasticMatrix(Q, stochastic=True)
 
 
 def reversibilize(

@@ -226,21 +226,6 @@ class SparseStochasticMatrix:
         kind = "stochastic" if self.stochastic else "nonnegative"
         return f"<SparseStochasticMatrix {self.n}x{self.n}, nnz={self.nnz}, {kind}>"
 
-    def __eq__(self, other):
-        if not isinstance(other, SparseStochasticMatrix):
-            return NotImplemented
-        a, b = self._csr, other._csr
-        return (
-            a.shape == b.shape
-            and np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.data, b.data)
-        )
-
-    def __hash__(self):
-        a = self._csr
-        return hash((a.shape, a.indices.tobytes(), a.data.tobytes()))
-
 
 class ProbabilityVector:
     """Nonnegative vector summing to 1, with its support.
@@ -274,10 +259,6 @@ class ProbabilityVector:
     @staticmethod
     def zero_threshold(n: int) -> float:
         return 10.0 * np.finfo(float).eps * n
-
-    @classmethod
-    def uniform(cls, n: int) -> "ProbabilityVector":
-        return cls(np.full(n, 1.0 / n))
 
     @property
     def n(self) -> int:
@@ -321,20 +302,6 @@ class SparsityPattern:
         csr.data[:] = 1.0
         self._csr = _freeze(csr)
 
-    @classmethod
-    def from_positions(cls, n: int, positions) -> "SparsityPattern":
-        positions = list(positions)
-        if positions:
-            rows, cols = zip(*positions)
-        else:
-            rows, cols = [], []
-        data = np.ones(len(positions))
-        return cls(sp.coo_matrix((data, (rows, cols)), shape=(n, n)))
-
-    @classmethod
-    def identity(cls, n: int) -> "SparsityPattern":
-        return cls(sp.identity(n, format="csr"))
-
     @property
     def n(self) -> int:
         return self._csr.shape[0]
@@ -347,27 +314,6 @@ class SparsityPattern:
     @property
     def csr(self) -> sp.csr_matrix:
         return self._csr
-
-    def positions(self):
-        """Set of (row, col) pairs."""
-        coo = self._csr.tocoo()
-        return set(zip(coo.row.tolist(), coo.col.tolist()))
-
-    def row_degrees(self) -> np.ndarray:
-        return np.diff(self._csr.indptr)
-
-    def restrict(self, indices) -> "SparsityPattern":
-        idx = np.asarray(indices, dtype=np.intp)
-        return SparsityPattern(self._csr[idx][:, idx])
-
-    def __eq__(self, other):
-        if not isinstance(other, SparsityPattern):
-            return NotImplemented
-        return self.n == other.n and (self._csr != other._csr).nnz == 0
-
-    def __hash__(self):
-        a = self._csr
-        return hash((a.shape, a.indices.tobytes(), a.indptr.tobytes()))
 
     def __repr__(self):
         return f"<SparsityPattern {self.n}x{self.n}, size={self.size}>"

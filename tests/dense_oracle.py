@@ -7,7 +7,9 @@ vectors) so it cannot share a bug with the sparse closed-form assembly it is
 used to validate.  :func:`oracle_solve` minimizes the reduced program by
 enumerating every active set, independently of the dual Newton solver, and
 :func:`gth_stationary` is the dense stationary vector the sparse solve is
-held to.
+held to.  The small helpers at the top give a pattern's positions, CSR
+buffer equality and the dense ``Y`` of reduced variables, for the tests to
+compare against.
 """
 
 import warnings
@@ -21,6 +23,29 @@ from revmarkov import IndexMaps, build_index_maps
 
 #: Active-set enumeration cap for :func:`oracle_solve`.
 ORACLE_LIMIT = 16
+
+
+def pattern_positions(pattern) -> set:
+    """Set of the ``(row, col)`` positions of a pattern."""
+    coo = pattern.csr.tocoo()
+    return set(zip(coo.row.tolist(), coo.col.tolist()))
+
+
+def same_csr(a, b) -> bool:
+    """Whether two CSR matrices have the same shape and identical buffers,
+    as two equal matrices in canonical form do."""
+    return a.shape == b.shape and all(
+        np.array_equal(getattr(a, buf), getattr(b, buf)) for buf in ("indptr", "indices", "data")
+    )
+
+
+def symmetric_from_upper(y, maps: IndexMaps) -> np.ndarray:
+    """Dense symmetric ``Y`` with the upper-triangle entries ``y`` at the
+    variable positions of ``maps`` and zeros elsewhere."""
+    Y = np.zeros((maps.n, maps.n))
+    Y[maps.upper_rows, maps.upper_cols] = y
+    Y[maps.upper_cols, maps.upper_rows] = y
+    return Y
 
 
 def vec(Y: np.ndarray) -> np.ndarray:
@@ -150,9 +175,10 @@ def kkt_certificate(qp, y) -> float:
     )
 
 
-def least_squares_multipliers(qp, y) -> np.ndarray:
-    """Equality multipliers fitted by least squares to stationarity on the
-    support of ``y``, where the bound multipliers vanish at a minimizer.
+def least_squares_multipliers(qp, y):
+    """Equality multipliers ``lam`` fitted by least squares to stationarity
+    on the support of ``y``, where the bound multipliers vanish at a
+    minimizer, and the bound multipliers ``z = g - A^T lam`` they leave.
 
     Solves ``A_S A_S^T lam = A_S g_S`` with ``g = Q y + c`` by a sparse
     direct solve, independent of the solver's Newton steps; unlike
@@ -160,9 +186,10 @@ def least_squares_multipliers(qp, y) -> np.ndarray:
     """
     y = np.asarray(y, dtype=float)
     support = y > 0.0
-    g = qp.hessian_diag[support] * y[support] + qp.linear[support]
+    g = qp.hessian_diag * y + qp.linear
     a_s = qp.a_eq.tocsc()[:, support]
-    return scipy.sparse.linalg.spsolve((a_s @ a_s.T).tocsc(), a_s @ g)
+    lam = scipy.sparse.linalg.spsolve((a_s @ a_s.T).tocsc(), a_s @ g[support])
+    return lam, g - qp.a_eq.T @ lam
 
 
 def oracle_solve(qp) -> np.ndarray:

@@ -46,7 +46,7 @@ def test_criterion_1_worked_example_exact(ring4, acceptance_log, tmp_path):
     pi_file = tmp_path / "pi.txt"
     out = tmp_path / "adjusted.mtx"
     rmio.write_matrix(matrix, ring4.T)
-    rmio.write_probability_vector(pi_file, ring4.pi)
+    np.savetxt(pi_file, ring4.pi.values, fmt="%.17e")
     code = main(["mh", str(matrix), "--pi", str(pi_file), "--out", str(out)])
     cli_error = np.abs(rmio.read_matrix(out).toarray() - ring4.adjusted).max()
 

@@ -285,7 +285,7 @@ class TestSparseStationarySolve:
             assert max_relative_deviation(pi.values, dense_mixture(P, x)) <= 1e-10
         # the case needs transient states and several closed classes
         assert 0 < pi.support.size < P.n
-        assert ergodic_decomposition(P, pi).num_classes >= 2
+        assert len(ergodic_decomposition(P, pi).classes) >= 2
 
 
 class TestStronglyConnectedComponents:
@@ -359,7 +359,7 @@ class TestErgodicDecomposition:
         P = chain_factory(6, 1)
         pi = stationary_mixture(P)
         dec = ergodic_decomposition(P, pi)
-        assert dec.num_classes == 1
+        assert len(dec.classes) == 1
         assert dec.transient.size == 0
         assert dec.classes[0].tolist() == list(range(6))
 
@@ -367,7 +367,7 @@ class TestErgodicDecomposition:
         adjusted = SparseStochasticMatrix.from_dense(ring4.adjusted)
         pi = stationary_mixture(adjusted)
         dec = ergodic_decomposition(adjusted, pi)
-        assert dec.num_classes == 3
+        assert len(dec.classes) == 3
         assert dec.transient.size == 0
 
     def test_transient_block(self):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.io
 
 from revmarkov import io as rmio
 from revmarkov import kolmogorov_cycle_check, stationary_mixture
@@ -15,7 +16,7 @@ def chain_files(tmp_path, chain_factory):
     rmio.write_matrix(matrix, P)
     pi = stationary_mixture(P)
     pi_file = tmp_path / "pi.txt"
-    rmio.write_probability_vector(pi_file, pi)
+    np.savetxt(pi_file, pi.values, fmt="%.17e")
     return tmp_path, matrix, pi_file, P, pi
 
 
@@ -73,7 +74,7 @@ def test_check_reversible_vs_not(tmp_path, reversible_factory, chain_factory, ca
     matrix = tmp_path / "rev.mtx"
     pi_file = tmp_path / "pi.txt"
     rmio.write_matrix(matrix, P)
-    rmio.write_probability_vector(pi_file, pi)
+    np.savetxt(pi_file, pi.values, fmt="%.17e")
     assert main(["check", str(matrix), "--pi", str(pi_file)]) == 0
     assert "cycle condition: holds on every cycle" in capsys.readouterr().out
 
@@ -82,7 +83,7 @@ def test_check_reversible_vs_not(tmp_path, reversible_factory, chain_factory, ca
     pi2 = stationary_mixture(Q)
     pi2_file = tmp_path / "pi2.txt"
     rmio.write_matrix(matrix2, Q)
-    rmio.write_probability_vector(pi2_file, pi2)
+    np.savetxt(pi2_file, pi2.values, fmt="%.17e")
     assert main(["check", str(matrix2), "--pi", str(pi2_file)]) == 2
     result = kolmogorov_cycle_check(Q)
     path = " -> ".join(str(v + 1) for v in result.cycle + result.cycle[:1])
@@ -138,8 +139,15 @@ def test_nearest_rejects_counts_with_unvisited_state(tmp_path, capsys):
 
 def test_pattern_override_via_cli(chain_files):
     tmp, matrix, pi_file, P, pi = chain_files
-    from revmarkov import SparsityPattern
-
     pattern_file = tmp / "pattern.mtx"
-    rmio.write_pattern(pattern_file, SparsityPattern(np.ones((8, 8))))
+    scipy.io.mmwrite(pattern_file, np.ones((8, 8)))
     assert main(["nearest", str(matrix), "--pattern", str(pattern_file)]) == 0
+
+
+@pytest.mark.parametrize("size", [7, 9])
+def test_pattern_of_wrong_size_exits_1(chain_files, capsys, size):
+    tmp, matrix, *_ = chain_files
+    pattern_file = tmp / "pattern.mtx"
+    scipy.io.mmwrite(pattern_file, np.ones((size, size)))
+    assert main(["nearest", str(matrix), "--pattern", str(pattern_file)]) == 1
+    assert "dimensions of P and pattern disagree" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from dense_oracle import same_csr
 from revmarkov import (
     BenchmarkConfig,
     EmptyTrajectory,
@@ -15,7 +16,6 @@ from revmarkov import (
     run_benchmark,
     stochasticity_residual,
     torsion_potential,
-    torsion_potential_gradient,
 )
 
 
@@ -24,11 +24,11 @@ class TestGenRandomChain:
         cfg = BenchmarkConfig(seed=7)
         first = gen_random_chain(cfg, 0)
         second = gen_random_chain(cfg, 0)
-        assert first == second  # canonical storage makes equality exact
+        assert same_csr(first.csr, second.csr)  # canonical storage makes equality exact
 
     def test_cases_differ(self):
         cfg = BenchmarkConfig(seed=7)
-        assert gen_random_chain(cfg, 0) != gen_random_chain(cfg, 1)
+        assert not same_csr(gen_random_chain(cfg, 0).csr, gen_random_chain(cfg, 1).csr)
 
     def test_irreducible_and_stochastic(self):
         cfg = BenchmarkConfig(num_cases=10, n_min=40, n_max=80, seed=3)
@@ -53,7 +53,8 @@ class TestGenRandomChain:
 
     def test_attempt_changes_stream(self):
         cfg = BenchmarkConfig(seed=13)
-        assert gen_random_chain(cfg, 0, attempt=0) != gen_random_chain(cfg, 0, attempt=1)
+        first, other = (gen_random_chain(cfg, 0, attempt=k).csr for k in (0, 1))
+        assert not same_csr(first, other)
 
 
 class TestTorsionPotential:
@@ -63,16 +64,6 @@ class TestTorsionPotential:
         xs = np.linspace(0.0, 2.0 * np.pi, 7)
         u = torsion_potential(xs, self.BUTANE)
         assert u[0] == pytest.approx(u[-1])
-
-    def test_gradient_matches_finite_differences(self):
-        xs = np.linspace(0.1, 6.2, 23)
-        h = 1e-7
-        numeric = (
-            torsion_potential(xs + h, self.BUTANE)
-            - torsion_potential(xs - h, self.BUTANE)
-        ) / (2.0 * h)
-        exact = torsion_potential_gradient(xs, self.BUTANE)
-        assert np.abs(numeric - exact).max() <= 1e-5
 
     def test_global_minimum_at_pi(self):
         assert torsion_potential(np.pi, self.BUTANE) == pytest.approx(0.0, abs=1e-12)

@@ -1,12 +1,15 @@
 import ast
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
 import revmarkov
 from revmarkov import exceptions
 
+ROOT = Path(__file__).resolve().parent.parent
 MODULES = [
     "chain_analysis",
     "experiments",
@@ -65,3 +68,34 @@ def test_every_error_is_exported():
     assert sorted(imported) == sorted(errors)
     for name in errors:
         assert getattr(revmarkov, name, None) is getattr(exceptions, name), name
+
+
+def referenced_names(path):
+    """Every name a Python file loads, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_name_has_a_reader():
+    # a public name only the tests read belongs in ``tests/``: its readers
+    # are the package modules (its definition and ``__all__`` entry are no
+    # references, ``__init__`` only re-exports), the demos, the benchmark
+    # and the README
+    modules = sorted((ROOT / "src" / "revmarkov").glob("[!_]*.py"))
+    sources = [*modules, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    referenced = set().union(*map(referenced_names, sources))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    unread = [
+        f"{path.stem}.{name}"
+        for path in modules
+        for name in getattr(importlib.import_module(f"revmarkov.{path.stem}"), "__all__", [])
+        if name not in referenced and not re.search(rf"\b{name}\b", readme)
+    ]
+    assert not unread, f"public names read by no program path: {', '.join(unread)}"

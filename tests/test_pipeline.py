@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from revmarkov import (
     BenchmarkConfig,
     ClassSolveFailed,
+    DimensionMismatch,
     MissingDiagonal,
     PatternNotSymmetric,
     PipelineOptions,
@@ -31,7 +32,7 @@ from revmarkov import (
     verify,
 )
 
-from dense_oracle import oracle_solve
+from dense_oracle import oracle_solve, pattern_positions
 
 
 def two_blocks_with_transients(perturb=True, seed=0):
@@ -94,8 +95,8 @@ class TestNearestSparseReversible:
     def test_pattern_containment(self, chain_factory):
         P = chain_factory(9, 8)
         R, _ = nearest_sparse_reversible(P)
-        allowed = symmetrized_pattern(P).positions()
-        assert symmetrized_pattern(R).positions() <= allowed
+        allowed = pattern_positions(symmetrized_pattern(P))
+        assert pattern_positions(symmetrized_pattern(R)) <= allowed
 
     def test_idempotent(self, chain_factory):
         P = chain_factory(8, 10)
@@ -170,7 +171,7 @@ class TestNearestSparseReversible:
 
     def test_explicit_pi_override(self, chain_factory):
         P = chain_factory(6, 23)
-        pi = ProbabilityVector.uniform(6)
+        pi = ProbabilityVector(np.full(6, 1.0 / 6.0))
         R, diag = nearest_sparse_reversible(P, PipelineOptions(pi=pi))
         assert detailed_balance_residual(R, pi) <= 1e-13
         # R now preserves the overridden target, not the chain's own
@@ -219,6 +220,10 @@ class TestNearestSparseReversible:
         with pytest.raises(ClassSolveFailed) as err:
             nearest_sparse_reversible(P, options)
         assert len(err.value.failures) == 2
+        # the states print as plain ints
+        message = str(err.value)
+        assert message.startswith("2 ergodic class solve(s) failed ([0, 1, 2]: MaxIterations(")
+        assert ", [3, 4, 5, 6]: MaxIterations(" in message
 
     def test_class_failures_come_out_in_class_order(self):
         # small self-loops leave every class an optimum with an active bound,
@@ -311,7 +316,7 @@ def composed(P, options):
         if options.pattern is None:
             pattern = symmetrized_pattern(block)
         else:
-            pattern = options.pattern.restrict(members)
+            pattern = SparsityPattern(options.pattern.csr[members][:, members])
         qp = build_reduced_qp(block, pi_block, pattern)
         result = solve_qp(qp, options.solver)
         R[np.ix_(members, members)] = unscale_solution(result.y, qp.maps, qp.pi_hat).toarray()
@@ -364,6 +369,18 @@ def test_pattern_override_errors_reach_the_caller(dense, error):
     with pytest.raises(ClassSolveFailed) as err:
         nearest_sparse_reversible(P, PipelineOptions(pattern=SparsityPattern(dense)))
     assert [type(exc) for _, exc in err.value.failures] == [error, error]
+
+
+@pytest.mark.parametrize("size", [3, 7])
+def test_pattern_of_wrong_size_is_rejected_before_any_solve(chain_factory, monkeypatch, size):
+    # a larger pattern would be cut to its leading block, a smaller one would
+    # index past its end inside a class solve
+    solved = []
+    monkeypatch.setattr("revmarkov.pipeline.solve_qp", lambda *args: solved.append(args))
+    options = PipelineOptions(pattern=SparsityPattern(np.ones((size, size))))
+    with pytest.raises(DimensionMismatch, match="dimensions of P and pattern disagree"):
+        nearest_sparse_reversible(chain_factory(5, 0), options)
+    assert not solved
 
 
 def test_one_chain_object_per_call(monkeypatch):
@@ -449,7 +466,7 @@ def test_wide_span_chains_match_oracle():
 class TestVerify:
     def test_exactly_reversible(self):
         P = row_normalize(np.full((3, 3), 1.0 / 3.0))
-        triple = verify(P, ProbabilityVector.uniform(3))
+        triple = verify(P, ProbabilityVector(np.full(3, 1.0 / 3.0)))
         assert max(triple) <= 1e-16
 
     def test_mh_output_verifies(self, chain_factory):

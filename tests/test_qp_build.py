@@ -2,8 +2,6 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import dense_oracle
 from revmarkov import (
@@ -17,8 +15,6 @@ from revmarkov import (
     SparsityPattern,
     build_index_maps,
     build_reduced_qp,
-    expand_symmetric,
-    proposal_from_pattern,
     reversibilize,
     row_normalize,
     solve_qp,
@@ -59,7 +55,7 @@ class TestBuildIndexMaps:
         ]
 
     def test_identity_pattern(self):
-        maps = build_index_maps(SparsityPattern.identity(5))
+        maps = build_index_maps(SparsityPattern(np.eye(5)))
         assert maps.y_m == 5
 
     def test_ring_pattern_count(self, butane_pattern_dense):
@@ -80,38 +76,6 @@ class TestBuildIndexMaps:
     def test_missing_diagonal_rejected(self):
         with pytest.raises(MissingDiagonal):
             build_index_maps(SparsityPattern(np.array([[1.0, 1.0], [1.0, 0.0]])))
-
-
-class TestExpandSymmetric:
-    def test_two_by_two(self):
-        maps = build_index_maps(SparsityPattern(np.ones((2, 2))))
-        Y = expand_symmetric([1.0, 2.0, 3.0], maps).toarray()
-        assert np.array_equal(Y, [[1.0, 2.0], [2.0, 3.0]])
-
-    def test_zero_vector(self):
-        maps = build_index_maps(SparsityPattern(np.ones((3, 3))))
-        assert expand_symmetric(np.zeros(6), maps).nnz == 0
-
-    def test_length_mismatch(self):
-        maps = build_index_maps(SparsityPattern(np.ones((2, 2))))
-        with pytest.raises(LengthMismatch):
-            expand_symmetric(np.ones(4), maps)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=9999))
-    def test_roundtrip_random_patterns(self, n, seed):
-        rng = np.random.default_rng(seed)
-        dense = np.eye(n)
-        extra = rng.random((n, n)) < 0.4
-        dense = np.maximum(dense, extra | extra.T)
-        pattern = SparsityPattern(dense)
-        maps = build_index_maps(pattern)
-        # extract the upper triangle of a random symmetric matrix on the
-        # pattern, expand, and compare
-        S = rng.random((n, n)) * dense
-        S = (S + S.T) / 2.0
-        y = S[maps.upper_rows, maps.upper_cols]
-        assert np.abs(expand_symmetric(y, maps).toarray() - S).max() <= 1e-16
 
 
 class TestApplyReducedOperator:
@@ -158,7 +122,7 @@ class TestBuildReducedQP:
         from revmarkov import SparseStochasticMatrix
 
         P = SparseStochasticMatrix.from_dense([[0.3, 0.7], [0.5, 0.5]])
-        pi = ProbabilityVector.uniform(2)
+        pi = ProbabilityVector(np.full(2, 0.5))
         qp = build_reduced_qp(P, pi, SparsityPattern(np.ones((2, 2))))
         assert np.allclose(qp.hessian_diag, [1.0, 2.0, 1.0])
         assert np.allclose(qp.linear, [-0.3, -1.2, -0.5])
@@ -192,7 +156,7 @@ class TestBuildReducedQP:
         for _ in range(10):
             y = rng.random(qp.y_m)
             lhs = qp.a_eq @ y - qp.b_eq
-            Y = expand_symmetric(y, qp.maps)
+            Y = dense_oracle.symmetric_from_upper(y, qp.maps)
             rhs = Y @ pi_hat - pi_hat
             assert np.abs(lhs - rhs).max() <= 1e-13
 
@@ -204,7 +168,7 @@ class TestBuildReducedQP:
         dense_p = P.toarray()
         for _ in range(10):
             y = rng.random(qp.y_m)
-            X = expand_symmetric(y, qp.maps).toarray() * (
+            X = dense_oracle.symmetric_from_upper(y, qp.maps) * (
                 pi_hat[None, :] / pi_hat[:, None]
             )
             direct = 0.5 * np.sum((X - dense_p) ** 2)
@@ -265,7 +229,7 @@ class TestBuildReducedQP:
         pi_hat = np.sqrt(pi.values)
         rng = np.random.default_rng(0)
         y = rng.random(qp.y_m)
-        v = dense_oracle.vec(expand_symmetric(y, qp.maps).toarray())
+        v = dense_oracle.vec(dense_oracle.symmetric_from_upper(y, qp.maps))
         assert np.abs(asymmetry @ v).max() <= 1e-15
         assert np.abs(mask @ v).max() == 0.0
         residual = eig_map(pi_hat) @ v - pi_hat
@@ -281,7 +245,7 @@ class TestFeasibleSetGeometry:
         raw = rng.random(5) + 0.2
         pi = ProbabilityVector(raw / raw.sum())
         pi_hat = np.sqrt(pi.values)
-        Q = proposal_from_pattern(pattern)
+        Q = row_normalize(pattern.csr)  # the uniform random-walk proposal
         qp = build_reduced_qp(Q, pi, pattern)
         maps = qp.maps
 
@@ -315,6 +279,15 @@ class TestUnscaleSolution:
         pi_hat = np.full(2, np.sqrt(0.5))
         R = unscale_solution([0.5, 0.5, 0.5], maps, pi_hat)
         assert np.allclose(R.toarray(), [[0.5, 0.5], [0.5, 0.5]])
+
+    def test_length_mismatch(self):
+        maps = build_index_maps(SparsityPattern(np.ones((2, 2))))
+        pi_hat = np.full(2, np.sqrt(0.5))
+        with pytest.raises(LengthMismatch, match="expected length 3, got 4"):
+            unscale_solution(np.ones(4), maps, pi_hat)
+        for size in (1, 3):
+            with pytest.raises(LengthMismatch, match=f"pi_hat of length 2, got {size}"):
+                unscale_solution(np.full(3, 0.5), maps, np.full(size, np.sqrt(0.5)))
 
     def test_negative_entry_raises(self):
         maps = build_index_maps(SparsityPattern(np.ones((2, 2))))

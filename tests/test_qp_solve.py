@@ -19,7 +19,6 @@ from revmarkov import (
     kkt_residuals,
     mh_baseline_distance,
     nearest_sparse_reversible,
-    proposal_from_pattern,
     reversibilize,
     row_normalize,
     solve_qp,
@@ -127,7 +126,7 @@ class TestSolveQP:
 def mh_point(qp, pattern, pi):
     """The Metropolis-Hastings adjustment of the uniform proposal on the
     pattern, mapped into the symmetric variables of ``qp``."""
-    T = reversibilize(proposal_from_pattern(pattern), pi)
+    T = reversibilize(row_normalize(pattern.csr), pi)
     i, j = qp.maps.upper_rows, qp.maps.upper_cols
     return np.asarray(T.csr[i, j]).ravel() * qp.pi_hat[i] / qp.pi_hat[j]
 
@@ -161,8 +160,8 @@ def test_ring_above_dense_limit():
     P = ring_chain(1.0 + 0.1 * np.random.default_rng(0).random(3 * n))
     qp = build_reduced_qp(P, stationary_mixture(P), symmetrized_pattern(P))
     newton, peak = _solve_with_peak(qp)
-    lam = least_squares_multipliers(qp, newton.y)
-    assert max(newton.kkt_residuals.worst, kkt_residuals(qp, newton.y, lam).worst) <= 1e-13
+    multipliers = least_squares_multipliers(qp, newton.y)
+    assert max(newton.kkt_residuals.worst, kkt_residuals(qp, newton.y, *multipliers).worst) <= 1e-13
     assert peak < n * n
 
 
@@ -176,8 +175,8 @@ def test_expander_above_dense_limit(size, caplog):
     with caplog.at_level(logging.DEBUG, logger="revmarkov.qp_solve"):
         result, peak = _solve_with_peak(qp)
     assert not caplog.records
-    lam = least_squares_multipliers(qp, result.y)
-    assert max(result.kkt_residuals.worst, kkt_residuals(qp, result.y, lam).worst) <= 1e-13
+    multipliers = least_squares_multipliers(qp, result.y)
+    assert max(result.kkt_residuals.worst, kkt_residuals(qp, result.y, *multipliers).worst) <= 1e-13
     assert result.y.min() >= 0.0
     assert (result.y == 0.0).any()
     assert peak < P.n * P.n
@@ -229,7 +228,7 @@ def own_program(P, pattern=None):
 
 def identity_program(P):
     # a diagonal-only pattern leaves a diagonal normal matrix
-    return own_program(P, SparsityPattern.identity(P.n))
+    return own_program(P, SparsityPattern(np.eye(P.n)))
 
 
 def pattern_override_programs(monkeypatch):
@@ -354,7 +353,7 @@ class TestOracleSolve:
         P = row_normalize(np.eye(4))
         raw = np.array([0.4, 0.3, 0.2, 0.1])
         pi = ProbabilityVector(raw)
-        pattern = SparsityPattern.identity(4)
+        pattern = SparsityPattern(np.eye(4))
         qp = build_reduced_qp(P, pi, pattern)
         y = oracle_solve(qp)
         R = unscale_solution(y, qp.maps, qp.pi_hat)
@@ -369,14 +368,14 @@ class TestOracleSolve:
         pi = stationary_mixture(P)
         qp = build_reduced_qp(P, pi, SparsityPattern(ring))
         y = oracle_solve(qp)
-        residuals = kkt_residuals(qp, y, least_squares_multipliers(qp, y))
+        residuals = kkt_residuals(qp, y, *least_squares_multipliers(qp, y))
         assert residuals.primal_eq <= 1e-9
         assert residuals.primal_ineq <= 1e-9
         assert residuals.complementarity <= 1e-7
 
     def test_symmetric_swap_chain_is_fixed_point(self):
         P = SparseStochasticMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
-        pi = ProbabilityVector.uniform(2)
+        pi = ProbabilityVector(np.full(2, 0.5))
         qp = build_reduced_qp(P, pi, SparsityPattern(np.ones((2, 2))))
         y = oracle_solve(qp)
         R = unscale_solution(y, qp.maps, qp.pi_hat)

@@ -1,45 +1,22 @@
 import numpy as np
 import pytest
 
+from dense_oracle import pattern_positions
 from revmarkov import (
     AcceptanceRule,
     NonPositivePi,
     ProbabilityVector,
     SparseStochasticMatrix,
-    SparsityPattern,
-    ZeroRow,
     detailed_balance_residual,
     frobenius_distance,
     mh_baseline_distance,
-    proposal_from_pattern,
     reversibilize,
+    row_normalize,
     stationarity_residual,
     stationary_mixture,
     stochasticity_residual,
     symmetrized_pattern,
 )
-
-
-class TestProposalFromPattern:
-    def test_identity_pattern(self):
-        Q = proposal_from_pattern(SparsityPattern.identity(4))
-        assert np.array_equal(Q.toarray(), np.eye(4))
-
-    def test_full_pattern(self):
-        Q = proposal_from_pattern(SparsityPattern(np.ones((4, 4))))
-        assert np.allclose(Q.toarray(), 0.25)
-
-    def test_ring_pattern_rows_are_thirds(self, butane_pattern_dense):
-        Q = proposal_from_pattern(SparsityPattern(butane_pattern_dense))
-        # every state has exactly three admissible moves in this pattern
-        assert np.allclose(Q.csr.data, 1.0 / 3.0)
-        assert stochasticity_residual(Q) <= 1e-15
-
-    def test_empty_row_raises(self):
-        with pytest.raises(ZeroRow):
-            proposal_from_pattern(
-                SparsityPattern(np.array([[1.0, 0.0], [0.0, 0.0]]))
-            )
 
 
 class TestReversibilize:
@@ -49,7 +26,7 @@ class TestReversibilize:
 
     def test_balanced_proposal_unchanged(self):
         Q = SparseStochasticMatrix.from_dense(np.full((4, 4), 0.25))
-        pi = ProbabilityVector.uniform(4)
+        pi = ProbabilityVector(np.full(4, 0.25))
         T = reversibilize(Q, pi, AcceptanceRule.METROPOLIS_HASTINGS)
         assert np.abs(T.toarray() - Q.toarray()).max() <= 1e-16
 
@@ -62,7 +39,7 @@ class TestReversibilize:
             ]
         )
         Q = SparseStochasticMatrix.from_dense(dense)
-        pi = ProbabilityVector.uniform(3)
+        pi = ProbabilityVector(np.full(3, 1.0 / 3.0))
         T = reversibilize(Q, pi, AcceptanceRule.BARKER).toarray()
         off = ~np.eye(3, dtype=bool)
         assert np.allclose(T[off], dense[off] / 2.0)
@@ -154,8 +131,9 @@ def test_feasibility_certificate(pattern_factory):
         pattern = pattern_factory(n, seed, extra_edges=2 * n)
         raw = rng.random(n) + 0.05
         pi = ProbabilityVector(raw / raw.sum())
-        T = reversibilize(proposal_from_pattern(pattern), pi)
+        # the uniform random-walk proposal on the pattern
+        T = reversibilize(row_normalize(pattern.csr), pi)
         assert detailed_balance_residual(T, pi) <= 1e-14
         assert stationarity_residual(T, pi) <= 1e-13
         assert T.nnz <= pattern.size
-        assert symmetrized_pattern(T).positions() <= pattern.positions()
+        assert pattern_positions(symmetrized_pattern(T)) <= pattern_positions(pattern)
