@@ -17,6 +17,7 @@ from .sparse_core import (
     ProbabilityVector,
     SparseStochasticMatrix,
     _as_csr,
+    _csr_apply,
     _edge_rows,
     _gather,
     _symmetric_lu,
@@ -150,13 +151,21 @@ def _jump_chain_sweep(O: sp.csr_matrix, d: np.ndarray):
     projects more than ``_SWEEP_BUDGET`` steps in all, or a start already at
     the floor shows no contraction to certify it.
 
+    ``O^T`` is copied once into CSR (about 12 bytes per stored entry), whose
+    rows sum each entry in the order ``O.T @`` does, and every step writes
+    its product by :func:`_csr_apply` into reused buffers.  That is the
+    plain loop's arithmetic up to commutation, so every iterate has the same
+    bits.
+
     Returns ``(pi, steps, residual)``, with ``pi`` ``None`` when declined.
     """
     scale = 1.0 / d
-    flow_in = O.T  # transposed view, no copy
+    flow_in = O.T.tocsr()
     x = d / d.sum()
+    xs, y = np.empty_like(x), np.empty_like(x)
     for step in range(_SWEEP_BUDGET + 1):
-        y = flow_in @ (x * scale)
+        np.multiply(x, scale, out=xs)
+        _csr_apply(flow_in, xs, y)
         if step % _SWEEP_CHECK == 0:
             residual = float(np.max(np.abs(y - x) / x))
             if step:
@@ -174,7 +183,8 @@ def _jump_chain_sweep(O: sp.csr_matrix, d: np.ndarray):
                 ):
                     return None, step, residual
             previous = residual
-        x = 0.5 * (x + y)
+        x += y
+        x *= 0.5
 
 
 def strongly_connected_components(P) -> list[np.ndarray]:

@@ -146,11 +146,6 @@ class ReducedQP:
     def y_m(self) -> int:
         return self.maps.y_m
 
-    def objective(self, y: np.ndarray) -> float:
-        y = np.asarray(y, dtype=float).ravel()
-        value = 0.5 * float(y @ (self.hessian_diag * y)) + float(self.linear @ y)
-        return value + self.constant
-
 
 def build_reduced_qp(
     P: SparseStochasticMatrix, pi: ProbabilityVector, pattern: SparsityPattern

@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from .exceptions import MaxIterations
 from .qp_build import ReducedQP
-from .sparse_core import _edge_rows, _symmetric_lu
+from .sparse_core import _csr_apply, _edge_rows, _symmetric_lu
 
 __all__ = [
     "SolverOptions",
@@ -100,7 +100,6 @@ class SolverResult:
     """
 
     y: np.ndarray
-    objective: float
     iterations: int
     cg_iterations: int
     factor_steps: int
@@ -139,34 +138,46 @@ def _newton_pcg(normal: sp.csr_matrix, diag: np.ndarray, rhs: np.ndarray):
     ``x`` is ``None`` when the iteration breaks down (a zero diagonal entry
     or a direction of nonpositive curvature) or misses ``_CG_TOLERANCE``
     within ``min(_CG_MAX_ITERATIONS, 4 * rhs.size)`` iterations.
+
+    The iterates live in two buffers, ``[x; -r]`` and ``[p; S p]``, so one
+    multiply-add updates ``x`` and ``r``, and ``S p`` is written into the
+    second by :func:`_csr_apply`.  That is the textbook recurrence up to sign
+    flips and commutation, so every iterate has the same bits.  The exact
+    test ``||r||_inf <= target`` runs only once ``r^T D^-1 r <= 4 target^2
+    sum(1/d)``: it cannot pass before, as ``||r||_inf^2 >= r^T D^-1 r /
+    sum(1/d)``, and the factor 4 covers the rounding of both sides.
     """
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    residual = float(np.abs(r).max())
+    n = rhs.size
+    residual = float(np.abs(rhs).max())
     target = _CG_TOLERANCE * residual
     if residual <= target:
-        return x, 0, residual
+        return np.zeros_like(rhs), 0, residual
     if not diag.all():
         return None, 0, residual
     inv_diag = 1.0 / diag
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(r @ z)
-    for iteration in range(1, min(_CG_MAX_ITERATIONS, 4 * rhs.size) + 1):
-        s = normal @ p
+    bound = 4.0 * target * target * float(inv_diag.sum())
+    if not bound >= np.finfo(float).tiny:  # target^2 underflowed
+        bound = np.inf
+    xr, ps, neg_z = np.zeros(2 * n), np.empty(2 * n), np.empty(n)
+    x, neg_r, p, s = xr[:n], xr[n:], ps[:n], ps[n:]
+    np.negative(rhs, out=neg_r)
+    np.multiply(inv_diag, rhs, out=p)
+    rz = float(rhs @ p)
+    for iteration in range(1, min(_CG_MAX_ITERATIONS, 4 * n) + 1):
+        _csr_apply(normal, p, s)
         curvature = float(p @ s)
         if curvature <= 0.0:
-            return None, iteration, residual
-        alpha = rz / curvature
-        x += alpha * p
-        r -= alpha * s
-        residual = float(np.abs(r).max())
-        if residual <= target:
-            return x, iteration, residual
-        z = inv_diag * r
-        rz, rz_old = float(r @ z), rz
-        p = z + (rz / rz_old) * p
-    return None, iteration, residual
+            break
+        xr += (rz / curvature) * ps
+        np.multiply(inv_diag, neg_r, out=neg_z)
+        rz, rz_old = float(neg_r @ neg_z), rz
+        if rz <= bound:
+            residual = float(np.abs(neg_r).max())
+            if residual <= target:
+                return x, iteration, residual
+        p *= rz / rz_old
+        p -= neg_z
+    return None, iteration, float(np.abs(neg_r).max())
 
 
 def kkt_residuals(qp: ReducedQP, y: np.ndarray, lam: np.ndarray, z: np.ndarray) -> KKTResiduals:
@@ -342,7 +353,6 @@ def solve_qp(qp: ReducedQP, opts: SolverOptions | None = None) -> SolverResult:
     residuals = kkt_residuals(qp, y, lam, z)
     result = SolverResult(
         y=y,
-        objective=qp.objective(y),
         iterations=iterations,
         cg_iterations=cg_iterations,
         factor_steps=factor_steps,

@@ -14,6 +14,11 @@ from scipy.sparse.linalg import splu
 
 from .exceptions import DimensionMismatch, MissingDiagonal, PatternNotSymmetric, ZeroRow
 
+try:  # SciPy's private kernel behind ``csr_matrix @ vector``
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+except ImportError:
+    _csr_matvec = None
+
 __all__ = [
     "SparseStochasticMatrix",
     "ProbabilityVector",
@@ -51,6 +56,23 @@ def _symmetric_lu(matrix: sp.csc_matrix):
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
+
+
+def _csr_apply(matrix: sp.csr_matrix, x: np.ndarray, out: np.ndarray):
+    """Write ``matrix @ x`` into ``out``, bit for bit the product ``@``
+    gives.
+
+    Calls the kernel that ``@`` itself runs, without ``@``'s dispatch and
+    result allocation, which cost more than the kernel on the products of
+    the two hot loops (the jump-chain sweep and Newton-CG).  ``x`` and
+    ``out`` are float64 like ``matrix``.  Falls back to ``@`` when SciPy no
+    longer has the kernel under its private name.
+    """
+    if _csr_matvec is None:
+        out[:] = matrix @ x
+    else:
+        out.fill(0.0)  # the kernel adds the product to ``out``
+        _csr_matvec(*matrix.shape, matrix.indptr, matrix.indices, matrix.data, x, out)
 
 
 def _edge_rows(csr: sp.csr_matrix) -> np.ndarray:

@@ -8,8 +8,10 @@ used to validate.  :func:`oracle_solve` minimizes the reduced program by
 enumerating every active set, independently of the dual Newton solver, and
 :func:`gth_stationary` is the dense stationary vector the sparse solve is
 held to.  The small helpers at the top give a pattern's positions, CSR
-buffer equality and the dense ``Y`` of reduced variables, for the tests to
-compare against.
+buffer equality, the dense ``Y`` of reduced variables and the full objective
+value, for the tests to compare against.  :func:`reference_newton_pcg` and
+:func:`reference_jump_chain_sweep` are the plain loops of the two hot loops,
+which the library's buffered versions must match bit for bit.
 """
 
 import warnings
@@ -20,6 +22,8 @@ import scipy.sparse.linalg
 from scipy.linalg.blas import dger
 
 from revmarkov import IndexMaps, build_index_maps
+from revmarkov.chain_analysis import _SWEEP_BUDGET, _SWEEP_CHECK, _SWEEP_FLOOR
+from revmarkov.qp_solve import _CG_MAX_ITERATIONS, _CG_TOLERANCE
 
 #: Active-set enumeration cap for :func:`oracle_solve`.
 ORACLE_LIMIT = 16
@@ -46,6 +50,15 @@ def symmetric_from_upper(y, maps: IndexMaps) -> np.ndarray:
     Y[maps.upper_rows, maps.upper_cols] = y
     Y[maps.upper_cols, maps.upper_rows] = y
     return Y
+
+
+def objective(qp, y) -> float:
+    """Full objective ``1/2 y^T Q y + c^T y + constant`` of the reduced
+    program, which is ``1/2 ||X - P||_F^2`` for the ``X`` recovered from
+    ``y``."""
+    y = np.asarray(y, dtype=float).ravel()
+    value = 0.5 * float(y @ (qp.hessian_diag * y)) + float(qp.linear @ y)
+    return value + qp.constant
 
 
 def vec(Y: np.ndarray) -> np.ndarray:
@@ -253,3 +266,90 @@ def oracle_solve(qp) -> np.ndarray:
     if best_y is None:
         raise ValueError("no active set produced a feasible candidate")
     return best_y
+
+
+def reference_newton_pcg(normal, diag: np.ndarray, rhs: np.ndarray):
+    """The plain loop that ``qp_solve._newton_pcg`` must match bit for bit.
+
+    Solve ``S x = rhs`` by Jacobi-preconditioned conjugate gradients for a
+    symmetric positive semidefinite ``S``.
+
+    ``diag`` is the diagonal of ``S``.  Returns ``(x, iterations,
+    residual)`` with ``residual = ||r||_inf`` of the recurred residual;
+    ``x`` is ``None`` when the iteration breaks down (a zero diagonal entry
+    or a direction of nonpositive curvature) or misses ``_CG_TOLERANCE``
+    within ``min(_CG_MAX_ITERATIONS, 4 * rhs.size)`` iterations.
+    """
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    residual = float(np.abs(r).max())
+    target = _CG_TOLERANCE * residual
+    if residual <= target:
+        return x, 0, residual
+    if not diag.all():
+        return None, 0, residual
+    inv_diag = 1.0 / diag
+    z = inv_diag * r
+    p = z.copy()
+    rz = float(r @ z)
+    for iteration in range(1, min(_CG_MAX_ITERATIONS, 4 * rhs.size) + 1):
+        s = normal @ p
+        curvature = float(p @ s)
+        if curvature <= 0.0:
+            return None, iteration, residual
+        alpha = rz / curvature
+        x += alpha * p
+        r -= alpha * s
+        residual = float(np.abs(r).max())
+        if residual <= target:
+            return x, iteration, residual
+        z = inv_diag * r
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    return None, iteration, residual
+
+
+def reference_jump_chain_sweep(O, d: np.ndarray):
+    """The plain loop that ``chain_analysis._jump_chain_sweep`` must match
+    bit for bit.
+
+    Lazy power iteration ``x <- (x + O^T (x / d)) / 2`` on the jump chain
+    ``D^-1 O``, whose stationary vector is ``x = pi * d``.
+
+    Started from uniform ``pi``.  Each step adds nonnegative terms only, as
+    GTH elimination does (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985),
+    so every entry of ``pi`` comes out to relative accuracy; the lazy half
+    step makes periodic classes converge too.  The componentwise balance
+    residual ``max_j |O^T (x / d) - x|_j / x_j``, read off the step's own
+    product, falls geometrically at the jump chain's spectral gap (Stewart,
+    *Introduction to the Numerical Solution of Markov Chains*, 1994, ch. 3).
+    The sweep is kept only when the residual crosses ``_SWEEP_FLOOR`` between
+    two checks, and it declines as soon as the contraction between two checks
+    projects more than ``_SWEEP_BUDGET`` steps in all, or a start already at
+    the floor shows no contraction to certify it.
+
+    Returns ``(pi, steps, residual)``, with ``pi`` ``None`` when declined.
+    """
+    scale = 1.0 / d
+    flow_in = O.T  # transposed view, no copy
+    x = d / d.sum()
+    for step in range(_SWEEP_BUDGET + 1):
+        y = flow_in @ (x * scale)
+        if step % _SWEEP_CHECK == 0:
+            residual = float(np.max(np.abs(y - x) / x))
+            if step:
+                if residual <= _SWEEP_FLOOR < previous:
+                    pi = x * scale
+                    return pi / pi.sum(), step, residual
+                # decline unless this check's contraction, kept up for the
+                # rest of the budget, reaches the floor (NaN declines too; at
+                # step _SWEEP_BUDGET no checks are left, so the loop ends here)
+                checks_left = (_SWEEP_BUDGET - step) / _SWEEP_CHECK
+                if not (
+                    _SWEEP_FLOOR < previous
+                    and residual < previous
+                    and residual * (residual / previous) ** checks_left <= _SWEEP_FLOOR
+                ):
+                    return None, step, residual
+            previous = residual
+        x = 0.5 * (x + y)

@@ -29,7 +29,7 @@ from revmarkov import (
 
 from revmarkov.qp_solve import _dual_gain, _newton_pcg, _normal_matrix, _normal_solve
 
-from dense_oracle import kkt_certificate, least_squares_multipliers, oracle_solve
+from dense_oracle import kkt_certificate, least_squares_multipliers, objective, oracle_solve
 from test_chain_analysis import ring_chain
 from test_pipeline import wide_span_chain
 from test_qp_build import random_instance
@@ -58,7 +58,7 @@ class TestSolveQP:
         P, pi = reversible_factory(6, 4)
         qp = build_reduced_qp(P, pi, symmetrized_pattern(P))
         result = solve_qp(qp)
-        distance = np.sqrt(max(2.0 * result.objective, 0.0))
+        distance = np.sqrt(max(2.0 * objective(qp, result.y), 0.0))
         assert distance <= 1e-10
         R = unscale_solution(result.y, qp.maps, qp.pi_hat)
         assert np.abs(R.toarray() - P.toarray()).max() <= 1e-10
@@ -100,8 +100,8 @@ class TestSolveQP:
         pattern = symmetrized_pattern(P)
         qp = build_reduced_qp(P, pi, pattern)
         result = solve_qp(qp)
-        assert qp.objective(result.y) <= qp.objective(mh_point(qp, pattern, pi)) + 1e-12
-        distance = np.sqrt(max(2.0 * result.objective, 0.0))
+        assert objective(qp, result.y) <= objective(qp, mh_point(qp, pattern, pi)) + 1e-12
+        distance = np.sqrt(max(2.0 * objective(qp, result.y), 0.0))
         assert distance <= mh_baseline_distance(P, pi) + 1e-10
 
     def test_max_iterations_carries_best_iterate(self):
@@ -415,5 +415,5 @@ def test_against_independent_qp_engine():
         assert sol["status"] == "optimal"
         reference = np.array(sol["x"]).ravel()
         # never worse than the independent engine, and same minimizer
-        assert qp.objective(result.y) <= qp.objective(reference) + 1e-12
+        assert objective(qp, result.y) <= objective(qp, reference) + 1e-12
         assert np.abs(result.y - reference).max() <= 1e-5
