@@ -8,7 +8,7 @@ used to validate.  :func:`oracle_solve` minimizes the reduced program by
 enumerating every active set, independently of the dual Newton solver, and
 :func:`gth_stationary` is the dense stationary vector the sparse solve is
 held to.  The small helpers at the top give a pattern's positions, CSR
-buffer equality, the dense ``Y`` of reduced variables and the full objective
+buffer equality, bit equality of two hot-loop results, the dense ``Y`` of reduced variables and the full objective
 value, for the tests to compare against.  :func:`reference_newton_pcg` and
 :func:`reference_jump_chain_sweep` are the plain loops of the two hot loops,
 which the library's buffered versions must match bit for bit.
@@ -41,6 +41,16 @@ def same_csr(a, b) -> bool:
     return a.shape == b.shape and all(
         np.array_equal(getattr(a, buf), getattr(b, buf)) for buf in ("indptr", "indices", "data")
     )
+
+
+def same_result(got, expected) -> bool:
+    """Whether two ``(vector or None, count, residual)`` results of the hot
+    loops agree bit for bit."""
+    (x, count, residual), (x_ref, count_ref, residual_ref) = got, expected
+    same_x = x is x_ref is None or (
+        x is not None and x_ref is not None and x.tobytes() == x_ref.tobytes()
+    )
+    return same_x and count == count_ref and residual.hex() == residual_ref.hex()
 
 
 def symmetric_from_upper(y, maps: IndexMaps) -> np.ndarray:

@@ -17,12 +17,14 @@ from revmarkov import (
     SparseStochasticMatrix,
     SparsityPattern,
     build_reduced_qp,
+    chain_analysis,
     detailed_balance_residual,
     ergodic_decomposition,
     frobenius_distance,
     gen_random_chain,
     mh_baseline_distance,
     nearest_sparse_reversible,
+    qp_solve,
     reversibilize,
     row_normalize,
     solve_qp,
@@ -32,7 +34,13 @@ from revmarkov import (
     verify,
 )
 
-from dense_oracle import oracle_solve, pattern_positions
+from dense_oracle import (
+    oracle_solve,
+    pattern_positions,
+    reference_jump_chain_sweep,
+    reference_newton_pcg,
+    same_result,
+)
 
 
 def two_blocks_with_transients(perturb=True, seed=0):
@@ -508,3 +516,43 @@ class TestDiagnostics:
         _, diag = nearest_sparse_reversible(P)
         payload = json.loads(diag.to_json())
         assert payload["distance"] == pytest.approx(diag.distance)
+
+
+HOT_LOOP_CHAINS = {
+    "expander 100": lambda: gen_random_chain(BenchmarkConfig(n_min=100, n_max=100, seed=1), 0),
+    "expander 800": lambda: gen_random_chain(BenchmarkConfig(n_min=800, n_max=800, seed=1), 0),
+    "ring 1000": lambda: ring_chain(1.0 + 0.1 * np.random.default_rng(0).random(3000)),
+    "wide span 111": lambda: wide_span_chain(111),
+}
+
+
+@pytest.mark.parametrize("case", HOT_LOOP_CHAINS)
+def test_hot_loops_match_their_reference_loops(case, monkeypatch):
+    # every class the pipeline sweeps and every Newton system it hands to
+    # conjugate gradients gives the plain loops' results bit for bit
+    pairs = {"sweep": [], "cg": []}
+
+    def paired(name, loop, reference):
+        def spy(*args):
+            got = loop(*args)
+            pairs[name].append((got, reference(*args)))
+            return got
+
+        return spy
+
+    monkeypatch.setattr(
+        chain_analysis,
+        "_jump_chain_sweep",
+        paired("sweep", chain_analysis._jump_chain_sweep, reference_jump_chain_sweep),
+    )
+    monkeypatch.setattr(
+        qp_solve, "_newton_pcg", paired("cg", qp_solve._newton_pcg, reference_newton_pcg)
+    )
+    nearest_sparse_reversible(HOT_LOOP_CHAINS[case]())
+    assert pairs["sweep"] and pairs["cg"]
+    for got, expected in pairs["sweep"] + pairs["cg"]:
+        assert same_result(got, expected)
+    if case == "ring 1000":  # the sweep declines at its second check
+        assert [(pi, steps) for (pi, steps, _), _ in pairs["sweep"]] == [(None, 20)]
+    if case == "wide span 111":  # conjugate gradients stall on a singular system
+        assert any(x is None and count > 0 for (x, count, _), _ in pairs["cg"])

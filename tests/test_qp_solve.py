@@ -29,7 +29,14 @@ from revmarkov import (
 
 from revmarkov.qp_solve import _dual_gain, _newton_pcg, _normal_matrix, _normal_solve
 
-from dense_oracle import kkt_certificate, least_squares_multipliers, objective, oracle_solve
+from dense_oracle import (
+    kkt_certificate,
+    least_squares_multipliers,
+    objective,
+    oracle_solve,
+    reference_newton_pcg,
+    same_result,
+)
 from test_chain_analysis import ring_chain
 from test_pipeline import wide_span_chain
 from test_qp_build import random_instance
@@ -309,6 +316,41 @@ def test_conjugate_gradients_report_breakdown():
     regular = sp.csr_matrix(np.diag([2.0, 4.0]))
     x, iterations, residual = _newton_pcg(regular, regular.diagonal(), rhs)
     assert (x.tolist(), iterations, residual) == ([0.5, -0.25], 1, 0.0)
+
+
+def _wide_diagonal_system(scale=1.0):
+    """``S = D^1/2 M D^1/2`` of order 60 with ``M`` diagonally dominant and
+    ``D`` from 1e-8 to 1, times ``scale``, and a right-hand side."""
+    rng = np.random.default_rng(5)
+    m = sp.random(60, 60, density=0.1, random_state=rng)
+    m = m + m.T
+    m = m + sp.diags(np.asarray(abs(m).sum(axis=1)).ravel() + 1.0)
+    root = sp.diags(np.sqrt(np.logspace(-8, 0, 60)))
+    return (scale * (root @ m @ root)).tocsr(), rng.normal(size=60)
+
+
+CG_SYSTEMS = {
+    # the three systems of test_conjugate_gradients_report_breakdown
+    "zero curvature": lambda: (sp.csr_matrix(np.ones((2, 2))), np.array([1.0, -1.0])),
+    "zero diagonal": lambda: (sp.csr_matrix(np.diag([1.0, 0.0])), np.array([1.0, -1.0])),
+    "regular": lambda: (sp.csr_matrix(np.diag([2.0, 4.0])), np.array([1.0, -1.0])),
+    # sum(1/d) is dominated by the smallest d, so the bound r^T D^-1 r admits
+    # five iterations before the exact test stops
+    "diagonal from 1e-8 to 1": _wide_diagonal_system,
+    # target^2 underflows while r^T D^-1 r does not
+    "diagonal near 1e-100, right-hand side near 1e-150": lambda: (
+        _wide_diagonal_system(1e-100)[0],
+        _wide_diagonal_system()[1] * 1e-150,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CG_SYSTEMS)
+def test_conjugate_gradients_match_the_reference_loop(case):
+    normal, rhs = CG_SYSTEMS[case]()
+    diag = normal.diagonal()
+    expected = reference_newton_pcg(normal, diag, rhs)
+    assert same_result(_newton_pcg(normal, diag, rhs), expected)
 
 
 def test_dual_gain_matches_nested_where():

@@ -13,6 +13,7 @@ from revmarkov import (
     detailed_balance_residual,
     frobenius_distance,
     row_normalize,
+    sparse_core,
     stationarity_residual,
     stochasticity_residual,
     symmetrized_pattern,
@@ -223,3 +224,34 @@ def test_row_normalize_rows_sum_to_one(n, seed):
     counts[np.arange(n), rng.integers(0, n, size=n)] += 0.5  # no zero rows
     out = row_normalize(counts)
     assert stochasticity_residual(out) <= 1e-12
+
+
+def _product_case(index_dtype):
+    """A 40-by-30 CSR matrix with an empty row, its indices in
+    ``index_dtype``, and a vector to multiply."""
+    rng = np.random.default_rng(7)
+    dense = np.where(rng.random((40, 30)) < 0.2, rng.normal(size=(40, 30)), 0.0)
+    dense[11] = 0.0
+    matrix = sp.csr_matrix(dense)
+    matrix.indices = matrix.indices.astype(index_dtype)
+    matrix.indptr = matrix.indptr.astype(index_dtype)
+    assert matrix.indices.dtype == matrix.indptr.dtype == index_dtype
+    assert matrix.indptr[11] == matrix.indptr[12]
+    return matrix, rng.normal(size=30)
+
+
+@pytest.mark.parametrize("kernel", ["scipy", "fallback"])
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_csr_apply_gives_the_bits_of_the_product(kernel, index_dtype, monkeypatch):
+    if kernel == "fallback":
+        monkeypatch.setattr(sparse_core, "_csr_matvec", None)
+    matrix, x = _product_case(index_dtype)
+    out = np.full(40, np.nan)  # whatever ``out`` held is overwritten
+    sparse_core._csr_apply(matrix, x, out)
+    assert out.tobytes() == (matrix @ x).tobytes()
+
+
+def test_csr_apply_runs_scipys_kernel():
+    # the hot loops lean on SciPy's private kernel; a SciPy that moves it
+    # must fail here rather than fall back to ``@`` unnoticed
+    assert sparse_core._csr_matvec is not None
