@@ -4,7 +4,7 @@ exact reversibility check (Kolmogorov's cycle criterion on a cycle basis)."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -233,8 +233,8 @@ class ErgodicDecomposition:
     """Ergodic classes (ascending index arrays, ordered by their first
     state) and the transient states, ascending."""
 
-    classes: list = field(default_factory=list)
-    transient: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.intp))
+    classes: list
+    transient: np.ndarray
 
 
 def ergodic_decomposition(
@@ -350,9 +350,6 @@ class CycleCheckResult:
     #: ``log(forward / reverse)`` summed edge by edge around the cycle, so it
     #: stays finite where both products underflow; ``+inf`` for a one-way edge.
     log_sum: float = 0.0
-
-    def __bool__(self):
-        return self.passed
 
 
 def kolmogorov_cycle_check(

@@ -11,6 +11,8 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
 
 import numpy as np
@@ -40,7 +42,7 @@ def _cmd_nearest(args) -> int:
         P = io.read_matrix(args.matrix)
     pi = io.read_probability_vector(args.pi) if args.pi else None
     pattern = io.read_pattern(args.pattern) if args.pattern else None
-    solver = SolverOptions(kkt_tolerance=args.tol, max_iterations=args.max_iterations)
+    solver = _config(SolverOptions, args)
     options = PipelineOptions(
         pi=pi, pattern=pattern, recurse_ergodic=not args.no_recurse, solver=solver
     )
@@ -57,7 +59,8 @@ def _cmd_nearest(args) -> int:
     if args.out:
         io.write_matrix(args.out, R)
     if args.diag:
-        diag.to_json(args.diag)
+        with open(args.diag, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(diag.to_dict(), indent=2))
     if max(diag.residuals) > VERIFY_TOLERANCE:
         print(f"verification FAILED: residuals exceed {VERIFY_TOLERANCE:.0e}", file=sys.stderr)
         return 2
@@ -101,10 +104,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = BenchmarkConfig(
-        num_cases=args.n, n_min=args.nmin, n_max=args.nmax, alpha=args.alpha, seed=args.seed
-    )
-    rows = run_benchmark(cfg, output_path=args.out)
+    rows = run_benchmark(_config(BenchmarkConfig, args), output_path=args.out)
     good = [r for r in rows if "error" not in r]
     bad = [r for r in rows if "error" in r]
     if good:
@@ -129,17 +129,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_langevin(args) -> int:
-    cfg = LangevinConfig(
-        a=args.a,
-        b=args.b,
-        c=args.c,
-        d=args.d,
-        dt=args.dt,
-        sigma=args.sigma,
-        steps=args.steps,
-        bins=args.bins,
-        seed=args.seed,
-    )
+    cfg = _config(LangevinConfig, args)
     bins = langevin_trajectory(cfg)
     counts = count_matrix(bins, cfg.bins)
     print(f"steps: {cfg.steps}   bins: {cfg.bins}   count nnz: {counts.nnz}")
@@ -147,6 +137,19 @@ def _cmd_langevin(args) -> int:
         io.write_matrix(args.out, counts)
         print(f"count matrix written to {args.out}")
     return 0
+
+
+def _add_field(parser, flag, config, name, **kwargs):
+    """Add ``flag`` for the field ``name`` of the dataclass ``config``, whose
+    default value (and its type) the flag takes."""
+    default = getattr(config, name)
+    parser.add_argument(flag, dest=name, type=type(default), default=default, **kwargs)
+
+
+def _config(config, args):
+    """The dataclass ``config`` with the parsed values of its fields' flags."""
+    names = {f.name for f in dataclasses.fields(config)}
+    return config(**{name: value for name, value in vars(args).items() if name in names})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="row-normalize the input first (e.g. a count matrix from `langevin`)",
     )
     p.add_argument("--no-recurse", action="store_true", help="skip the per-class split")
-    p.add_argument("--tol", type=float, default=1e-10, help="KKT tolerance")
-    p.add_argument("--max-iterations", type=int, default=200)
+    _add_field(p, "--tol", SolverOptions, "kkt_tolerance", help="KKT tolerance")
+    _add_field(p, "--max-iterations", SolverOptions, "max_iterations")
     p.add_argument("--out", help="write the reversible matrix here (Matrix Market)")
     p.add_argument("--diag", help="write diagnostics JSON here")
     p.set_defaults(func=_cmd_nearest)
@@ -184,24 +187,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("bench", help="random sparse chain ensemble")
-    p.add_argument("--n", type=int, default=100, help="number of cases")
-    p.add_argument("--nmin", type=int, default=100)
-    p.add_argument("--nmax", type=int, default=300)
-    p.add_argument("--alpha", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=20250807)
+    _add_field(p, "--n", BenchmarkConfig, "num_cases", help="number of cases")
+    _add_field(p, "--nmin", BenchmarkConfig, "n_min")
+    _add_field(p, "--nmax", BenchmarkConfig, "n_max")
+    _add_field(p, "--alpha", BenchmarkConfig, "alpha")
+    _add_field(p, "--seed", BenchmarkConfig, "seed")
     p.add_argument("--out", help="CSV (or .json) report path")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("langevin", help="simulate the torsion dynamics and emit counts")
-    p.add_argument("--steps", type=int, default=50_000_000)
-    p.add_argument("--bins", type=int, default=30)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=20250807)
-    p.add_argument("--a", type=float, default=2.0567)
-    p.add_argument("--b", type=float, default=-4.0567)
-    p.add_argument("--c", type=float, default=0.3133)
-    p.add_argument("--d", type=float, default=6.4267)
+    for name in ("steps", "bins", "dt", "sigma", "seed", "a", "b", "c", "d"):
+        _add_field(p, f"--{name}", LangevinConfig, name)
     p.add_argument("--out", help="count matrix path (Matrix Market)")
     p.set_defaults(func=_cmd_langevin)
     return parser

@@ -16,7 +16,6 @@ from that table, so the only chain object a call builds is the result.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -140,14 +139,6 @@ class PipelineDiagnostics:
             },
         }
 
-    def to_json(self, path=None):
-        payload = json.dumps(self.to_dict(), indent=2)
-        if path is None:
-            return payload
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        return None
-
 
 def verify(R, pi) -> tuple:
     """Residual triple ``(stochasticity, detailed balance, stationarity)``."""
@@ -181,7 +172,7 @@ def _solve_pair_table(pi, members, block, pattern, solver_opts):
     pi_class = pi.values[members]
     pi_class = pi_class / pi_class.sum()
     maps = IndexMaps(n=m, upper_rows=i, upper_cols=j)
-    qp = _assemble(maps, pi_class, p_up, p_down, 0.5 * float(np.sum(vals**2)))
+    qp = _assemble(maps, pi_class, p_up, p_down)
     result = solve_qp(qp, solver_opts)
     r_up, r_down = _unscale(result.y, maps, qp.pi_hat)
 

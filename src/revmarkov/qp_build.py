@@ -38,6 +38,7 @@ from .exceptions import (
     NonPositivePi,
 )
 from .sparse_core import (
+    STOCHASTIC_TOL,
     ProbabilityVector,
     SparseStochasticMatrix,
     SparsityPattern,
@@ -58,8 +59,6 @@ logger = logging.getLogger(__name__)
 
 #: :func:`unscale_solution` clamps entries down to this much below zero.
 NEGATIVE_TOLERANCE = 1e-12
-#: Row-sum deviation above which :func:`unscale_solution` renormalizes rows.
-STOCHASTICITY_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -118,9 +117,8 @@ class ReducedQP:
     minimize   1/2 y^T Q y + c^T y
     subject to A_eq y = b_eq,  y >= 0
 
-    ``hessian_diag`` is the diagonal of the (diagonal) Hessian; ``constant``
-    is ``1/2 ||P||_F^2``, so the full objective value
-    ``1/2 y^T Q y + c^T y + constant`` equals ``1/2 ||X - P||_F^2`` for the
+    ``hessian_diag`` is the diagonal of the (diagonal) Hessian.  Adding
+    ``1/2 ||P||_F^2`` to the objective gives ``1/2 ||X - P||_F^2`` for the
     matrix ``X`` recovered from ``y`` by :func:`unscale_solution`.
     """
 
@@ -130,7 +128,6 @@ class ReducedQP:
     a_eq: sp.csr_matrix
     b_eq: np.ndarray
     pi_hat: np.ndarray
-    constant: float
 
     def __post_init__(self):
         for arr in (self.hessian_diag, self.linear, self.b_eq, self.pi_hat):
@@ -153,8 +150,8 @@ def build_reduced_qp(
     """Assemble the reduced program for one chain, one target distribution,
     and one symmetric full-diagonal pattern.
 
-    ``P`` entries outside the pattern only shift the objective by a constant
-    (they can never be matched), and that constant is part of ``constant``.
+    ``P`` entries outside the pattern can never be matched, so they only
+    shift the objective by a constant, which the program leaves out.
     """
     maps = build_index_maps(pattern)
     if P.n != pattern.n:
@@ -164,10 +161,10 @@ def build_reduced_qp(
     p_up, p_down, _ = _pair_values(
         maps.n, maps.upper_rows, maps.upper_cols, _edge_rows(csr), csr.indices, csr.data
     )
-    return _assemble(maps, pi.values, p_up, p_down, 0.5 * float(np.sum(csr.data**2)))
+    return _assemble(maps, pi.values, p_up, p_down)
 
 
-def _assemble(maps: IndexMaps, pi_vals, p_up, p_down, constant: float) -> ReducedQP:
+def _assemble(maps: IndexMaps, pi_vals, p_up, p_down) -> ReducedQP:
     """The reduced program on the pair table ``p_up = P_ij``,
     ``p_down = P_ji`` of the positions ``maps``, for a positive ``pi``."""
     pi_hat = np.sqrt(pi_vals)
@@ -196,7 +193,6 @@ def _assemble(maps: IndexMaps, pi_vals, p_up, p_down, constant: float) -> Reduce
         a_eq=a_eq,
         b_eq=pi_hat.copy(),
         pi_hat=pi_hat,
-        constant=constant,
     )
 
 
@@ -209,8 +205,9 @@ def unscale_solution(
     :class:`LengthMismatch` is raised.  Entries in
     ``[-NEGATIVE_TOLERANCE, 0)`` are clamped to zero; anything more
     negative raises :class:`NegativeEntry`.  Rows are renormalized only
-    when the row-sum deviation exceeds ``STOCHASTICITY_TOLERANCE``, and that
-    event is logged because it means the solver left visible slack.
+    when the row-sum deviation exceeds ``sparse_core.STOCHASTIC_TOL``, the
+    deviation the chain's constructor accepts, and that event is logged
+    because it means the solver left visible slack.
     """
     y = np.asarray(y, dtype=float).ravel()
     if y.size != maps.y_m:
@@ -242,11 +239,11 @@ def _unscale(y: np.ndarray, maps: IndexMaps, pi_hat: np.ndarray):
     row_sums = np.bincount(i, weights=r_up, minlength=maps.n)
     row_sums += np.bincount(j[off], weights=r_down[off], minlength=maps.n)
     deviation = float(np.abs(row_sums - 1.0).max()) if row_sums.size else 0.0
-    if deviation > STOCHASTICITY_TOLERANCE:
+    if deviation > STOCHASTIC_TOL:
         logger.warning(
             "renormalizing rows: row-sum deviation %.3e exceeds %.0e",
             deviation,
-            STOCHASTICITY_TOLERANCE,
+            STOCHASTIC_TOL,
         )
         inverse = 1.0 / row_sums
         r_up, r_down = r_up * inverse[i], r_down * inverse[j]

@@ -135,9 +135,10 @@ def _newton_pcg(normal: sp.csr_matrix, diag: np.ndarray, rhs: np.ndarray):
 
     ``diag`` is the diagonal of ``S``.  Returns ``(x, iterations,
     residual)`` with ``residual = ||r||_inf`` of the recurred residual;
-    ``x`` is ``None`` when the iteration breaks down (a zero diagonal entry
-    or a direction of nonpositive curvature) or misses ``_CG_TOLERANCE``
-    within ``min(_CG_MAX_ITERATIONS, 4 * rhs.size)`` iterations.
+    ``x`` is ``None`` when the iteration breaks down (a zero diagonal entry,
+    a direction of nonpositive curvature, or an ``r^T D^-1 r`` that
+    underflows to zero) or misses ``_CG_TOLERANCE`` within
+    ``min(_CG_MAX_ITERATIONS, 4 * rhs.size)`` iterations.
 
     The iterates live in two buffers, ``[x; -r]`` and ``[p; S p]``, so one
     multiply-add updates ``x`` and ``r``, and ``S p`` is written into the
@@ -163,6 +164,8 @@ def _newton_pcg(normal: sp.csr_matrix, diag: np.ndarray, rhs: np.ndarray):
     np.negative(rhs, out=neg_r)
     np.multiply(inv_diag, rhs, out=p)
     rz = float(rhs @ p)
+    if not rz:
+        return None, 0, residual
     for iteration in range(1, min(_CG_MAX_ITERATIONS, 4 * n) + 1):
         _csr_apply(normal, p, s)
         curvature = float(p @ s)
@@ -175,6 +178,8 @@ def _newton_pcg(normal: sp.csr_matrix, diag: np.ndarray, rhs: np.ndarray):
             residual = float(np.abs(neg_r).max())
             if residual <= target:
                 return x, iteration, residual
+            if not rz:  # underflowed: the next step would divide by it
+                break
         p *= rz / rz_old
         p -= neg_z
     return None, iteration, float(np.abs(neg_r).max())

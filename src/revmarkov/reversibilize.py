@@ -19,7 +19,6 @@ from enum import Enum
 
 import numpy as np
 
-from .chain_analysis import stationary_mixture
 from .exceptions import DimensionMismatch, NonPositivePi
 from .sparse_core import ProbabilityVector, SparseStochasticMatrix, _edge_rows, _pair_table
 
@@ -78,17 +77,13 @@ def reversibilize(
     )
 
 
-def mh_baseline_distance(
-    P: SparseStochasticMatrix, pi: ProbabilityVector | None = None
-) -> float:
-    """Frobenius distance from ``P`` to its Metropolis-Hastings adjustment.
+def mh_baseline_distance(P: SparseStochasticMatrix, pi: ProbabilityVector) -> float:
+    """Frobenius distance from ``P`` to its Metropolis-Hastings adjustment
+    toward ``pi``.
 
-    ``pi`` defaults to the stationary distribution of ``P`` itself, which is
-    the relevant target when measuring how far the closed-form adjustment
-    moves an estimated chain.
+    To measure how far the closed-form adjustment moves an estimated chain,
+    pass the chain's own stationary vector, as the pipeline does.
     """
-    if pi is None:
-        pi = stationary_mixture(P)
     if P.n != pi.n:
         raise DimensionMismatch("dimensions of Q and pi disagree")
     csr = P.csr

@@ -62,13 +62,14 @@ def symmetric_from_upper(y, maps: IndexMaps) -> np.ndarray:
     return Y
 
 
-def objective(qp, y) -> float:
-    """Full objective ``1/2 y^T Q y + c^T y + constant`` of the reduced
-    program, which is ``1/2 ||X - P||_F^2`` for the ``X`` recovered from
-    ``y``."""
+def objective(qp, y, P) -> float:
+    """Full objective ``1/2 y^T Q y + c^T y + 1/2 ||P||_F^2`` of the reduced
+    program of the chain ``P``, which is ``1/2 ||X - P||_F^2`` for the ``X``
+    recovered from ``y``; entries of ``P`` outside the pattern count in the
+    constant."""
     y = np.asarray(y, dtype=float).ravel()
     value = 0.5 * float(y @ (qp.hessian_diag * y)) + float(qp.linear @ y)
-    return value + qp.constant
+    return value + 0.5 * float(np.sum(P.csr.data**2))
 
 
 def vec(Y: np.ndarray) -> np.ndarray:
@@ -286,9 +287,10 @@ def reference_newton_pcg(normal, diag: np.ndarray, rhs: np.ndarray):
 
     ``diag`` is the diagonal of ``S``.  Returns ``(x, iterations,
     residual)`` with ``residual = ||r||_inf`` of the recurred residual;
-    ``x`` is ``None`` when the iteration breaks down (a zero diagonal entry
-    or a direction of nonpositive curvature) or misses ``_CG_TOLERANCE``
-    within ``min(_CG_MAX_ITERATIONS, 4 * rhs.size)`` iterations.
+    ``x`` is ``None`` when the iteration breaks down (a zero diagonal entry,
+    a direction of nonpositive curvature, or an ``r^T D^-1 r`` that
+    underflows to zero) or misses ``_CG_TOLERANCE`` within
+    ``min(_CG_MAX_ITERATIONS, 4 * rhs.size)`` iterations.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -302,6 +304,8 @@ def reference_newton_pcg(normal, diag: np.ndarray, rhs: np.ndarray):
     z = inv_diag * r
     p = z.copy()
     rz = float(r @ z)
+    if not rz:
+        return None, 0, residual
     for iteration in range(1, min(_CG_MAX_ITERATIONS, 4 * rhs.size) + 1):
         s = normal @ p
         curvature = float(p @ s)
@@ -315,6 +319,8 @@ def reference_newton_pcg(normal, diag: np.ndarray, rhs: np.ndarray):
             return x, iteration, residual
         z = inv_diag * r
         rz, rz_old = float(r @ z), rz
+        if not rz:
+            return None, iteration, residual
         p = z + (rz / rz_old) * p
     return None, iteration, residual
 

@@ -144,7 +144,7 @@ def test_criterion_4_dense_formulation_equivalence(acceptance_log):
         for _ in range(3):
             y = rng.random(qp.y_m)
             dense_objective = 0.5 * float(np.sum((operator @ y - p) ** 2))
-            worst = max(worst, abs(dense_oracle.objective(qp, y) - dense_objective))
+            worst = max(worst, abs(dense_oracle.objective(qp, y, P) - dense_objective))
             dense_constraint = A_eq @ y - pi_hat
             worst = max(
                 worst, float(np.abs((qp.a_eq @ y - qp.b_eq) - dense_constraint).max())

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 import scipy.io
 
+from revmarkov import (
+    BenchmarkConfig,
+    LangevinConfig,
+    RevMarkovError,
+    SolverOptions,
+    cli,
+    kolmogorov_cycle_check,
+    stationary_mixture,
+)
 from revmarkov import io as rmio
-from revmarkov import kolmogorov_cycle_check, stationary_mixture
 from revmarkov.cli import main
 
 
@@ -35,6 +43,24 @@ def test_nearest_writes_output_and_diagnostics(chain_files, capsys):
     from revmarkov import detailed_balance_residual
 
     assert detailed_balance_residual(R, stationary_mixture(P)) <= 1e-10
+
+
+def test_commands_without_flags_use_the_config_defaults(chain_files, monkeypatch):
+    # the parser takes its defaults from the dataclasses, so each command run
+    # without flags hands the library the default configuration
+    built = []
+
+    def capture(*args, **kwargs):
+        built.append(args[-1])
+        raise RevMarkovError("captured")
+
+    for name in ("nearest_sparse_reversible", "run_benchmark", "langevin_trajectory"):
+        monkeypatch.setattr(cli, name, capture)
+    matrix = chain_files[1]
+    assert [main(["nearest", str(matrix)]), main(["bench"]), main(["langevin"])] == [1, 1, 1]
+    options, bench, langevin = built
+    assert options.solver == SolverOptions()
+    assert (bench, langevin) == (BenchmarkConfig(), LangevinConfig())
 
 
 def test_nearest_with_explicit_pi(chain_files):

@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import enum
 import importlib
 import inspect
 import re
@@ -83,19 +85,71 @@ def referenced_names(path):
     return names
 
 
+MODULE_FILES = sorted((ROOT / "src" / "revmarkov").glob("[!_]*.py"))
+PROGRAM_FILES = [
+    *MODULE_FILES,
+    *(ROOT / "demos").glob("*.py"),
+    *(ROOT / "perfbench").glob("*.py"),
+]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
 def test_every_public_name_has_a_reader():
     # a public name only the tests read belongs in ``tests/``: its readers
     # are the package modules (its definition and ``__all__`` entry are no
     # references, ``__init__`` only re-exports), the demos, the benchmark
     # and the README
-    modules = sorted((ROOT / "src" / "revmarkov").glob("[!_]*.py"))
-    sources = [*modules, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
-    referenced = set().union(*map(referenced_names, sources))
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    referenced = set().union(*map(referenced_names, PROGRAM_FILES))
     unread = [
         f"{path.stem}.{name}"
-        for path in modules
+        for path in MODULE_FILES
         for name in getattr(importlib.import_module(f"revmarkov.{path.stem}"), "__all__", [])
-        if name not in referenced and not re.search(rf"\b{name}\b", readme)
+        if name not in referenced and not re.search(rf"\b{name}\b", README)
     ]
     assert not unread, f"public names read by no program path: {', '.join(unread)}"
+
+
+def attribute_reads(path):
+    """Every ``.name`` a Python file reads; a field annotation or ``def`` is
+    a declaration, not a read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def class_members(cls):
+    """The public dataclass fields, properties and methods a class declares.
+
+    Exempt: names with a leading underscore, which are private or, as
+    dunders, called by the language; enum members, which are values read
+    through the enum (``AcceptanceRule.BARKER`` is their use); and
+    ``NamedTuple`` fields, which unpacking and indexing read without a name
+    (``KKTResiduals`` is consumed as a tuple).
+    """
+    if issubclass(cls, enum.Enum):
+        return []
+    names = [f.name for f in dataclasses.fields(cls)] if dataclasses.is_dataclass(cls) else []
+    fields = getattr(cls, "_fields", ())
+    for name, value in vars(cls).items():
+        if isinstance(value, (property, staticmethod, classmethod)) or inspect.isfunction(value):
+            names.append(name)
+    return [n for n in names if not n.startswith("_") and n not in fields]
+
+
+def test_every_public_class_member_has_a_reader():
+    # a field, property or method of an exported class that only the tests
+    # read is test-only surface too; its readers are ``.name`` in the same
+    # program files as above, or in the README
+    read = set().union(*map(attribute_reads, PROGRAM_FILES))
+    unread = []
+    for name in MODULES:
+        module = importlib.import_module(f"revmarkov.{name}")
+        for public in module.__all__:
+            cls = getattr(module, public)
+            if not inspect.isclass(cls):
+                continue
+            unread += [
+                f"{public}.{member}"
+                for member in class_members(cls)
+                if member not in read and not re.search(rf"\.{member}\b", README)
+            ]
+    assert not unread, f"class members read by no program path: {', '.join(unread)}"

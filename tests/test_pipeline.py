@@ -487,12 +487,10 @@ class TestVerify:
 
 
 class TestDiagnostics:
-    def test_json_roundtrip(self, tmp_path, chain_factory):
+    def test_json_roundtrip(self, chain_factory):
         P = chain_factory(6, 41)
         _, diag = nearest_sparse_reversible(P)
-        path = tmp_path / "diag.json"
-        diag.to_json(path)
-        payload = json.loads(path.read_text())
+        payload = json.loads(json.dumps(diag.to_dict()))
         assert payload["schema"] == "revmarkov-diagnostics/1"
         assert payload["num_classes"] == 1
         assert payload["residuals"]["stochasticity"] <= 1e-12
@@ -506,7 +504,7 @@ class TestDiagnostics:
         P = wide_span_chain(111)
         _, diag = nearest_sparse_reversible(P)
         result = solve_qp(build_reduced_qp(P, stationary_mixture(P), symmetrized_pattern(P)))
-        record = json.loads(diag.to_json())["per_class"][0]
+        record = json.loads(json.dumps(diag.to_dict()))["per_class"][0]
         counts = (result.iterations, result.cg_iterations, result.factor_steps)
         assert (record["iterations"], record["cg_iterations"], record["factor_steps"]) == counts
         assert result.cg_iterations >= result.iterations
@@ -514,7 +512,7 @@ class TestDiagnostics:
     def test_inline_json(self, chain_factory):
         P = chain_factory(5, 43)
         _, diag = nearest_sparse_reversible(P)
-        payload = json.loads(diag.to_json())
+        payload = json.loads(json.dumps(diag.to_dict()))
         assert payload["distance"] == pytest.approx(diag.distance)
 
 

