@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import enum
 import importlib
 import inspect
 import re
@@ -120,19 +119,16 @@ def class_members(cls):
     """The public dataclass fields, properties and methods a class declares.
 
     Exempt: names with a leading underscore, which are private or, as
-    dunders, called by the language; enum members, which are values read
-    through the enum (``AcceptanceRule.BARKER`` is their use); and
-    ``NamedTuple`` fields, which unpacking and indexing read without a name
-    (``KKTResiduals`` is consumed as a tuple).
+    dunders, called by the language.  Not collected: enum members, which
+    are values read through the enum (``AcceptanceRule.BARKER`` is their
+    use), and ``NamedTuple`` fields, which unpacking and indexing read
+    without a name (``KKTResiduals`` is consumed as a tuple).
     """
-    if issubclass(cls, enum.Enum):
-        return []
     names = [f.name for f in dataclasses.fields(cls)] if dataclasses.is_dataclass(cls) else []
-    fields = getattr(cls, "_fields", ())
     for name, value in vars(cls).items():
         if isinstance(value, (property, staticmethod, classmethod)) or inspect.isfunction(value):
             names.append(name)
-    return [n for n in names if not n.startswith("_") and n not in fields]
+    return [name for name in names if not name.startswith("_")]
 
 
 def test_every_public_class_member_has_a_reader():
