@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
-from scipy.sparse.linalg import splu
 
 from .exceptions import DimensionMismatch, InconsistentSupport
 from .sparse_core import (
@@ -197,7 +197,9 @@ def strongly_connected_components(P) -> list[np.ndarray]:
     deterministic, and each component is returned as an ascending index
     array.
     """
-    return _scc(_as_csr(P))[1]
+    count, labels = connected_components(_as_csr(P), directed=True, connection="strong")
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
 def is_irreducible(P) -> bool:
@@ -205,33 +207,31 @@ def is_irreducible(P) -> bool:
     return connected_components(_as_csr(P), directed=True, connection="strong")[0] == 1
 
 
-def _scc(csr: sp.csr_matrix):
-    """Strongly connected component label of every state, and the
-    components as ascending index arrays ordered by label."""
-    count, labels = connected_components(csr, directed=True, connection="strong")
-    order = np.argsort(labels, kind="stable")
-    return labels, np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
-
-
 def _closed_components(P: SparseStochasticMatrix):
-    """Split the SCCs of ``P`` into closed (recurrent) and open (transient).
+    """The closed (recurrent) strongly connected components of ``P`` as
+    ascending index arrays ordered by their first state, and the states of
+    the open components (the transient states), ascending.
 
     A component is open exactly when some stored edge leaves it.
     """
     csr = P.csr
-    labels, components = _scc(csr)
+    count, labels = connected_components(csr, directed=True, connection="strong")
     sources = labels[_edge_rows(csr)]
-    is_open = np.zeros(len(components), dtype=bool)
+    is_open = np.zeros(count, dtype=bool)
     is_open[sources[sources != labels[csr.indices]]] = True
-    closed = [c for c, leaks in zip(components, is_open) if not leaks]
-    open_ = [c for c, leaks in zip(components, is_open) if leaks]
-    return closed, open_
+    # each state keyed by its component's first state: a stable sort by key
+    # lists the closed components by first state, each one ascending
+    first = np.unique(labels, return_index=True)[1][labels]
+    closed = np.flatnonzero(~is_open[labels])
+    closed = closed[np.argsort(first[closed], kind="stable")]
+    starts = np.flatnonzero(np.diff(first[closed])) + 1
+    return np.split(closed, starts), np.flatnonzero(is_open[labels])
 
 
 @dataclass(frozen=True)
 class ErgodicDecomposition:
-    """Ergodic classes (ascending index arrays, ordered by their first
-    state) and the transient states, ascending."""
+    """Ergodic classes (ascending index arrays, in order of their first
+    state, as the pipeline solves them) and the transient states, ascending."""
 
     classes: list
     transient: np.ndarray
@@ -251,17 +251,16 @@ def ergodic_decomposition(
     """
     if P.n != pi.n:
         raise DimensionMismatch("dimensions of P and pi disagree")
-    return _decompose(P, pi, _closed_components(P)[0])
+    return _decompose(P, pi, _closed_components(P)[0])[0]
 
 
-def _decompose(P, pi, closed) -> ErgodicDecomposition:
-    """:func:`ergodic_decomposition` given the closed components of ``P``."""
+def _decompose(P, pi, closed):
+    """:func:`ergodic_decomposition` given the closed components of ``P``,
+    and a flag per closed component that is set when it is a class."""
     in_support = np.zeros(P.n, dtype=bool)
     in_support[pi.support] = True
-    classes = sorted(
-        (members for members in closed if in_support[members].any()),
-        key=lambda members: int(members[0]),
-    )
+    is_class = [bool(in_support[members].any()) for members in closed]
+    classes = list(compress(closed, is_class))
     in_class = np.zeros(P.n, dtype=bool)
     for members in classes:
         in_class[members] = True
@@ -275,7 +274,7 @@ def _decompose(P, pi, closed) -> ErgodicDecomposition:
         suspects = stray if stray.size else pi.support
         bad = int(suspects[leak[suspects].argmax()])
         raise InconsistentSupport(bad, float(leak[bad]))
-    return ErgodicDecomposition(classes=classes, transient=np.flatnonzero(~in_class))
+    return ErgodicDecomposition(classes=classes, transient=np.flatnonzero(~in_class)), is_class
 
 
 def stationary_mixture(
@@ -292,8 +291,11 @@ def stationary_mixture(
     that converges fast (expanders), else by a residual-checked sparse LU
     solve (rings, torsion chains), else by GTH elimination when the LU check
     fails (see ``BALANCE_TOLERANCE``); :func:`_class_stationary` gives the
-    rules.  Transient states get exactly zero mass, so the zero
-    set of the result is exactly the set of transient states.
+    rules.  The absorption weights come from the expected visits to the
+    transient states, solved like a class's balance equations: each diagonal
+    entry is the sum of its row's other entries, never ``1 - p_tt``.
+    Transient states get exactly zero mass, so the zero set of the result is
+    exactly the set of transient states.
 
     The result is the Cesàro limit of the iterates, which equals their plain
     limit whenever that exists; it is exact for any spectral gap and for
@@ -302,34 +304,32 @@ def stationary_mixture(
     it with the uniform start, and a caller who wants another start passes
     ``PipelineOptions(pi=stationary_mixture(P, x0))``.
     """
-    n = P.n
     if initial_distribution is None:
-        x0 = np.full(n, 1.0 / n)
+        x0 = np.full(P.n, 1.0 / P.n)
+    elif initial_distribution.n != P.n:
+        raise DimensionMismatch("initial distribution has wrong length")
     else:
-        if initial_distribution.n != n:
-            raise DimensionMismatch("initial distribution has wrong length")
         x0 = initial_distribution.values
-    closed, open_ = _closed_components(P)
-    return _mixture(P, x0, closed, open_, [_gather(P.csr, members) for members in closed])
+    closed, transient = _closed_components(P)
+    return _mixture(P, x0, closed, transient, [_gather(P.csr, members) for members in closed])
 
 
-def _mixture(P, x0, closed, open_, blocks) -> ProbabilityVector:
-    """:func:`stationary_mixture` from the start ``x0`` given the closed and
-    open components of ``P`` and the gathered entries of each closed one."""
-    if not closed:
-        raise ValueError("chain has no closed class; row sums cannot all be 1")
-
-    csr = P.csr
+def _mixture(P, x0, closed, transient, blocks) -> ProbabilityVector:
+    """:func:`stationary_mixture` from the start ``x0`` given the closed
+    components of ``P``, the gathered entries of each, and the transient
+    states."""
     # a class's weight is the start mass on it plus the mass that the
     # transient states pass into it
     mass = x0
-    if open_:
-        transient = np.sort(np.concatenate(open_))
-        rows = csr[transient]
-        # expected visits x0_T (I - P_TT)^{-1}: one transposed sparse solve
-        I_minus_T = sp.identity(transient.size, format="csc") - rows[:, transient].tocsc()
-        visits = splu(I_minus_T).solve(x0[transient], trans="T")
-        mass = x0 + visits @ rows
+    if transient.size:
+        # expected visits x0_T (D - O)^{-1}, set up and factored like a class's
+        # balance equations: O is P_TT off the diagonal and D holds each
+        # transient row's off-diagonal sum, so 1 - p_tt is never formed
+        rows = P.csr[transient]
+        rows.data[rows.indices == transient[_edge_rows(rows)]] = 0.0
+        d = np.asarray(rows.sum(axis=1)).ravel()
+        lu = _symmetric_lu((sp.diags(d) - rows[:, transient]).T.tocsc())
+        mass = x0 + lu.solve(x0[transient]) @ rows
 
     pi = np.zeros(P.n)
     for members, block in zip(closed, blocks):

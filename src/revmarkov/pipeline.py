@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -255,7 +256,7 @@ def nearest_sparse_reversible(
     # one SCC pass serves both the stationary solve and the decomposition,
     # and one gather per closed class serves both its stationary solve and
     # its pair table
-    closed, open_ = _closed_components(P)
+    closed, transient = _closed_components(P)
     csr = P.csr
     blocks = [_gather(csr, members) for members in closed]
     t_pi = time.perf_counter()
@@ -264,18 +265,15 @@ def nearest_sparse_reversible(
             raise DimensionMismatch("dimensions of P and pi disagree")
         pi = options.pi
     else:
-        pi = _mixture(P, np.full(P.n, 1.0 / P.n), closed, open_, blocks)
+        pi = _mixture(P, np.full(P.n, 1.0 / P.n), closed, transient, blocks)
     stationary_seconds = time.perf_counter() - t_pi
 
-    decomposition = _decompose(P, pi, closed)
-    if options.recurse_ergodic:
-        classes = decomposition.classes
-        by_first = {int(members[0]): block for members, block in zip(closed, blocks)}
-        blocks = [by_first[int(members[0])] for members in classes]
-    else:
-        classes = [np.sort(np.concatenate(decomposition.classes))]
+    decomposition, is_class = _decompose(P, pi, closed)
+    classes, transient = decomposition.classes, decomposition.transient
+    blocks = list(compress(blocks, is_class))
+    if not options.recurse_ergodic:
+        classes = [np.sort(np.concatenate(classes))]
         blocks = [_gather(csr, classes[0])]
-    transient = decomposition.transient
 
     solver_opts = options.solver or SolverOptions()
     solved, failures = [], []
@@ -296,7 +294,7 @@ def nearest_sparse_reversible(
 
     diagnostics = PipelineDiagnostics(
         num_classes=len(classes),
-        transient=np.asarray(transient, dtype=np.intp),
+        transient=transient,
         per_class=list(reports),
         distance=float(np.sqrt(sum(squared))),
         delta_nnz=sum(moved),

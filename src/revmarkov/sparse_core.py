@@ -47,9 +47,9 @@ def _canonical_csr(matrix, dtype=float) -> sp.csr_matrix:
 
 def _symmetric_lu(matrix: sp.csc_matrix):
     """Sparse LU in SuperLU's symmetric mode: minimum-degree order on the
-    structure of ``A + A^T`` and diagonal pivots only.  Both callers factor
-    matrices that need no off-diagonal pivots: nonsingular M-matrices and
-    symmetric positive definite normal matrices."""
+    structure of ``A + A^T`` and diagonal pivots only.  Every caller factors
+    a matrix that needs no off-diagonal pivots: a nonsingular M-matrix or a
+    symmetric positive definite normal matrix."""
     return splu(
         matrix,
         permc_spec="MMD_AT_PLUS_A",

@@ -20,7 +20,7 @@ from revmarkov import (
     strongly_connected_components,
 )
 
-from test_pipeline import two_blocks_with_transients
+from chains import two_blocks_with_transients
 from test_qp_build import random_instance
 from test_qp_solve import small_instances
 

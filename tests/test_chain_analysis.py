@@ -27,8 +27,8 @@ from revmarkov import (
     strongly_connected_components,
 )
 
+from chains import ring_chain, two_blocks_with_transients, wide_span_chain
 from dense_oracle import gth_stationary
-from test_pipeline import ring_chain, two_blocks_with_transients, wide_span_chain
 from test_sparse_core import dense_stationary
 
 

@@ -29,6 +29,7 @@ from revmarkov import (
 
 from revmarkov.qp_solve import _dual_gain, _newton_pcg, _normal_matrix, _normal_solve
 
+from chains import ring_chain, wide_span_chain
 from dense_oracle import (
     kkt_certificate,
     least_squares_multipliers,
@@ -37,8 +38,6 @@ from dense_oracle import (
     reference_newton_pcg,
     same_result,
 )
-from test_chain_analysis import ring_chain
-from test_pipeline import wide_span_chain
 from test_qp_build import random_instance
 
 

@@ -1,0 +1,90 @@
+"""Print one JSON object that identifies the results of this checkout.
+
+    python3 tools/results_identity.py > identity.json
+
+Run from any directory; the program is imported from ``src/``.  The object
+holds:
+
+* for every case of the benchmark's bank (``perfbench/reference.json``, all
+  four workloads), the SHA-256 of the CSR buffers of ``R`` and the hex of the
+  pipeline's ``distance``;
+* the totals of Newton steps and conjugate-gradient iterations over the bank;
+* over ``wide_span_chain`` seeds 0-999 (``tests/chains.py``): the failed
+  calls, the Newton systems handed to the sparse factor, the Newton steps
+  and the CG iterations.
+
+Two commits whose outputs are equal compute the same bits on every bank
+case.  The digests depend on the BLAS and the machine, so compare two
+commits on one machine, and never store a digest as a gate.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
+
+import numpy as np  # noqa: E402
+
+from chains import wide_span_chain  # noqa: E402
+from revmarkov import RevMarkovError, nearest_sparse_reversible  # noqa: E402
+from workloads import WORKLOADS, operate  # noqa: E402
+
+WIDE_SPAN_SEEDS = range(1000)
+
+
+def digest(R) -> str:
+    """SHA-256 of the CSR buffers of ``R``, indices widened to int64."""
+    csr = R.csr
+    h = hashlib.sha256()
+    h.update(np.asarray(csr.indptr, dtype=np.int64).tobytes())
+    h.update(np.asarray(csr.indices, dtype=np.int64).tobytes())
+    h.update(np.asarray(csr.data, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def bank_identity() -> dict:
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    cases, newton, cg = {}, 0, 0
+    for name, bank in reference["workloads"].items():
+        workload = WORKLOADS[name]
+        cases[name] = []
+        for case in bank["cases"]:
+            _, R, diag = operate(workload, workload.make_input(case["key"]))
+            cases[name].append([case["key"], digest(R), diag.distance.hex()])
+            newton += sum(c.iterations for c in diag.per_class)
+            cg += sum(c.cg_iterations for c in diag.per_class)
+    return {"cases": cases, "newton_steps": newton, "cg_iterations": cg}
+
+
+def wide_span_identity() -> dict:
+    failures = factor_steps = newton = cg = 0
+    for seed in WIDE_SPAN_SEEDS:
+        try:
+            _, diag = nearest_sparse_reversible(wide_span_chain(seed))
+        except RevMarkovError:
+            failures += 1
+            continue
+        factor_steps += sum(c.factor_steps for c in diag.per_class)
+        newton += sum(c.iterations for c in diag.per_class)
+        cg += sum(c.cg_iterations for c in diag.per_class)
+    return {
+        "seeds": [WIDE_SPAN_SEEDS.start, WIDE_SPAN_SEEDS.stop - 1],
+        "failures": failures,
+        "factor_steps": factor_steps,
+        "newton_steps": newton,
+        "cg_iterations": cg,
+    }
+
+
+def main() -> int:
+    print(json.dumps({"bank": bank_identity(), "wide_span_chain": wide_span_identity()}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
