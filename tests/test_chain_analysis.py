@@ -27,6 +27,8 @@ from revmarkov import (
     strongly_connected_components,
 )
 
+from revmarkov.chain_analysis import _closed_components
+
 from chains import ring_chain, two_blocks_with_transients, wide_span_chain
 from dense_oracle import gth_stationary
 from test_sparse_core import dense_stationary
@@ -288,6 +290,28 @@ class TestSparseStationarySolve:
         assert len(ergodic_decomposition(P, pi).classes) >= 2
 
 
+    @pytest.mark.parametrize(
+        "dense, expected",
+        [
+            ([[1.0, 0.0], [1e-17, 1.0]], [1.0, 0.0]),
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [3e-17, 1e-17, 1.0]], [7 / 12, 5 / 12, 0.0]),
+        ],
+        ids=["one_class", "two_classes"],
+    )
+    def test_transient_self_loop_that_rounds_to_one(self, dense, expected):
+        # the transient row sums to 1 with p_tt == 1.0: 1 - p_tt is zero while
+        # the leaks are not, so the visits must come from the leaks' sum
+        P = SparseStochasticMatrix.from_dense(dense)
+        assert P.toarray()[-1, -1] == 1.0
+        pi = stationary_mixture(P)
+        assert np.allclose(pi.values, expected, rtol=1e-15, atol=0.0)
+        assert pi.values[-1] == 0.0
+        R, diag = nearest_sparse_reversible(P)
+        assert max(diag.residuals) <= 1e-10
+        assert diag.transient.tolist() == [P.n - 1]
+        assert np.array_equal(R.toarray()[-1], P.toarray()[-1])
+
+
 class TestStronglyConnectedComponents:
     def test_irreducible_single_component(self, chain_factory):
         P = chain_factory(7, 2)
@@ -382,6 +406,26 @@ class TestErgodicDecomposition:
         dec = ergodic_decomposition(P, pi)
         assert dec.transient.tolist() == [4]
         assert sorted(c.tolist() for c in dec.classes) == [[0], [1], [2, 3]]
+
+    def test_closed_components_come_in_order_of_first_state(self):
+        # SciPy labels the components 2, 1, 3, 0, 0 here, so label order
+        # lists the class {3, 4} before the class {1}
+        P = SparseStochasticMatrix.from_dense(
+            [
+                [0.2, 0.3, 0.0, 0.5, 0.0],
+                [0.0, 1.0, 0.0, 0.0, 0.0],
+                [0.2, 0.0, 0.3, 0.5, 0.0],
+                [0.0, 0.0, 0.0, 0.5, 0.5],
+                [0.0, 0.0, 0.0, 0.5, 0.5],
+            ]
+        )
+        closed, transient = _closed_components(P)
+        assert [c.tolist() for c in closed] == [[1], [3, 4]]
+        assert transient.tolist() == [0, 2]
+        pi = stationary_mixture(P)
+        assert [c.tolist() for c in ergodic_decomposition(P, pi).classes] == [[1], [3, 4]]
+        _, diag = nearest_sparse_reversible(P)
+        assert [c.indices.tolist() for c in diag.per_class] == [[1], [3, 4]]
 
     def test_classes_are_closed(self, chain_factory):
         P = chain_factory(9, 4)

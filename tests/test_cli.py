@@ -45,6 +45,14 @@ def test_nearest_writes_output_and_diagnostics(chain_files, capsys):
     assert detailed_balance_residual(R, stationary_mixture(P)) <= 1e-10
 
 
+def test_nearest_on_a_transient_self_loop_that_rounds_to_one(tmp_path, capsys):
+    # p_22 == 1.0 while the row still leaks 4e-17 into the two classes
+    matrix = tmp_path / "P.mtx"
+    rmio.write_matrix(matrix, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [3e-17, 1e-17, 1.0]]))
+    assert main(["nearest", str(matrix)]) == 0
+    assert "classes: 2   transient: 1" in capsys.readouterr().out
+
+
 def test_commands_without_flags_use_the_config_defaults(chain_files, monkeypatch):
     # the parser takes its defaults from the dataclasses, so each command run
     # without flags hands the library the default configuration

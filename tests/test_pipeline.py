@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revmarkov import (
     BenchmarkConfig,
@@ -272,6 +274,60 @@ class TestRandomReducibleChains:
         per_class = sum(c.distance**2 for c in diag.per_class)
         assert diag.distance**2 == pytest.approx(per_class, rel=1e-9, abs=1e-18)
 
+
+def shuffled_reducible(sizes, transient, seed, perm):
+    """Chain of closed classes of the given ``sizes`` followed by
+    ``transient`` states that leak into them, the same chain with its states
+    relabelled by ``perm`` (state ``i`` of the second is state ``perm[i]``
+    of the first), and ``perm``."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes) + transient
+    dense = np.zeros((n, n))
+    offset = 0
+    for k in sizes:
+        idx = np.arange(k)
+        block = rng.random((k, k)) * (rng.random((k, k)) < 0.6)
+        block[idx, (idx + 1) % k] += 0.1 + rng.random(k)  # a cycle keeps it closed
+        dense[offset : offset + k, offset : offset + k] = block
+        offset += k
+    for row in range(offset, n):
+        dense[row] = rng.random(n) * (rng.random(n) < 0.5)
+        dense[row, rng.integers(offset)] += 0.1  # leak into a class
+    blocks = row_normalize(dense)
+    return blocks, SparseStochasticMatrix.from_dense(blocks.toarray()[np.ix_(perm, perm)]), perm
+
+
+@st.composite
+def shuffled_reducible_chains(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4), label="sizes")
+    transient = draw(st.integers(1, 3), label="transient")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    perm = draw(st.permutations(range(sum(sizes) + transient)), label="perm")
+    return shuffled_reducible(sizes, transient, seed, np.array(perm))
+
+
+class TestShuffledReducibleChains:
+    # relabelling puts transient states between the classes and makes the
+    # order of SciPy's component labels differ from the order of first states
+    @settings(max_examples=25, deadline=None)
+    @given(shuffled_reducible_chains())
+    def test_properties_hold(self, chains):
+        blocks, P, perm = chains
+        R, diag = nearest_sparse_reversible(P)
+        assert max(diag.residuals) <= 1e-10
+        classes = ergodic_decomposition(P, stationary_mixture(P)).classes
+        reported = [c.indices for c in diag.per_class]
+        assert [c.tolist() for c in reported] == [c.tolist() for c in classes]
+        assert [c[0] for c in reported] == sorted(c[0] for c in reported)
+        assert all(np.all(np.diff(c) > 0) for c in reported)
+        transient = diag.transient
+        assert np.array_equal(R.toarray()[transient], P.toarray()[transient])
+        assert diag.distance <= diag.mh_distance + 1e-12
+        again, _ = nearest_sparse_reversible(R)
+        assert np.abs(again.toarray() - R.toarray()).max() <= 1e-12
+        unshuffled, unshuffled_diag = nearest_sparse_reversible(blocks)
+        assert np.abs(R.toarray() - unshuffled.toarray()[np.ix_(perm, perm)]).max() <= 1e-9
+        assert sorted(np.argsort(perm)[unshuffled_diag.transient]) == transient.tolist()
 
 
 def composed(P, options):
