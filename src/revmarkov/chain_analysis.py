@@ -20,6 +20,7 @@ from .sparse_core import (
     _csr_apply,
     _edge_rows,
     _gather,
+    _row_edges,
     _symmetric_lu,
 )
 
@@ -35,29 +36,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Largest componentwise balance residual ``|(pi O)_j - pi_j d_j| / (pi_j d_j)``
-#: at which a sparse-LU class stationary vector is accepted; above it the
-#: class is solved again by GTH elimination.
+#: Largest componentwise balance residual ``|inflow - outflow| / outflow`` of
+#: a sparse-LU solution that :func:`_balance_solve` keeps.
 BALANCE_TOLERANCE = 1e-12
-
-
-def _gth(P_dense: np.ndarray) -> np.ndarray:
-    """Stationary vector of an irreducible row-stochastic matrix by
-    Grassmann-Taksar-Heyman elimination (no subtractions, so entries come out
-    accurate to machine precision even for nearly uncoupled chains)."""
-    A = np.array(P_dense, dtype=float)
-    n = A.shape[0]
-    for k in range(n - 1, 0, -1):
-        s = A[k, :k].sum()
-        if s <= 0.0:
-            raise ValueError("matrix block is not irreducible")
-        A[:k, k] /= s
-        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
-    pi = np.zeros(n)
-    pi[0] = 1.0
-    for k in range(1, n):
-        pi[k] = A[0, k] + pi[1:k] @ A[1:k, k]
-    return pi / pi.sum()
 
 
 def _class_stationary(n: int, rows, cols, vals) -> np.ndarray:
@@ -66,20 +47,9 @@ def _class_stationary(n: int, rows, cols, vals) -> np.ndarray:
 
     Works with the balance equations ``pi (D - O) = 0``, where ``O`` is the
     off-diagonal part of the block and ``D`` holds its row sums, so that
-    ``1 - p_ii`` never comes from a subtraction (the GTH trick).  Three
-    methods are tried in turn:
-
-    * :func:`_jump_chain_sweep`, kept when it converges fast, as on expanders.
-    * Sparse LU with state 0 pinned, as on rings and torsion chains.  LU is
-      accurate in norm, not entry by entry, so its result is kept only if
-      every entry is positive and the componentwise balance residual
-      ``|(pi O)_j - pi_j d_j| / (pi_j d_j)`` is at most ``BALANCE_TOLERANCE``.
-    * Dense GTH elimination, with a warning naming the class size and the
-      rejected residual.  A rejected LU result is never swept: a small
-      residual alone does not certify an iterate of a slowly mixing chain.
-
-    A ``DEBUG`` record on this module's logger names the class size and the
-    method kept, with its residual.
+    ``1 - p_ii`` never comes from a subtraction (the GTH trick): by
+    :func:`_jump_chain_sweep` when it converges fast, as on expanders, else
+    by :func:`_balance_solve`.  A ``DEBUG`` record names the method kept.
     """
     if n == 1:
         return np.ones(1)
@@ -88,40 +58,73 @@ def _class_stationary(n: int, rows, cols, vals) -> np.ndarray:
     O = sp.csr_matrix((vals[off], cols[off], indptr), shape=(n, n))
     d = np.asarray(O.sum(axis=1)).ravel()
     pi, steps, residual = _jump_chain_sweep(O, d)
-    if pi is not None:
-        logger.debug(
-            "class of %d states by the jump-chain sweep: %d steps, residual %.3g", n, steps, residual
-        )
-        return pi
-    M = (sp.diags(d) - O).T.tocsc()
-    residual = np.inf
-    try:
-        lu = _symmetric_lu(M[1:, 1:])
-        pi = np.concatenate(([1.0], lu.solve(O[0, 1:].toarray().ravel())))
-    except RuntimeError:  # exactly singular factor
-        pi = None
-    if pi is not None and pi.min() > 0.0:
-        pi /= pi.sum()
-        outflow = pi * d
-        residual = float(np.max(np.abs(pi @ O - outflow) / outflow))
-        if residual <= BALANCE_TOLERANCE:
-            logger.debug(
-                "class of %d states by sparse LU: residual %.3g (sweep declined at step %d)",
-                n,
-                residual,
-                steps,
-            )
-            return pi
-    logger.warning(
-        "sparse stationary solve rejected for a class of %d states "
-        "(componentwise balance residual %.3g > %.0e); using GTH elimination",
-        n,
-        residual,
-        BALANCE_TOLERANCE,
+    if pi is None:
+        pi = _balance_solve(O, d, f"class of {n} states (sweep declined at step {steps})")
+        return pi / pi.sum()
+    logger.debug(
+        "class of %d states by the jump-chain sweep: %d steps, residual %.3g", n, steps, residual
     )
-    block = np.zeros((n, n))
-    block[rows, cols] = vals
-    return _gth(block)
+    return pi
+
+
+def _balance_solve(O: sp.csr_matrix, d, label: str) -> np.ndarray:
+    """The solution ``x`` of the balance equations ``x (D - O) = 0`` with
+    ``x_0 = 1``: the expected visits of the walk restarted at state 0.  ``O``
+    is canonical CSR with no diagonal, and ``d`` its row sums as the caller
+    summed them, so no entry comes from a subtraction.
+
+    Sparse LU is accurate in norm only, so its ``x`` is kept if nonnegative
+    with every balance equation, state 0's too, holding to
+    ``BALANCE_TOLERANCE`` componentwise (or with both sides 0).  Else sparse
+    GTH elimination (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985)
+    censors, round by round, the flows through the states ``I`` other than 0
+    whose key (degree in ``O + O^T``, then a seeded random rank) is below
+    every neighbour's, an independent set (Luby, SIAM J. Comput. 15, 1986):
+    ``O_KK += O_KI diag(1/d_I) O_IK`` off the diagonal, ``x_I = x_K O_KI /
+    d_I``.  No step subtracts, so every entry is accurate relative to itself
+    (O'Cinneide, Numer. Math. 65, 1993).  A ``DEBUG`` record names ``label``,
+    the method kept and the LU residual.
+    """
+    m, rows, cols, vals = d.size, _edge_rows(O), O.indices, O.data
+    # (D - O)[1:, 1:], assembled from the arrays in canonical form
+    inner, diagonal = (rows > 0) & (cols > 0), np.arange(1, m)
+    i, j = np.r_[rows[inner], diagonal] - 1, np.r_[cols[inner], diagonal] - 1
+    A = sp.csr_matrix((np.r_[-vals[inner], d[1:]], (i, j)), shape=(m - 1, m - 1))
+    try:
+        x = np.r_[1.0, _symmetric_lu(A.T).solve(O[0, 1:].toarray().ravel())]
+    except RuntimeError:  # exactly singular factor
+        x = np.full(m, np.nan)
+    residual = np.inf
+    if x.min() >= 0.0:
+        outflow = x * d
+        gap = np.abs(np.bincount(cols, weights=x[rows] * vals, minlength=m) - outflow)
+        with np.errstate(divide="ignore"):
+            residual = np.max(np.divide(gap, outflow, out=np.zeros_like(gap), where=gap > 0.0))
+    if residual <= BALANCE_TOLERANCE:
+        logger.debug("%s by sparse LU: residual %.3g", label, residual)
+        return x
+    logger.debug("%s by GTH elimination: sparse LU residual %.3g rejected", label, residual)
+    rng, rounds = np.random.default_rng(0), []
+    while O.shape[0] > 1:
+        m = O.shape[0]
+        link = (O + O.T).tocoo()
+        key = np.bincount(link.row, minlength=m) * m + rng.permutation(m)
+        key[0] = m * m  # state 0 blocks no neighbour and stays
+        kept = np.arange(m) == 0
+        kept[link.row[key[link.col] < key[link.row]]] = True
+        K, I = np.flatnonzero(kept), np.flatnonzero(~kept)
+        # I is independent, so a row of I flows into K alone
+        into, out_of = O[K][:, I], O[I][:, K]
+        d = np.asarray(out_of.sum(axis=1)).ravel()
+        rounds.append((K, I, into, d))
+        O = O[K][:, K] + into @ (sp.diags(1.0 / d) @ out_of)
+        O = sp.triu(O, 1, "csr") + sp.tril(O, -1, "csr")  # drop the loops through I
+    x = np.ones(1)
+    for K, I, into, d in reversed(rounds):
+        full = np.empty(K.size + I.size)
+        full[K], full[I] = x, (x @ into) / d
+        x = full
+    return x
 
 
 #: Componentwise balance residual at which the jump-chain sweep stops: the
@@ -129,7 +132,7 @@ def _class_stationary(n: int, rows, cols, vals) -> np.ndarray:
 #: converged as far as double precision allows.
 _SWEEP_FLOOR = 1e-14
 #: Most steps the sweep may take on a class; a class whose observed
-#: contraction projects more goes to sparse LU instead.
+#: contraction projects more goes to :func:`_balance_solve` instead.
 _SWEEP_BUDGET = 400
 #: Steps between two residual checks of the sweep.
 _SWEEP_CHECK = 10
@@ -283,25 +286,19 @@ def stationary_mixture(
 ) -> ProbabilityVector:
     """The limit of ``x0^T P^k`` computed in closed form.
 
-    Decomposes the chain into closed classes and transient states, solves
-    each class stationary vector from its balance equations, and weights the
-    classes by the probability that a walk started from
-    ``initial_distribution`` (uniform by default) is absorbed into them.  A
-    class is solved by a subtraction-free power sweep on its jump chain when
-    that converges fast (expanders), else by a residual-checked sparse LU
-    solve (rings, torsion chains), else by GTH elimination when the LU check
-    fails (see ``BALANCE_TOLERANCE``); :func:`_class_stationary` gives the
-    rules.  The absorption weights come from the expected visits to the
-    transient states, solved like a class's balance equations: each diagonal
-    entry is the sum of its row's other entries, never ``1 - p_tt``.
-    Transient states get exactly zero mass, so the zero set of the result is
-    exactly the set of transient states.
+    Decomposes the chain into closed classes and transient states, and
+    weights each class's stationary vector (see :func:`_class_stationary`)
+    by the probability that a walk started from ``initial_distribution``
+    (uniform by default) is absorbed into it.  That probability comes from
+    the expected visits to the transient states, solved by
+    :func:`_balance_solve` with no ``1 - p_tt`` formed.  Transient states get
+    exactly zero mass.
 
     The result is the Cesàro limit of the iterates, which equals their plain
-    limit whenever that exists; it is exact for any spectral gap and for
-    periodic chains.  It is the only stationary solve of the end-to-end
-    pipeline: :func:`~revmarkov.pipeline.nearest_sparse_reversible` computes
-    it with the uniform start, and a caller who wants another start passes
+    limit whenever that exists, for any spectral gap and periodic chains.  It
+    is the only stationary solve of the end-to-end pipeline:
+    :func:`~revmarkov.pipeline.nearest_sparse_reversible` computes it with the
+    uniform start, and a caller who wants another start passes
     ``PipelineOptions(pi=stationary_mixture(P, x0))``.
     """
     if initial_distribution is None:
@@ -318,18 +315,21 @@ def _mixture(P, x0, closed, transient, blocks) -> ProbabilityVector:
     """:func:`stationary_mixture` from the start ``x0`` given the closed
     components of ``P``, the gathered entries of each, and the transient
     states."""
-    # a class's weight is the start mass on it plus the mass that the
-    # transient states pass into it
+    # a class's weight is its start mass plus the transient states' flow into
+    # it; a state 0 sends them x0_T (as states 1..m) and takes back their outflow
     mass = x0
     if transient.size:
-        # expected visits x0_T (D - O)^{-1}, set up and factored like a class's
-        # balance equations: O is P_TT off the diagonal and D holds each
-        # transient row's off-diagonal sum, so 1 - p_tt is never formed
-        rows = P.csr[transient]
-        rows.data[rows.indices == transient[_edge_rows(rows)]] = 0.0
-        d = np.asarray(rows.sum(axis=1)).ravel()
-        lu = _symmetric_lu((sp.diags(d) - rows[:, transient]).T.tocsc())
-        mass = x0 + lu.solve(x0[transient]) @ rows
+        csr, m = P.csr, transient.size
+        edges, owner = _row_edges(csr, transient)
+        local = np.zeros(P.n, dtype=np.intp)
+        local[transient] = np.arange(1, m + 1)
+        cols, vals = local[csr.indices[edges]], csr.data[edges]
+        off = cols != owner + 1
+        rows, cols = np.r_[np.zeros(m, np.intp), owner[off] + 1], np.r_[1 : m + 1, cols[off]]
+        O = sp.csr_matrix((np.r_[x0[transient], vals[off]], (rows, cols)), shape=(m + 1, m + 1))
+        d = np.asarray(O.sum(axis=1)).ravel()
+        visits = _balance_solve(O, d, f"transient visits of {m} states")[1:]
+        mass = x0 + np.bincount(csr.indices[edges], weights=visits[owner] * vals, minlength=P.n)
 
     pi = np.zeros(P.n)
     for members, block in zip(closed, blocks):

@@ -206,7 +206,8 @@ class TestSparseStationarySolve:
             pi = stationary_mixture(P)
         [record] = caplog.records
         assert record.levelno == logging.DEBUG
-        assert "1000 states by sparse LU" in record.getMessage()
+        assert record.getMessage().startswith("class of 1000 states (sweep declined at step")
+        assert "by sparse LU: residual" in record.getMessage()
         assert max_relative_deviation(pi.values, gth_stationary(P)) <= 1e-10
 
     def test_expander_is_solved_by_the_sweep(self, caplog):
@@ -224,7 +225,8 @@ class TestSparseStationarySolve:
         with caplog.at_level(logging.DEBUG, logger="revmarkov.chain_analysis"):
             pi = stationary_mixture(P)
         [record] = caplog.records
-        assert "50 states by sparse LU" in record.getMessage()
+        assert record.getMessage().startswith("class of 50 states")
+        assert "by sparse LU" in record.getMessage()
         assert np.allclose(pi.values, 1.0 / 50, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("case", range(3))
@@ -248,18 +250,22 @@ class TestSparseStationarySolve:
 
     def test_metastable_ring_falls_back_to_gth(self, caplog):
         # min pi is about 3e-12: plain sparse LU is off by ~1e-6 relative
-        # there, so the componentwise residual guard must reject it
+        # there, so the componentwise residual guard must reject it, and
+        # sparse GTH elimination solves the class without a warning
         P = ring_chain(np.random.default_rng(1).random(3000) + 0.1)
-        with caplog.at_level(logging.WARNING, logger="revmarkov.chain_analysis"):
+        with caplog.at_level(logging.DEBUG, logger="revmarkov.chain_analysis"):
             pi = stationary_mixture(P)
         reference = gth_stationary(P)
         assert reference.min() < 1e-11
         assert max_relative_deviation(pi.values, reference) <= 1e-12
         [record] = caplog.records
-        assert record.levelno == logging.WARNING
+        assert record.levelno == logging.DEBUG
         assert record.name == "revmarkov.chain_analysis"
-        assert "1000 states" in record.getMessage()
-        assert "residual" in record.getMessage()
+        message = record.getMessage()
+        assert message.startswith("class of 1000 states (sweep declined at step")
+        assert "by GTH elimination: sparse LU residual" in message
+        rejected = float(message.split("sparse LU residual ")[1].split()[0])
+        assert rejected > 1e-12
 
     @pytest.mark.parametrize(
         "make_chain",
@@ -295,21 +301,24 @@ class TestSparseStationarySolve:
         [
             ([[1.0, 0.0], [1e-17, 1.0]], [1.0, 0.0]),
             ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [3e-17, 1e-17, 1.0]], [7 / 12, 5 / 12, 0.0]),
+            ([[1.0, 0.0, 0.0], [1e-17, 0.0, 1.0], [1e-17, 1.0, 0.0]], [1.0, 0.0, 0.0]),
         ],
-        ids=["one_class", "two_classes"],
+        ids=["one_class", "two_classes", "transient_cycle"],
     )
     def test_transient_self_loop_that_rounds_to_one(self, dense, expected):
-        # the transient row sums to 1 with p_tt == 1.0: 1 - p_tt is zero while
-        # the leaks are not, so the visits must come from the leaks' sum
+        # each transient row keeps exactly 1.0 among the transient states:
+        # 1 - p_TT rounds to zero while the leaks do not, so the visits must
+        # come from the leaks' sum (the cycle's LU factor is exactly singular)
         P = SparseStochasticMatrix.from_dense(dense)
-        assert P.toarray()[-1, -1] == 1.0
+        transient = np.flatnonzero(np.array(expected) == 0.0)
+        assert np.all(P.toarray()[np.ix_(transient, transient)].sum(axis=1) == 1.0)
         pi = stationary_mixture(P)
         assert np.allclose(pi.values, expected, rtol=1e-15, atol=0.0)
-        assert pi.values[-1] == 0.0
+        assert np.all(pi.values[transient] == 0.0)
         R, diag = nearest_sparse_reversible(P)
         assert max(diag.residuals) <= 1e-10
-        assert diag.transient.tolist() == [P.n - 1]
-        assert np.array_equal(R.toarray()[-1], P.toarray()[-1])
+        assert diag.transient.tolist() == transient.tolist()
+        assert np.array_equal(R.toarray()[transient], P.toarray()[transient])
 
 
 class TestStronglyConnectedComponents:

@@ -443,7 +443,10 @@ PEAK_BYTES_PER_ENTRY = 512
     ids=["benign-ring-1e5", "expander-5930"],
 )
 def test_scale_ladder(make):
-    P = make()
+    assert_rung(make())
+
+
+def assert_rung(P):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -454,6 +457,18 @@ def test_scale_ladder(make):
     assert max(diag.residuals) <= 1e-10
     assert diag.distance <= diag.mh_distance
     assert peak < PEAK_BYTES_PER_ENTRY * P.nnz, f"{peak / P.nnz:.0f} B per entry of P"
+
+
+def test_metastable_ring_rung():
+    # 1e5 states with pi spanning down to 4.9e-143: sparse LU is rejected,
+    # and sparse GTH elimination must give every entry to relative accuracy
+    P = ring_chain(np.random.default_rng(0).random(300_000) + 0.1)
+    pi = stationary_mixture(P).values
+    assert P.n == 100_000 and pi.min() > 0.0
+    off_diagonal = P.csr - sp.diags(P.csr.diagonal())
+    outflow = pi * np.asarray(off_diagonal.sum(axis=1)).ravel()
+    assert np.max(np.abs(pi @ off_diagonal - outflow) / outflow) <= 1e-13
+    assert_rung(P)
 
 
 def test_wide_span_chains_match_oracle():

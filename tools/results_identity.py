@@ -11,7 +11,10 @@ holds:
 * the totals of Newton steps and conjugate-gradient iterations over the bank;
 * over ``wide_span_chain`` seeds 0-999 (``tests/chains.py``): the failed
   calls, the Newton systems handed to the sparse factor, the Newton steps
-  and the CG iterations.
+  and the CG iterations;
+* the stationary solves of each bank workload and of the seeds, counted by
+  the method kept (``sweep``, ``lu`` or ``elimination``), as the ``DEBUG``
+  records of ``revmarkov.chain_analysis`` name it.
 
 Two commits whose outputs are equal compute the same bits on every bank
 case.  The digests depend on the BLAS and the machine, so compare two
@@ -22,7 +25,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import sys
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +41,12 @@ from revmarkov import RevMarkovError, nearest_sparse_reversible  # noqa: E402
 from workloads import WORKLOADS, operate  # noqa: E402
 
 WIDE_SPAN_SEEDS = range(1000)
+#: The phrase of each stationary method in the ``DEBUG`` record of a solve.
+METHODS = {
+    "by the jump-chain sweep": "sweep",
+    "by sparse LU": "lu",
+    "by GTH elimination": "elimination",
+}
 
 
 def digest(R) -> str:
@@ -47,37 +59,67 @@ def digest(R) -> str:
     return h.hexdigest()
 
 
+class _SolveCounter(logging.Handler):
+    """Counts the stationary solves in the records it sees, by method."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.counts = Counter()
+
+    def emit(self, record):
+        message = record.getMessage()
+        self.counts.update(method for phrase, method in METHODS.items() if phrase in message)
+
+
+@contextmanager
+def counting_solves():
+    """Yield a ``Counter`` of the stationary solves made inside the block."""
+    logger = logging.getLogger("revmarkov.chain_analysis")
+    counter, level = _SolveCounter(), logger.level
+    logger.addHandler(counter)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield counter.counts
+    finally:
+        logger.removeHandler(counter)
+        logger.setLevel(level)
+
+
 def bank_identity() -> dict:
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
-    cases, newton, cg = {}, 0, 0
+    cases, solves, newton, cg = {}, {}, 0, 0
     for name, bank in reference["workloads"].items():
         workload = WORKLOADS[name]
         cases[name] = []
-        for case in bank["cases"]:
-            _, R, diag = operate(workload, workload.make_input(case["key"]))
-            cases[name].append([case["key"], digest(R), diag.distance.hex()])
-            newton += sum(c.iterations for c in diag.per_class)
-            cg += sum(c.cg_iterations for c in diag.per_class)
-    return {"cases": cases, "newton_steps": newton, "cg_iterations": cg}
+        with counting_solves() as counts:
+            for case in bank["cases"]:
+                _, R, diag = operate(workload, workload.make_input(case["key"]))
+                cases[name].append([case["key"], digest(R), diag.distance.hex()])
+                newton += sum(c.iterations for c in diag.per_class)
+                cg += sum(c.cg_iterations for c in diag.per_class)
+        solves[name] = dict(sorted(counts.items()))
+    return {"cases": cases, "solves": solves, "newton_steps": newton, "cg_iterations": cg}
 
 
 def wide_span_identity() -> dict:
     failures = factor_steps = newton = cg = 0
-    for seed in WIDE_SPAN_SEEDS:
-        try:
-            _, diag = nearest_sparse_reversible(wide_span_chain(seed))
-        except RevMarkovError:
-            failures += 1
-            continue
-        factor_steps += sum(c.factor_steps for c in diag.per_class)
-        newton += sum(c.iterations for c in diag.per_class)
-        cg += sum(c.cg_iterations for c in diag.per_class)
+    with counting_solves() as counts:
+        for seed in WIDE_SPAN_SEEDS:
+            try:
+                _, diag = nearest_sparse_reversible(wide_span_chain(seed))
+            except RevMarkovError:
+                failures += 1
+                continue
+            factor_steps += sum(c.factor_steps for c in diag.per_class)
+            newton += sum(c.iterations for c in diag.per_class)
+            cg += sum(c.cg_iterations for c in diag.per_class)
     return {
         "seeds": [WIDE_SPAN_SEEDS.start, WIDE_SPAN_SEEDS.stop - 1],
         "failures": failures,
         "factor_steps": factor_steps,
         "newton_steps": newton,
         "cg_iterations": cg,
+        "solves": dict(sorted(counts.items())),
     }
 
 
