@@ -40,6 +40,10 @@ logger = logging.getLogger(__name__)
 #: a sparse-LU solution that :func:`_balance_solve` keeps.
 BALANCE_TOLERANCE = 1e-12
 
+#: Largest log-sum ``|log(forward / reverse)|`` around a cycle that
+#: :func:`kolmogorov_cycle_check` passes.
+CYCLE_TOLERANCE = 1e-10
+
 
 def _class_stationary(n: int, rows, cols, vals) -> np.ndarray:
     """Stationary vector of one irreducible stochastic block of ``n`` states,
@@ -280,44 +284,34 @@ def _decompose(P, pi, closed):
     return ErgodicDecomposition(classes=classes, transient=np.flatnonzero(~in_class)), is_class
 
 
-def stationary_mixture(
-    P: SparseStochasticMatrix,
-    initial_distribution: ProbabilityVector | None = None,
-) -> ProbabilityVector:
-    """The limit of ``x0^T P^k`` computed in closed form.
+def stationary_mixture(P: SparseStochasticMatrix) -> ProbabilityVector:
+    """The limit of ``x0^T P^k`` from the uniform start ``x0``, computed in
+    closed form.
 
     Decomposes the chain into closed classes and transient states, and
     weights each class's stationary vector (see :func:`_class_stationary`)
-    by the probability that a walk started from ``initial_distribution``
-    (uniform by default) is absorbed into it.  That probability comes from
-    the expected visits to the transient states, solved by
-    :func:`_balance_solve` with no ``1 - p_tt`` formed.  Transient states get
-    exactly zero mass.
+    by the probability that a walk started uniformly is absorbed into it.
+    That probability comes from the expected visits to the transient states,
+    solved by :func:`_balance_solve` with no ``1 - p_tt`` formed.  Transient
+    states get exactly zero mass.
 
     The result is the Cesàro limit of the iterates, which equals their plain
     limit whenever that exists, for any spectral gap and periodic chains.  It
     is the only stationary solve of the end-to-end pipeline:
-    :func:`~revmarkov.pipeline.nearest_sparse_reversible` computes it with the
-    uniform start, and a caller who wants another start passes
-    ``PipelineOptions(pi=stationary_mixture(P, x0))``.
+    :func:`~revmarkov.pipeline.nearest_sparse_reversible` computes it, and a
+    caller who wants any other stationary vector passes it as
+    ``PipelineOptions(pi=...)``.
     """
-    if initial_distribution is None:
-        x0 = np.full(P.n, 1.0 / P.n)
-    elif initial_distribution.n != P.n:
-        raise DimensionMismatch("initial distribution has wrong length")
-    else:
-        x0 = initial_distribution.values
     closed, transient = _closed_components(P)
-    return _mixture(P, x0, closed, transient, [_gather(P.csr, members) for members in closed])
+    return _mixture(P, closed, transient, [_gather(P.csr, members) for members in closed])
 
 
-def _mixture(P, x0, closed, transient, blocks) -> ProbabilityVector:
-    """:func:`stationary_mixture` from the start ``x0`` given the closed
-    components of ``P``, the gathered entries of each, and the transient
-    states."""
+def _mixture(P, closed, transient, blocks) -> ProbabilityVector:
+    """:func:`stationary_mixture` given the closed components of ``P``, the
+    gathered entries of each, and the transient states."""
     # a class's weight is its start mass plus the transient states' flow into
     # it; a state 0 sends them x0_T (as states 1..m) and takes back their outflow
-    mass = x0
+    mass = x0 = np.full(P.n, 1.0 / P.n)
     if transient.size:
         csr, m = P.csr, transient.size
         edges, owner = _row_edges(csr, transient)
@@ -333,9 +327,7 @@ def _mixture(P, x0, closed, transient, blocks) -> ProbabilityVector:
 
     pi = np.zeros(P.n)
     for members, block in zip(closed, blocks):
-        weight = mass[members].sum()
-        if weight > 0.0:
-            pi[members] = weight * _class_stationary(members.size, *block)
+        pi[members] = mass[members].sum() * _class_stationary(members.size, *block)
     return ProbabilityVector(pi / pi.sum())
 
 
@@ -352,9 +344,7 @@ class CycleCheckResult:
     log_sum: float = 0.0
 
 
-def kolmogorov_cycle_check(
-    P: SparseStochasticMatrix, *, relative_tolerance: float = 1e-10
-) -> CycleCheckResult:
+def kolmogorov_cycle_check(P: SparseStochasticMatrix) -> CycleCheckResult:
     """Kolmogorov's criterion: a chain is reversible exactly when every cycle
     of its support has equal forward and reverse transition products (Kelly,
     *Reversibility and Stochastic Networks*, 1979, section 1.5).
@@ -364,7 +354,7 @@ def kolmogorov_cycle_check(
     searches within rows.  A one-way edge ``i -> j`` violates it, closed by
     the shortest path from ``j`` back to ``i``.  Otherwise potentials ``phi``
     are summed along a breadth-first forest, and a chord violates it when
-    ``|phi_i + log P_ij - log P_ji - phi_j| > relative_tolerance``, closed by
+    ``|phi_i + log P_ij - log P_ji - phi_j| > CYCLE_TOLERANCE``, closed by
     its tree path.  The tolerance thus bounds the log-sum around a cycle,
     whose rounding grows with the tree depth times ``max |log P_ij|``.  The
     first violating edge in CSR order is reported with its cycle, from the
@@ -402,7 +392,7 @@ def kolmogorov_cycle_check(
     phi = np.array(phi)
     chord = (pred[cols] != rows) & (pred[rows] != cols)
     mismatch = phi[rows] + g - phi[cols]
-    failing = np.flatnonzero(chord & (np.abs(mismatch) > relative_tolerance))
+    failing = np.flatnonzero(chord & (np.abs(mismatch) > CYCLE_TOLERANCE))
     if not failing.size:
         return CycleCheckResult(passed=True)
     tree = sp.csr_array((np.ones(n), (parent, order)), shape=(n + 1, n + 1))

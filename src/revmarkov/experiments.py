@@ -113,8 +113,8 @@ class LangevinConfig:
     """Overdamped Langevin run on a periodic torsion potential.
 
     The potential is ``U(x) = a + b cos x + c cos^2 x + d cos^3 x`` on
-    ``[0, 2 pi)``; the defaults are the butane torsion coefficients.  ``x0``
-    is the start angle (the deepest well by default); set ``sigma = 0`` for
+    ``[0, 2 pi)``; the defaults are the butane torsion coefficients.  Every
+    trajectory starts at ``x = pi``, the deepest well; set ``sigma = 0`` for
     plain gradient descent.
     """
 
@@ -127,7 +127,6 @@ class LangevinConfig:
     steps: int = 50_000_000
     bins: int = 30
     seed: int = 20250807
-    x0: float = math.pi
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -218,7 +217,7 @@ def langevin_trajectory(cfg: LangevinConfig) -> np.ndarray:
 
     Positions are wrapped into ``[0, 2 pi)`` (the potential is periodic) and
     mapped to ``floor(x * bins / 2 pi)``.  The result has ``steps + 1``
-    entries including the start.
+    entries including the start ``x = pi``.
 
     The steps run in the kernel ``_get_walk_kernel`` picks: numba-compiled
     when numba is importable, a pure-Python loop (about 2.3 million steps/s)
@@ -229,9 +228,9 @@ def langevin_trajectory(cfg: LangevinConfig) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=key))
     dtype = np.int16 if cfg.bins <= np.iinfo(np.int16).max else np.int64
     out = np.empty(cfg.steps + 1, dtype=dtype)
-    x = float(cfg.x0) % TWO_PI
+    x = math.pi
     bin_scale = cfg.bins / TWO_PI
-    out[0] = min(int(x * bin_scale), cfg.bins - 1)
+    out[0] = int(x * bin_scale)
     amp = cfg.sigma * math.sqrt(cfg.dt)
     done = 0
     while done < cfg.steps:

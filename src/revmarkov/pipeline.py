@@ -265,7 +265,7 @@ def nearest_sparse_reversible(
             raise DimensionMismatch("dimensions of P and pi disagree")
         pi = options.pi
     else:
-        pi = _mixture(P, np.full(P.n, 1.0 / P.n), closed, transient, blocks)
+        pi = _mixture(P, closed, transient, blocks)
     stationary_seconds = time.perf_counter() - t_pi
 
     decomposition, is_class = _decompose(P, pi, closed)

@@ -210,8 +210,8 @@ class SparseStochasticMatrix:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_dense(cls, array, stochastic: bool = True) -> "SparseStochasticMatrix":
-        return cls(np.asarray(array, dtype=float), stochastic=stochastic)
+    def from_dense(cls, array) -> "SparseStochasticMatrix":
+        return cls(np.asarray(array, dtype=float))
 
     @classmethod
     def from_coo(cls, n, rows, cols, values, stochastic: bool = True):

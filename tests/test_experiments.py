@@ -69,6 +69,22 @@ class TestTorsionPotential:
         assert torsion_potential(np.pi, self.BUTANE) == pytest.approx(0.0, abs=1e-12)
 
 
+def zero_noise_bins(x, nbins, steps):
+    """The bins of ``steps`` noiseless butane steps from ``x`` (dt = 1e-3),
+    which every Langevin kernel must give bit for bit, as the end position."""
+    import revmarkov.experiments as exp
+
+    _, b, c, d = TestTorsionPotential.BUTANE
+    runs = []
+    for kernel in (exp._walk_chunk, exp._walk_chunk_python, exp._get_walk_kernel()):
+        bins = np.empty(steps, dtype=np.int16)
+        end = kernel(x, np.zeros(steps), b, 2 * c, 3 * d, 1e-3, 0.0, nbins / exp.TWO_PI, nbins, bins, 0)
+        runs.append((bins, end))
+    for bins, end in runs[1:]:
+        assert np.array_equal(bins, runs[0][0]) and end == runs[0][1]
+    return runs[0][0]
+
+
 class TestLangevinTrajectory:
     def test_reproducible(self):
         cfg = LangevinConfig(steps=20_000, seed=5)
@@ -82,15 +98,17 @@ class TestLangevinTrajectory:
     def test_zero_noise_fixes_stationary_point(self):
         # gradient root inside a bin: cos x = (-2c + sqrt(4c^2 - 12 d b)) / (6 d)
         _, b, c, d = TestTorsionPotential.BUTANE
-        root = scipy.optimize.brentq(
+        x_star = scipy.optimize.brentq(
             lambda x: b + 2.0 * c * math.cos(x) + 3.0 * d * math.cos(x) ** 2,
             0.5,
             2.0,
         )
-        x_star = root
-        cfg = LangevinConfig(steps=10_000, sigma=0.0, x0=x_star, seed=1)
-        bins = langevin_trajectory(cfg)
-        assert np.all(bins == bins[0])
+        bins = zero_noise_bins(x_star, 30, 10_000)
+        assert np.all(bins == int(x_star * 30 / (2.0 * np.pi)))
+
+    def test_kernels_clamp_the_last_bin(self):
+        # x * bins / 2 pi rounds to 7.0, so every bin must clamp to 6
+        assert np.all(zero_noise_bins(float(np.nextafter(2.0 * np.pi, 0.0)), 7, 5_000) == 6)
 
     def test_length_and_range(self):
         cfg = LangevinConfig(steps=5_000, bins=12, seed=2)
@@ -104,12 +122,8 @@ class TestLangevinTrajectory:
             LangevinConfig(steps=1, seed=12),
             # not a multiple of the sub-chunk, and crosses a noise block
             LangevinConfig(steps=(1 << 20) + 4_097, seed=12),
-            # x * bins / 2 pi rounds to 7.0, so every bin must clamp to 6
-            LangevinConfig(
-                steps=5_000, bins=7, sigma=0.0, x0=float(np.nextafter(2.0 * np.pi, 0.0))
-            ),
         ],
-        ids=["one-step", "block-crossing", "clamp"],
+        ids=["one-step", "block-crossing"],
     )
     def test_kernels_match_reference_loop(self, monkeypatch, cfg):
         # the pure-Python fallback and, when numba is importable, the jitted
@@ -133,8 +147,6 @@ class TestLangevinTrajectory:
             bins, ends = run(kernel)
             assert np.array_equal(bins, reference), kernel
             assert ends == reference_ends, kernel
-        if cfg.sigma == 0.0:
-            assert np.all(reference == cfg.bins - 1)
 
     def test_occupancy_tracks_gibbs_weights(self, butane):
         # desk-scale run vs quadrature of exp(-2 U / sigma^2) per bin

@@ -237,3 +237,81 @@ def test_shared_member_names_are_judged_by_hand():
     assert shared == JUDGED_BY_HAND, (
         f"new: {sorted(shared - JUDGED_BY_HAND)}, gone: {sorted(JUDGED_BY_HAND - shared)}"
     )
+
+
+def settings():
+    """``(owner, callee, name, place, field)`` for every defaulted parameter
+    of an exported function or method and every defaulted field of an
+    exported dataclass.  ``callee`` is the name a call uses (the class for a
+    constructor), ``place`` the parameter's index among a call's positional
+    arguments (``None`` when keyword-only), and ``field`` is set for a
+    dataclass field."""
+    for module_name in MODULES:
+        module = importlib.import_module(f"revmarkov.{module_name}")
+        for public in module.__all__:
+            obj = getattr(module, public)
+            field = dataclasses.is_dataclass(obj)
+            if inspect.isfunction(obj) or field:
+                routines = [(public, public, obj, 0)]
+            elif inspect.isclass(obj):
+                # a method's receiver fills its first parameter
+                routines = [
+                    (
+                        f"{public}.{name}",
+                        public if name == "__init__" else name,
+                        getattr(value, "__func__", value),
+                        0 if isinstance(value, staticmethod) else 1,
+                    )
+                    for name, value in vars(obj).items()
+                    if inspect.isfunction(value) or isinstance(value, (classmethod, staticmethod))
+                    if name == "__init__" or not name.startswith("_")
+                ]
+            else:
+                continue
+            for owner, callee, routine, skip in routines:
+                parameters = list(inspect.signature(routine).parameters.values())[skip:]
+                for place, p in enumerate(parameters):
+                    if p.default is not inspect.Parameter.empty:
+                        positional = p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+                        yield owner, callee, p.name, place if positional else None, field
+
+
+def program_calls(path):
+    """The keywords passed to each callee name in a Python file, the most
+    positional arguments one call to it passes, and the file's string
+    constants."""
+    keywords, positional, strings = {}, {}, set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            strings.add(node.value)
+        elif isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords.setdefault(callee, set()).update(k.arg for k in node.keywords)
+            if not any(isinstance(a, ast.Starred) for a in node.args):
+                positional[callee] = max(positional.get(callee, 0), len(node.args))
+    return keywords, positional, strings
+
+
+def test_every_setting_has_a_program_caller():
+    # a defaulted parameter or field that no program path sets is a knob
+    # only the tests turn.  It is set when a call in the program files above
+    # passes it by keyword or by position, or, for a dataclass field, when
+    # its name is a string there (``cli._add_field`` sets fields so)
+    keywords, positional, strings = {}, {}, set()
+    for path in PROGRAM_FILES:
+        found_keywords, found_positional, found_strings = program_calls(path)
+        for callee, names in found_keywords.items():
+            keywords.setdefault(callee, set()).update(names)
+        for callee, count in found_positional.items():
+            positional[callee] = max(positional.get(callee, 0), count)
+        strings |= found_strings
+    found = list(settings())
+    unset = [
+        f"{owner}({name}=...)"
+        for owner, callee, name, place, field in found
+        if name not in keywords.get(callee, ())
+        and not (place is not None and positional.get(callee, 0) > place)
+        and not (field and name in strings)
+    ]
+    assert len(found) > 20, "the settings were not collected"
+    assert not unset, f"settings set by no program call: {', '.join(unset)}"

@@ -356,7 +356,7 @@ def composed(P, options):
 def equivalence_cases():
     """Reducible chains with transient states, each with a pattern that
     covers its support and one that does not, and a second stationary
-    vector (the mixture from a skewed start)."""
+    vector (the classes of the mixture reweighted at random)."""
     chains = [two_blocks_with_transients(seed=s) for s in range(3)]
     chains += [TestRandomReducibleChains.random_reducible(s)[0] for s in range(6)]
     for k, P in enumerate(chains):
@@ -365,16 +365,19 @@ def equivalence_cases():
         extra = np.triu(rng.random((n, n)) < 0.3, k=1)
         extra = (extra | extra.T | np.eye(n, dtype=bool)).astype(float)
         covering = SparsityPattern(symmetrized_pattern(P).csr + sp.csr_matrix(extra))
-        start = rng.random(n) ** 4
-        yield k, P, covering, SparsityPattern(extra), ProbabilityVector(start / start.sum())
+        mixture = stationary_mixture(P)
+        pi = mixture.values.copy()
+        for members in ergodic_decomposition(P, mixture).classes:
+            pi[members] *= rng.random() ** 4 / pi[members].sum()
+        yield k, P, covering, SparsityPattern(extra), ProbabilityVector(pi / pi.sum())
 
 
 @pytest.mark.parametrize("recurse", [True, False])
 @pytest.mark.parametrize("override", [None, "pi", "covering", "partial"])
 def test_pipeline_matches_public_composition(recurse, override):
-    for k, P, covering, partial, start in equivalence_cases():
+    for k, P, covering, partial, reweighted in equivalence_cases():
         options = PipelineOptions(
-            pi=stationary_mixture(P, start) if override == "pi" else None,
+            pi=reweighted if override == "pi" else None,
             pattern={"covering": covering, "partial": partial}.get(override),
             recurse_ergodic=recurse,
         )
