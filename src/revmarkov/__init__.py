@@ -30,6 +30,7 @@ from .exceptions import (
     NonPositivePi,
     PatternNotSymmetric,
     RevMarkovError,
+    StationaryUnderflow,
     ZeroRow,
 )
 from .experiments import (

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .exceptions import DimensionMismatch, InconsistentSupport
+from .exceptions import DimensionMismatch, InconsistentSupport, StationaryUnderflow
 from .sparse_core import (
     ProbabilityVector,
     SparseStochasticMatrix,
@@ -301,6 +301,11 @@ def stationary_mixture(P: SparseStochasticMatrix) -> ProbabilityVector:
     :func:`~revmarkov.pipeline.nearest_sparse_reversible` computes it, and a
     caller who wants any other stationary vector passes it as
     ``PipelineOptions(pi=...)``.
+
+    Raises
+    ------
+    StationaryUnderflow
+        When the mass of a class state underflows to zero.
     """
     closed, transient = _closed_components(P)
     return _mixture(P, closed, transient, [_gather(P.csr, members) for members in closed])
@@ -328,7 +333,12 @@ def _mixture(P, closed, transient, blocks) -> ProbabilityVector:
     pi = np.zeros(P.n)
     for members, block in zip(closed, blocks):
         pi[members] = mass[members].sum() * _class_stationary(members.size, *block)
-    return ProbabilityVector(pi / pi.sum())
+    pi /= pi.sum()
+    states = np.concatenate(closed)
+    lost = states[pi[states] == 0.0]
+    if lost.size:
+        raise StationaryUnderflow(int(lost.min()))
+    return ProbabilityVector(pi)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,19 @@ class NonPositivePi(RevMarkovError):
         super().__init__(f"pi[{state}] must be strictly positive")
 
 
+class StationaryUnderflow(NonPositivePi):
+    """A computed stationary vector underflowed to zero on a class state:
+    the class's masses span more than double precision holds."""
+
+    def __init__(self, state: int):
+        self.state = state
+        RevMarkovError.__init__(
+            self,
+            f"stationary mass of class state {state} underflowed to 0: "
+            "the class's masses span more than double precision holds",
+        )
+
+
 class PatternNotSymmetric(RevMarkovError):
     """A sparsity pattern that must be symmetric is not."""
 

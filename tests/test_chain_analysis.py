@@ -11,6 +11,7 @@ from revmarkov import (
     AcceptanceRule,
     BenchmarkConfig,
     InconsistentSupport,
+    NonPositivePi,
     PipelineOptions,
     ProbabilityVector,
     SparseStochasticMatrix,
@@ -23,6 +24,7 @@ from revmarkov import (
     reversibilize,
     row_normalize,
     stationarity_residual,
+    StationaryUnderflow,
     stationary_mixture,
     strongly_connected_components,
 )
@@ -181,6 +183,23 @@ def max_relative_deviation(values, reference):
 
 class TestSparseStationarySolve:
     """``stationary_mixture`` against the dense GTH oracle, entry by entry."""
+
+    def test_underflow_is_named(self):
+        # pi falls by 1e-12 a state, so it underflows to 0 from state 27 on
+        # (the smallest positive mass is 3e-312)
+        W = 0.5 * np.eye(40)
+        W[np.arange(39), np.arange(1, 40)] = 1e-12
+        W[np.arange(1, 40), np.arange(39)] = 1.0
+        P = row_normalize(W)
+        for call in (stationary_mixture, nearest_sparse_reversible):
+            with pytest.raises(StationaryUnderflow, match="state 27 underflowed") as err:
+                call(P)
+            assert isinstance(err.value, NonPositivePi) and err.value.state == 27
+        # a supplied vector with the same zeros is judged as before
+        values = np.zeros(40)
+        values[:27] = 0.5 ** np.arange(1, 28)
+        with pytest.raises(InconsistentSupport):
+            nearest_sparse_reversible(P, PipelineOptions(pi=ProbabilityVector(values / values.sum())))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_chains_match_gth(self, chain_factory, seed):
