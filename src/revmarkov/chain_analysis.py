@@ -40,8 +40,7 @@ logger = logging.getLogger(__name__)
 #: a sparse-LU solution that :func:`_balance_solve` keeps.
 BALANCE_TOLERANCE = 1e-12
 
-#: Largest log-sum ``|log(forward / reverse)|`` around a cycle that
-#: :func:`kolmogorov_cycle_check` passes.
+#: Largest cycle log-sum that :func:`kolmogorov_cycle_check` passes.
 CYCLE_TOLERANCE = 1e-10
 
 
@@ -285,27 +284,20 @@ def _decompose(P, pi, closed):
 
 
 def stationary_mixture(P: SparseStochasticMatrix) -> ProbabilityVector:
-    """The limit of ``x0^T P^k`` from the uniform start ``x0``, computed in
-    closed form.
+    """The limit of ``x0^T P^k`` from the uniform start ``x0``, in closed form.
 
     Decomposes the chain into closed classes and transient states, and
     weights each class's stationary vector (see :func:`_class_stationary`)
     by the probability that a walk started uniformly is absorbed into it.
     That probability comes from the expected visits to the transient states,
     solved by :func:`_balance_solve` with no ``1 - p_tt`` formed.  Transient
-    states get exactly zero mass.
+    states get exactly zero mass; a class state whose mass underflows to zero
+    raises :class:`~revmarkov.StationaryUnderflow`.
 
     The result is the Cesàro limit of the iterates, which equals their plain
     limit whenever that exists, for any spectral gap and periodic chains.  It
-    is the only stationary solve of the end-to-end pipeline:
-    :func:`~revmarkov.pipeline.nearest_sparse_reversible` computes it, and a
-    caller who wants any other stationary vector passes it as
-    ``PipelineOptions(pi=...)``.
-
-    Raises
-    ------
-    StationaryUnderflow
-        When the mass of a class state underflows to zero.
+    is the pipeline's only stationary solve; any other stationary vector goes
+    in as ``PipelineOptions(pi=...)``.
     """
     closed, transient = _closed_components(P)
     return _mixture(P, closed, transient, [_gather(P.csr, members) for members in closed])
@@ -333,12 +325,9 @@ def _mixture(P, closed, transient, blocks) -> ProbabilityVector:
     pi = np.zeros(P.n)
     for members, block in zip(closed, blocks):
         pi[members] = mass[members].sum() * _class_stationary(members.size, *block)
-    pi /= pi.sum()
-    states = np.concatenate(closed)
-    lost = states[pi[states] == 0.0]
-    if lost.size:
-        raise StationaryUnderflow(int(lost.min()))
-    return ProbabilityVector(pi)
+    if np.count_nonzero(pi) + transient.size < P.n:
+        raise StationaryUnderflow(int(np.setdiff1d(np.flatnonzero(pi == 0.0), transient)[0]))
+    return ProbabilityVector(pi / pi.sum())
 
 
 @dataclass(frozen=True)

@@ -36,22 +36,17 @@ class InconsistentSupport(RevMarkovError):
 class NonPositivePi(RevMarkovError):
     """A state with outgoing transitions has zero (or negative) stationary mass."""
 
+    problem = "must be strictly positive"
+
     def __init__(self, state: int):
         self.state = state
-        super().__init__(f"pi[{state}] must be strictly positive")
+        super().__init__(f"pi[{state}] {self.problem}")
 
 
 class StationaryUnderflow(NonPositivePi):
-    """A computed stationary vector underflowed to zero on a class state:
-    the class's masses span more than double precision holds."""
+    """A computed stationary mass of a class state underflowed to zero."""
 
-    def __init__(self, state: int):
-        self.state = state
-        RevMarkovError.__init__(
-            self,
-            f"stationary mass of class state {state} underflowed to 0: "
-            "the class's masses span more than double precision holds",
-        )
+    problem = "underflowed to 0: the class's masses span more than double precision holds"
 
 
 class PatternNotSymmetric(RevMarkovError):

@@ -57,9 +57,9 @@ class BenchmarkConfig:
     seed: int = 20250807
 
     def __post_init__(self):
-        if self.n_min > self.n_max:
+        if not self.n_min <= self.n_max:
             raise ValueError("n_min must not exceed n_max")
-        if self.alpha < 1.0:
+        if not self.alpha >= 1.0:
             raise ValueError("alpha must be at least 1")
 
 
@@ -129,11 +129,13 @@ class LangevinConfig:
     seed: int = 20250807
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d, self.dt, self.sigma))):
+            raise ValueError("a, b, c, d, dt and sigma must be finite")
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if self.bins < 2:
+        if not self.bins >= 2:
             raise ValueError("bins must be at least 2")
-        if self.steps < 1:
+        if not self.steps >= 1:
             raise ValueError("steps must be at least 1")
 
     @property

@@ -247,6 +247,8 @@ def nearest_sparse_reversible(
     InconsistentSupport
         When the supplied (or computed) ``pi`` is not consistent with the
         transition structure.
+    StationaryUnderflow
+        When the computed ``pi`` underflows to zero on a class state.
     """
     options = options or PipelineOptions()
     t_start = time.perf_counter()
@@ -275,11 +277,10 @@ def nearest_sparse_reversible(
         classes = [np.sort(np.concatenate(classes))]
         blocks = [_gather(csr, classes[0])]
 
-    solver_opts = options.solver or SolverOptions()
     solved, failures = [], []
     for members, block in zip(classes, blocks):
         try:
-            solved.append(_solve_pair_table(pi, members, block, options.pattern, solver_opts))
+            solved.append(_solve_pair_table(pi, members, block, options.pattern, options.solver))
         except Exception as exc:  # aggregated below
             failures.append((members, exc))
     if failures:

@@ -67,9 +67,9 @@ class SolverOptions:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if self.kkt_tolerance <= 0.0:
+        if not self.kkt_tolerance > 0.0:
             raise ValueError("kkt_tolerance must be positive")
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be at least 1")
 
 

@@ -116,7 +116,7 @@ def _adjust(i, j, p_up, p_down, pi_vals, rule=AcceptanceRule.METROPOLIS_HASTINGS
     )
     n = pi_vals.size
     diag = 1.0 - np.bincount(i, weights=t_up, minlength=n) - np.bincount(j, weights=t_down, minlength=n)
-    undershoot = diag.min() if n else 0.0
+    undershoot = diag.min()
     if undershoot < -DIAGONAL_CLAMP_TOL:
         raise ValueError(
             f"off-diagonal mass exceeds 1 by {-undershoot:.3e}; proposal is invalid"

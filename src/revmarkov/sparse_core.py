@@ -174,7 +174,7 @@ class SparseStochasticMatrix:
     Parameters
     ----------
     matrix : array_like or scipy sparse
-        Square matrix with nonnegative entries.
+        Square matrix of at least one state, with nonnegative entries.
     stochastic : bool, optional
         When True (default) every row sum must equal 1 within ``1e-12``.
         Pass False for matrices that are merely nonnegative (count matrices,
@@ -191,13 +191,13 @@ class SparseStochasticMatrix:
 
     def __init__(self, matrix, stochastic: bool = True):
         csr = _canonical_csr(matrix)
-        if csr.shape[0] != csr.shape[1]:
-            raise DimensionMismatch(f"matrix must be square, got {csr.shape}")
+        if csr.shape[0] != csr.shape[1] or csr.shape[0] == 0:
+            raise DimensionMismatch(f"matrix must be square and nonempty, got {csr.shape}")
         if csr.nnz and csr.data.min() < 0.0:
             raise ValueError("matrix entries must be nonnegative")
         if not np.all(np.isfinite(csr.data)):
             raise ValueError("matrix entries must be finite")
-        if stochastic and (csr.shape[0] > 0):
+        if stochastic:
             err = stochasticity_residual(csr)
             if err > STOCHASTIC_TOL:
                 raise ValueError(
