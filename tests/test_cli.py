@@ -10,6 +10,7 @@ from revmarkov import (
     RevMarkovError,
     SolverOptions,
     cli,
+    gen_random_chain,
     kolmogorov_cycle_check,
     stationary_mixture,
 )
@@ -185,3 +186,41 @@ def test_pattern_of_wrong_size_exits_1(chain_files, capsys, size):
     scipy.io.mmwrite(pattern_file, np.ones((size, size)))
     assert main(["nearest", str(matrix), "--pattern", str(pattern_file)]) == 1
     assert "dimensions of P and pattern disagree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["langevin", "--steps", "1000", "--dt", "nan"], "must be finite"),
+        (["langevin", "--steps", "1000", "--sigma", "nan"], "must be finite"),
+        (["langevin", "--steps", "1000", "--a", "nan"], "must be finite"),
+        (["langevin", "--steps", "1000", "--b", "inf"], "must be finite"),
+        (["langevin", "--steps", "1000", "--c=-inf"], "must be finite"),
+        (["langevin", "--steps", "1000", "--d", "nan"], "must be finite"),
+        (["bench", "--n", "1", "--alpha", "nan"], "alpha must be at least 1"),
+        (["nearest", "{matrix}", "--tol", "nan"], "kkt_tolerance must be positive"),
+    ],
+)
+def test_non_finite_settings_exit_1(chain_files, capsys, argv, message):
+    # every setting check is written so that NaN fails it
+    matrix = str(chain_files[1])
+    assert main([arg.format(matrix=matrix) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("command", ["nearest", "mh"])
+def test_empty_chain_exits_1(tmp_path, capsys, command):
+    matrix = tmp_path / "empty.mtx"
+    matrix.write_text("%%MatrixMarket matrix coordinate real general\n0 0 0\n")
+    assert main([command, str(matrix)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "nonempty" in err
+
+
+def test_failed_verification_exits_2(tmp_path, capsys):
+    # one Newton step at a loose tolerance leaves residuals above 1e-10
+    matrix = tmp_path / "P.mtx"
+    rmio.write_matrix(matrix, gen_random_chain(BenchmarkConfig(n_min=30, n_max=30, seed=3), 0))
+    assert main(["nearest", str(matrix), "--tol", "0.05", "--max-iterations", "1"]) == 2
+    assert "verification FAILED" in capsys.readouterr().err
