@@ -15,6 +15,7 @@ from revmarkov import (
     PipelineOptions,
     ProbabilityVector,
     SparseStochasticMatrix,
+    StationaryUnderflow,
     detailed_balance_residual,
     ergodic_decomposition,
     gen_random_chain,
@@ -24,7 +25,6 @@ from revmarkov import (
     reversibilize,
     row_normalize,
     stationarity_residual,
-    StationaryUnderflow,
     stationary_mixture,
     strongly_connected_components,
 )

@@ -276,19 +276,20 @@ def settings():
                         yield owner, callee, p.name, place if positional else None, field
 
 
-def program_calls(path):
-    """The keywords passed to each callee name in a Python file, the most
-    positional arguments one call to it passes, and the file's string
-    constants."""
+def program_calls(paths):
+    """The keywords the calls in some Python files pass to each callee name,
+    the most positional arguments one call to it passes, and the files'
+    string constants."""
     keywords, positional, strings = {}, {}, set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            strings.add(node.value)
-        elif isinstance(node, ast.Call):
-            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
-            keywords.setdefault(callee, set()).update(k.arg for k in node.keywords)
-            if not any(isinstance(a, ast.Starred) for a in node.args):
-                positional[callee] = max(positional.get(callee, 0), len(node.args))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+            elif isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                keywords.setdefault(callee, set()).update(k.arg for k in node.keywords)
+                if not any(isinstance(a, ast.Starred) for a in node.args):
+                    positional[callee] = max(positional.get(callee, 0), len(node.args))
     return keywords, positional, strings
 
 
@@ -297,14 +298,7 @@ def test_every_setting_has_a_program_caller():
     # only the tests turn.  It is set when a call in the program files above
     # passes it by keyword or by position, or, for a dataclass field, when
     # its name is a string there (``cli._add_field`` sets fields so)
-    keywords, positional, strings = {}, {}, set()
-    for path in PROGRAM_FILES:
-        found_keywords, found_positional, found_strings = program_calls(path)
-        for callee, names in found_keywords.items():
-            keywords.setdefault(callee, set()).update(names)
-        for callee, count in found_positional.items():
-            positional[callee] = max(positional.get(callee, 0), count)
-        strings |= found_strings
+    keywords, positional, strings = program_calls(PROGRAM_FILES)
     found = list(settings())
     unset = [
         f"{owner}({name}=...)"
