@@ -11,8 +11,6 @@ chain into three pieces.
 import numpy as np
 
 from revmarkov import (
-    AcceptanceRule,
-    ProbabilityVector,
     SparseStochasticMatrix,
     detailed_balance_residual,
     is_irreducible,
@@ -44,7 +42,7 @@ print("  forward product:", check.forward_product)
 print("  reverse product:", check.reverse_product)
 print("  -> the chain cannot be made reversible without changing its graph")
 
-adjusted = reversibilize(T, pi, AcceptanceRule.METROPOLIS_HASTINGS)
+adjusted = reversibilize(T, pi)
 print("\nMetropolis-Hastings adjustment:")
 print(adjusted.toarray())
 print("balance residual:", detailed_balance_residual(adjusted, pi))

@@ -3,8 +3,8 @@
 Given a sparse row-stochastic matrix, find the closest (Frobenius norm)
 transition matrix that is reversible with respect to the chain's stationary
 distribution and confined to the symmetrized sparsity pattern.  The package
-also carries the closed-form Metropolis-Hastings/Barker reversibilization
-baselines, ergodic decomposition utilities, an in-repo QP solver, and the
+also carries the closed-form Metropolis-Hastings reversibilization
+baseline, ergodic decomposition utilities, an in-repo QP solver, and the
 experiment drivers (random sparse ensembles, Langevin count matrices).
 """
 
@@ -64,7 +64,6 @@ from .qp_solve import (
     solve_qp,
 )
 from .reversibilize import (
-    AcceptanceRule,
     mh_baseline_distance,
     reversibilize,
 )

@@ -23,7 +23,7 @@ from .exceptions import RevMarkovError
 from .experiments import BenchmarkConfig, LangevinConfig, count_matrix, langevin_trajectory, run_benchmark
 from .pipeline import PipelineOptions, nearest_sparse_reversible
 from .qp_solve import SolverOptions
-from .reversibilize import AcceptanceRule, reversibilize
+from .reversibilize import reversibilize
 from .sparse_core import (
     detailed_balance_residual,
     frobenius_distance,
@@ -70,7 +70,7 @@ def _cmd_nearest(args) -> int:
 def _cmd_mh(args) -> int:
     P = io.read_matrix(args.matrix)
     pi = io.read_probability_vector(args.pi) if args.pi else stationary_mixture(P)
-    T = reversibilize(P, pi, AcceptanceRule.METROPOLIS_HASTINGS)
+    T = reversibilize(P, pi)
     print(f"distance |T - P|_F = {frobenius_distance(T, P):.6e}")
     db = detailed_balance_residual(T, pi)
     print(f"detailed balance residual = {db:.3e}")
@@ -107,6 +107,9 @@ def _cmd_bench(args) -> int:
     rows = run_benchmark(_config(BenchmarkConfig, args), output_path=args.out)
     good = [r for r in rows if "error" not in r]
     bad = [r for r in rows if "error" in r]
+    print(f"cases: {len(good)} ok, {len(bad)} failed")
+    for r in bad:
+        print(f"case {r['case']}: {r['error']}", file=sys.stderr)
     if good:
         dist = np.array([r["distance"] for r in good])
         mh = np.array([r["mh_distance"] for r in good])
@@ -118,7 +121,6 @@ def _cmd_bench(args) -> int:
             )
             for r in good
         )
-        print(f"cases: {len(good)} ok, {len(bad)} failed")
         print(f"|Delta|_F:  median {np.median(dist):.3f}  range [{dist.min():.3f}, {dist.max():.3f}]")
         print(f"MH distance: median {np.median(mh):.3f}  range [{mh.min():.3f}, {mh.max():.3f}]")
         print(f"worst residual: {worst:.3e}")

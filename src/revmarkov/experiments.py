@@ -57,6 +57,10 @@ class BenchmarkConfig:
     seed: int = 20250807
 
     def __post_init__(self):
+        if not self.num_cases >= 1:
+            raise ValueError("num_cases must be at least 1")
+        if not self.n_min >= 2:
+            raise ValueError("n_min must be at least 2")
         if not self.n_min <= self.n_max:
             raise ValueError("n_min must not exceed n_max")
         if not self.alpha >= 1.0:

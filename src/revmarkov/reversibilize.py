@@ -1,58 +1,39 @@
-"""Closed-form reversibilization of a proposal chain by an acceptance rule.
+"""Closed-form Metropolis-Hastings reversibilization of a proposal chain.
 
 Given a proposal matrix ``Q`` and a target distribution ``pi``, the adjusted
-chain ``T_ij = Q_ij * alpha_ij`` (off-diagonal) with the diagonal absorbing
-the rejected mass satisfies detailed balance with respect to ``pi``.  Two
-classical acceptance rules are provided:
-
-* Metropolis-Hastings: ``alpha_ij = min(1, pi_j Q_ji / (pi_i Q_ij))``
-* Barker:              ``alpha_ij = pi_j Q_ji / (pi_i Q_ij + pi_j Q_ji)``
+chain ``T_ij = Q_ij * alpha_ij`` (off-diagonal) with the acceptance
+probability ``alpha_ij = min(1, pi_j Q_ji / (pi_i Q_ij))`` and the diagonal
+absorbing the rejected mass satisfies detailed balance with respect to
+``pi``.
 
 Whenever an edge is not reciprocated (``Q_ij > 0`` but ``Q_ji = 0``) detailed
-balance forces ``T_ij = 0``, so both rules keep only the largest symmetric
-subgraph of the proposal support, plus the diagonal.
+balance forces ``T_ij = 0``, so the adjustment keeps only the largest
+symmetric subgraph of the proposal support, plus the diagonal.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .exceptions import DimensionMismatch, NonPositivePi
-from .sparse_core import ProbabilityVector, SparseStochasticMatrix, _edge_rows, _pair_table
+from .sparse_core import STOCHASTIC_TOL, ProbabilityVector, SparseStochasticMatrix, _edge_rows, _pair_table
 
 __all__ = [
-    "AcceptanceRule",
     "reversibilize",
     "mh_baseline_distance",
 ]
 
-#: Row sums that overshoot 1 by at most this much are absorbed into a zero diagonal.
-DIAGONAL_CLAMP_TOL = 1e-14
 
-
-class AcceptanceRule(Enum):
-    """Acceptance probability family used to enforce detailed balance."""
-
-    METROPOLIS_HASTINGS = "metropolis-hastings"
-    BARKER = "barker"
-
-
-def reversibilize(
-    Q: SparseStochasticMatrix,
-    pi: ProbabilityVector,
-    rule: AcceptanceRule = AcceptanceRule.METROPOLIS_HASTINGS,
-) -> SparseStochasticMatrix:
-    """Adjust a proposal chain so it satisfies detailed balance with ``pi``.
+def reversibilize(Q: SparseStochasticMatrix, pi: ProbabilityVector) -> SparseStochasticMatrix:
+    """The Metropolis-Hastings adjustment of a proposal chain toward ``pi``.
 
     The off-diagonal entries are computed from pairwise fluxes
-    ``f_ij = pi_i Q_ij``: Metropolis-Hastings keeps ``min(f_ij, f_ji)`` of the
-    flux, Barker keeps the harmonic share ``f_ij f_ji / (f_ij + f_ji)``.  Either
-    way the kept flux is a symmetric function of the pair, so the result
-    satisfies the balance equations to roundoff.  Diagonal entries are then
-    set to the exact complement ``1 - sum_(j != i) T_ij`` (clamped at zero when
-    the complement undershoots by less than ``1e-14``).
+    ``f_ij = pi_i Q_ij``: the adjustment keeps ``min(f_ij, f_ji)`` of the
+    flux, a symmetric function of the pair, so the result satisfies the
+    balance equations to roundoff.  Diagonal entries are then set to the
+    exact complement ``1 - sum_(j != i) T_ij``, clamped at zero when the
+    complement undershoots by no more than the row-sum tolerance
+    ``STOCHASTIC_TOL`` of ``SparseStochasticMatrix``.
 
     Raises
     ------
@@ -65,7 +46,7 @@ def reversibilize(
         raise DimensionMismatch("dimensions of Q and pi disagree")
     csr = Q.csr
     i, j, q_up, q_down = _pair_table(Q.n, _edge_rows(csr), csr.indices, csr.data)
-    t_up, t_down, t_diag = _adjust(i, j, q_up, q_down, pi.values, rule)
+    t_up, t_down, t_diag = _adjust(i, j, q_up, q_down, pi.values)
     # the constructor drops the zeros of one-way edges and canonicalizes once
     off = i != j
     states = np.arange(Q.n)
@@ -91,7 +72,7 @@ def mh_baseline_distance(P: SparseStochasticMatrix, pi: ProbabilityVector) -> fl
     return float(np.sqrt(_mh_squared_distance(*table, pi.values)))
 
 
-def _adjust(i, j, p_up, p_down, pi_vals, rule=AcceptanceRule.METROPOLIS_HASTINGS):
+def _adjust(i, j, p_up, p_down, pi_vals):
     """The adjusted chain on a pair table with the full diagonal: ``T_ij`` and
     ``T_ji`` at each upper position ``(i, j)`` (zero on the diagonal, where
     ``p_down`` is zero) and the diagonal complement of every state."""
@@ -101,13 +82,7 @@ def _adjust(i, j, p_up, p_down, pi_vals, rule=AcceptanceRule.METROPOLIS_HASTINGS
         raise NonPositivePi(int(bad.min()))
 
     f_up, f_down = pi_vals[i] * p_up, pi_vals[j] * p_down
-    if rule is AcceptanceRule.METROPOLIS_HASTINGS:
-        kept_flux = np.minimum(f_up, f_down)
-    elif rule is AcceptanceRule.BARKER:
-        total = f_up + f_down
-        kept_flux = np.divide(f_up * f_down, total, out=np.zeros_like(total), where=total > 0.0)
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown acceptance rule {rule!r}")
+    kept_flux = np.minimum(f_up, f_down)
 
     # positive kept flux means both states have mass, so no 0/0 is formed
     t_up, t_down = (
@@ -117,7 +92,7 @@ def _adjust(i, j, p_up, p_down, pi_vals, rule=AcceptanceRule.METROPOLIS_HASTINGS
     n = pi_vals.size
     diag = 1.0 - np.bincount(i, weights=t_up, minlength=n) - np.bincount(j, weights=t_down, minlength=n)
     undershoot = diag.min()
-    if undershoot < -DIAGONAL_CLAMP_TOL:
+    if undershoot < -STOCHASTIC_TOL:
         raise ValueError(
             f"off-diagonal mass exceeds 1 by {-undershoot:.3e}; proposal is invalid"
         )

@@ -214,9 +214,8 @@ class SparseStochasticMatrix:
         return cls(np.asarray(array, dtype=float))
 
     @classmethod
-    def from_coo(cls, n, rows, cols, values, stochastic: bool = True):
-        coo = sp.coo_matrix((values, (rows, cols)), shape=(n, n))
-        return cls(coo, stochastic=stochastic)
+    def from_coo(cls, n, rows, cols, values):
+        return cls(sp.coo_matrix((values, (rows, cols)), shape=(n, n)))
 
     # -- accessors ------------------------------------------------------------
 
@@ -240,9 +239,9 @@ class SparseStochasticMatrix:
         """Restriction to ``indices`` x ``indices`` (distinct, in any order),
         as a new canonical matrix."""
         idx = np.asarray(indices, dtype=np.intp)
-        return SparseStochasticMatrix.from_coo(
-            idx.size, *_gather(self._csr, idx), stochastic=stochastic
-        )
+        rows, cols, vals = _gather(self._csr, idx)
+        coo = sp.coo_matrix((vals, (rows, cols)), shape=(idx.size, idx.size))
+        return SparseStochasticMatrix(coo, stochastic=stochastic)
 
     def __repr__(self):
         kind = "stochastic" if self.stochastic else "nonnegative"

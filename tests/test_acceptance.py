@@ -8,7 +8,6 @@ import numpy as np
 
 import dense_oracle
 from revmarkov import (
-    AcceptanceRule,
     BenchmarkConfig,
     SparseStochasticMatrix,
     build_reduced_qp,
@@ -28,13 +27,13 @@ from test_qp_solve import small_instances
 def test_criterion_1_worked_example_exact(ring4, acceptance_log, tmp_path):
     """Metropolis-Hastings adjustment of the 4-state ring reproduces the
     known adjusted matrix entrywise, in under a millisecond."""
-    T = reversibilize(ring4.T, ring4.pi, AcceptanceRule.METROPOLIS_HASTINGS)
+    T = reversibilize(ring4.T, ring4.pi)
     error = np.abs(T.toarray() - ring4.adjusted).max()
 
     timings = []
     for _ in range(7):
         t0 = time.perf_counter()
-        reversibilize(ring4.T, ring4.pi, AcceptanceRule.METROPOLIS_HASTINGS)
+        reversibilize(ring4.T, ring4.pi)
         timings.append(time.perf_counter() - t0)
     best = min(timings)
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revmarkov import (
-    AcceptanceRule,
     BenchmarkConfig,
+    DimensionMismatch,
     InconsistentSupport,
     NonPositivePi,
     PipelineOptions,
@@ -462,6 +462,11 @@ class TestErgodicDecomposition:
         with pytest.raises(InconsistentSupport):
             ergodic_decomposition(P, ProbabilityVector(fake))
 
+    @pytest.mark.parametrize("size", [4, 6])
+    def test_pi_of_wrong_size_rejected(self, chain_factory, size):
+        with pytest.raises(DimensionMismatch, match="dimensions of P and pi disagree"):
+            ergodic_decomposition(chain_factory(5, 6), ProbabilityVector(np.ones(size) / size))
+
     def test_mass_on_transient_state_detected(self):
         P = two_blocks_with_transients()
         values = stationary_mixture(P).values.copy()
@@ -583,7 +588,7 @@ class TestKolmogorovCycleCheck:
     def test_reversibilized_chain_passes(self, chain_factory):
         P = chain_factory(6, 12)
         pi = stationary_mixture(P)
-        T = reversibilize(P, pi, AcceptanceRule.METROPOLIS_HASTINGS)
+        T = reversibilize(P, pi)
         assert detailed_balance_residual(T, pi) <= 1e-14
         assert kolmogorov_cycle_check(T).passed
 

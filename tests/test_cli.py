@@ -138,6 +138,24 @@ def test_bench_small(tmp_path, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, out, err",
+    [
+        (
+            ["--n", "1", "--nmin", "2", "--nmax", "2", "--alpha", "1"],
+            "cases: 0 ok, 1 failed\n",
+            "case 0: DegenerateInstance: case 0: no usable instance\n",
+        ),
+        (["--n", "0"], "", "error: num_cases must be at least 1\n"),
+        (["--n", "-3"], "", "error: num_cases must be at least 1\n"),
+        (["--nmin", "1"], "", "error: n_min must be at least 2\n"),
+    ],
+)
+def test_bench_says_why_it_failed(capsys, argv, out, err):
+    assert main(["bench", *argv]) == 1
+    assert tuple(capsys.readouterr()) == (out, err)
+
+
 def test_langevin_writes_counts(tmp_path, capsys):
     out = tmp_path / "counts.mtx"
     code = main(

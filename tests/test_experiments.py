@@ -19,6 +19,23 @@ from revmarkov import (
 )
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: BenchmarkConfig(num_cases=math.nan), "num_cases must be at least 1"),
+        (lambda: BenchmarkConfig(n_min=math.nan), "n_min must be at least 2"),
+        (lambda: BenchmarkConfig(n_min=5, n_max=4), "n_min must not exceed n_max"),
+        (lambda: LangevinConfig(dt=0.0), "dt must be positive"),
+        (lambda: LangevinConfig(bins=1), "bins must be at least 2"),
+        (lambda: LangevinConfig(steps=0), "steps must be at least 1"),
+    ],
+    ids=["nan cases", "nan n_min", "n_min above n_max", "zero dt", "one bin", "no steps"],
+)
+def test_config_guards(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 class TestGenRandomChain:
     def test_deterministic(self):
         cfg = BenchmarkConfig(seed=7)

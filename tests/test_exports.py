@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import inspect
 import re
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -122,8 +123,8 @@ def class_members(cls):
 
     Exempt: names with a leading underscore, which are private or, as
     dunders, called by the language.  Not collected: enum members, which
-    are values read through the enum (``AcceptanceRule.BARKER`` is their
-    use), and ``NamedTuple`` fields, which unpacking and indexing read
+    are values read through the enum (``Kind.MEMBER`` is their use),
+    and ``NamedTuple`` fields, which unpacking and indexing read
     without a name (``KKTResiduals`` is consumed as a tuple).
     """
     names = [f.name for f in dataclasses.fields(cls)] if dataclasses.is_dataclass(cls) else []
@@ -240,10 +241,10 @@ def test_shared_member_names_are_judged_by_hand():
 
 
 def settings():
-    """``(owner, callee, name, place, field)`` for every defaulted parameter
-    of an exported function or method and every defaulted field of an
-    exported dataclass.  ``callee`` is the name a call uses (the class for a
-    constructor), ``place`` the parameter's index among a call's positional
+    """``(owner, callee, name, place, field, default)`` for every defaulted
+    parameter of an exported function or method and every defaulted field of
+    an exported dataclass.  ``callee`` is the name a call uses (the class for
+    a constructor), ``place`` the parameter's index among a call's positional
     arguments (``None`` when keyword-only), and ``field`` is set for a
     dataclass field."""
     for module_name in MODULES:
@@ -273,39 +274,68 @@ def settings():
                 for place, p in enumerate(parameters):
                     if p.default is not inspect.Parameter.empty:
                         positional = p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
-                        yield owner, callee, p.name, place if positional else None, field
+                        yield owner, callee, p.name, place if positional else None, field, p.default
 
 
 def program_calls(paths):
-    """The keywords the calls in some Python files pass to each callee name,
-    the most positional arguments one call to it passes, and the files'
-    string constants."""
-    keywords, positional, strings = {}, {}, set()
+    """The calls in some Python files, as ``(positional arguments, keyword
+    arguments by name)`` per callee name, and the files' string constants.
+    A call with a starred positional argument lists no positional ones."""
+    calls, strings = {}, set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 strings.add(node.value)
             elif isinstance(node, ast.Call):
                 callee = getattr(node.func, "id", getattr(node.func, "attr", None))
-                keywords.setdefault(callee, set()).update(k.arg for k in node.keywords)
-                if not any(isinstance(a, ast.Starred) for a in node.args):
-                    positional[callee] = max(positional.get(callee, 0), len(node.args))
-    return keywords, positional, strings
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg: k.value for k in node.keywords if k.arg}
+                calls.setdefault(callee, []).append(([] if starred else node.args, keywords))
+    return calls, strings
+
+
+def passes_default(node, default):
+    """Whether an argument is the literal ``default`` or, for an enum
+    default, its member named through its class."""
+    if isinstance(default, Enum):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == default.name
+            and getattr(node.value, "id", getattr(node.value, "attr", None)) == type(default).__name__
+        )
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return False  # a variable or an expression: another value
+    return type(value) is type(default) and value == default
 
 
 def test_every_setting_has_a_program_caller():
-    # a defaulted parameter or field that no program path sets is a knob
-    # only the tests turn.  It is set when a call in the program files above
-    # passes it by keyword or by position, or, for a dataclass field, when
-    # its name is a string there (``cli._add_field`` sets fields so)
-    keywords, positional, strings = program_calls(PROGRAM_FILES)
+    # a defaulted parameter or field that no program path sets to a second
+    # value is a knob only the tests turn.  A call in the program files above
+    # sets it when it passes, by keyword or by position, anything but the
+    # default itself; a dataclass field is also set when its name is a
+    # string there (``cli._add_field`` sets fields so)
+    calls, strings = program_calls(PROGRAM_FILES)
     found = list(settings())
-    unset = [
-        f"{owner}({name}=...)"
-        for owner, callee, name, place, field in found
-        if name not in keywords.get(callee, ())
-        and not (place is not None and positional.get(callee, 0) > place)
-        and not (field and name in strings)
-    ]
+    unset, default_only = [], []
+    for owner, callee, name, place, field, default in found:
+        if field and name in strings:
+            continue
+        passed = [
+            keywords[name] if name in keywords else args[place]
+            for args, keywords in calls.get(callee, ())
+            if name in keywords or (place is not None and len(args) > place)
+        ]
+        if not passed:
+            unset.append(f"{owner}({name}=...)")
+        elif all(passes_default(node, default) for node in passed):
+            default_only.append(f"{owner}({name}={default!r})")
     assert len(found) > 20, "the settings were not collected"
     assert not unset, f"settings set by no program call: {', '.join(unset)}"
+    # every program call of ``submatrix`` is in the benchmark's fixed replay
+    # (``perfbench/spans.py``), so its ``stochastic`` waits for the next
+    # benchmark change; once it is gone this assertion fails and must shrink
+    assert default_only == ["SparseStochasticMatrix.submatrix(stochastic=True)"], (
+        f"settings every program call passes the default: {', '.join(default_only)}"
+    )

@@ -415,6 +415,13 @@ def test_pattern_of_wrong_size_is_rejected_before_any_solve(chain_factory, monke
     assert not solved
 
 
+@pytest.mark.parametrize("size", [3, 7])
+def test_pi_of_wrong_size_is_rejected(chain_factory, size):
+    options = PipelineOptions(pi=ProbabilityVector(np.ones(size) / size))
+    with pytest.raises(DimensionMismatch, match="dimensions of P and pi disagree"):
+        nearest_sparse_reversible(chain_factory(5, 0), options)
+
+
 def test_one_chain_object_per_call(monkeypatch):
     # the result is the only SparseStochasticMatrix a call builds: no class
     # block, unscaled block or baseline chain on the way

@@ -5,7 +5,7 @@ import pytest
 
 import dense_oracle
 from revmarkov import (
-    AcceptanceRule,
+    DimensionMismatch,
     LengthMismatch,
     MissingDiagonal,
     NegativeEntry,
@@ -204,6 +204,16 @@ class TestBuildReducedQP:
         with pytest.raises(NonPositivePi):
             build_reduced_qp(P, ProbabilityVector([0.5, 0.5, 0.0]), pattern)
 
+    @pytest.mark.parametrize(
+        "pi_size, pattern_size, message",
+        [(2, 3, "pi and pattern"), (3, 2, "P and pattern")],
+    )
+    def test_rejects_wrong_sizes(self, pi_size, pattern_size, message):
+        P = row_normalize(np.ones((3, 3)))
+        pi = ProbabilityVector(np.ones(pi_size) / pi_size)
+        with pytest.raises(DimensionMismatch, match=f"dimensions of {message} disagree"):
+            build_reduced_qp(P, pi, SparsityPattern(np.ones((pattern_size, pattern_size))))
+
     def test_unreduced_formulation_consistency(self):
         # expanded candidates satisfy the n^2-variable constraints: symmetry,
         # pattern mask, eigenvector equation
@@ -233,13 +243,14 @@ class TestFeasibleSetGeometry:
         qp = build_reduced_qp(Q, pi, pattern)
         maps = qp.maps
 
-        def scaled_upper(rule):
-            T = reversibilize(Q, pi, rule)
-            Y = T.toarray() * (pi_hat[:, None] / pi_hat[None, :])
+        def scaled_upper(T):
+            Y = T * (pi_hat[:, None] / pi_hat[None, :])
             return Y[maps.upper_rows, maps.upper_cols]
 
-        y1 = scaled_upper(AcceptanceRule.METROPOLIS_HASTINGS)
-        y2 = scaled_upper(AcceptanceRule.BARKER)
+        # the MH chain and its lazy version, both balanced on the pattern
+        T = reversibilize(Q, pi).toarray()
+        y1 = scaled_upper(T)
+        y2 = scaled_upper(0.5 * (np.eye(5) + T))
         assert np.abs(y1 - y2).max() > 1e-3
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
             y = lam * y1 + (1.0 - lam) * y2

@@ -304,6 +304,18 @@ def test_factor_solves_a_singular_bipartite_system(seed):
     assert np.abs(y - oracle_solve(qp)).max() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"kkt_tolerance": 0.0}, "kkt_tolerance must be positive"),
+        ({"max_iterations": 0}, "max_iterations must be at least 1"),
+    ],
+)
+def test_solver_options_guards(fields, message):
+    with pytest.raises(ValueError, match=message):
+        SolverOptions(**fields)
+
+
 def test_conjugate_gradients_report_breakdown():
     rhs = np.array([1.0, -1.0])
     # a direction of zero curvature: p = rhs is in the null space
@@ -315,6 +327,8 @@ def test_conjugate_gradients_report_breakdown():
     regular = sp.csr_matrix(np.diag([2.0, 4.0]))
     x, iterations, residual = _newton_pcg(regular, regular.diagonal(), rhs)
     assert (x.tolist(), iterations, residual) == ([0.5, -0.25], 1, 0.0)
+    # the first r^T D^-1 r underflows to zero
+    assert _newton_pcg(regular, regular.diagonal(), 1e-170 * rhs) == (None, 0, 1e-170)
 
 
 def _wide_diagonal_system(scale=1.0):
@@ -345,6 +359,11 @@ CG_SYSTEMS = {
     "right-hand side near 1e-158.5": lambda: (
         _wide_diagonal_system()[0],
         _wide_diagonal_system()[1] * 10**-158.5,
+    ),
+    # the same before the first iteration
+    "right-hand side near 1e-170": lambda: (
+        _wide_diagonal_system()[0],
+        _wide_diagonal_system()[1] * 1e-170,
     ),
 }
 

@@ -9,6 +9,7 @@ from revmarkov import (
     DimensionMismatch,
     ProbabilityVector,
     SparseStochasticMatrix,
+    SparsityPattern,
     ZeroRow,
     detailed_balance_residual,
     frobenius_distance,
@@ -185,6 +186,32 @@ class TestSparseStochasticMatrix:
         order = np.random.default_rng(0).permutation(coo.nnz)
         Q = SparseStochasticMatrix.from_coo(5, coo.row[order], coo.col[order], coo.data[order])
         assert same_csr(P.csr, Q.csr)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: SparseStochasticMatrix([[np.nan, 1.0], [0.0, 1.0]]), ValueError, "finite"),
+        (lambda: ProbabilityVector([]), ValueError, "must not be empty"),
+        (lambda: ProbabilityVector([1.0, 0.0]).restrict([1]), ValueError, "no probability mass"),
+        (lambda: SparsityPattern(np.ones((2, 3))), DimensionMismatch, "square"),
+        (lambda: symmetrized_pattern(np.ones((2, 3))), DimensionMismatch, "square"),
+        (lambda: stochasticity_residual(np.ones((2, 3))), DimensionMismatch, "square"),
+        (lambda: stationarity_residual(np.eye(2), np.ones(3) / 3), DimensionMismatch, "disagree"),
+    ],
+    ids=[
+        "non-finite entry",
+        "empty vector",
+        "restriction without mass",
+        "rectangular pattern",
+        "rectangular pattern input",
+        "rectangular stochasticity input",
+        "pi of wrong size",
+    ],
+)
+def test_input_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestProbabilityVector:
