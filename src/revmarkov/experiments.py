@@ -306,7 +306,7 @@ def run_benchmark(cfg: BenchmarkConfig, output_path=None) -> list:
                 except DegenerateInstance:
                     continue
             else:
-                raise DegenerateInstance(f"case {case}: no usable instance")
+                raise DegenerateInstance("no usable instance in 8 attempts")
             t0 = time.perf_counter()
             R, diag = nearest_sparse_reversible(P)
             elapsed = time.perf_counter() - t0

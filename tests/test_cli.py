@@ -144,7 +144,7 @@ def test_bench_small(tmp_path, capsys):
         (
             ["--n", "1", "--nmin", "2", "--nmax", "2", "--alpha", "1"],
             "cases: 0 ok, 1 failed\n",
-            "case 0: DegenerateInstance: case 0: no usable instance\n",
+            "case 0: DegenerateInstance: no usable instance in 8 attempts\n",
         ),
         (["--n", "0"], "", "error: num_cases must be at least 1\n"),
         (["--n", "-3"], "", "error: num_cases must be at least 1\n"),
