@@ -61,7 +61,7 @@ def _cmd_nearest(args) -> int:
     if args.diag:
         with open(args.diag, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(diag.to_dict(), indent=2))
-    if max(diag.residuals) > VERIFY_TOLERANCE:
+    if not np.max(diag.residuals) <= VERIFY_TOLERANCE:
         print(f"verification FAILED: residuals exceed {VERIFY_TOLERANCE:.0e}", file=sys.stderr)
         return 2
     return 0
@@ -124,7 +124,7 @@ def _cmd_bench(args) -> int:
         print(f"|Delta|_F:  median {np.median(dist):.3f}  range [{dist.min():.3f}, {dist.max():.3f}]")
         print(f"MH distance: median {np.median(mh):.3f}  range [{mh.min():.3f}, {mh.max():.3f}]")
         print(f"worst residual: {worst:.3e}")
-        print(f"dominance holds: {bool(np.all(dist <= mh))}")
+        print(f"dominance holds: {bool(np.all(dist <= mh + VERIFY_TOLERANCE))}")
     if args.out:
         print(f"report written to {args.out}")
     return 0 if not bad else 1

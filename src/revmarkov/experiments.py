@@ -39,9 +39,11 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-#: Langevin noise is drawn in blocks of this many steps (part of the stream
-#: contract: changing it would not change the values, only the batching).
-_NOISE_BLOCK = 1 << 20
+#: Langevin noise is drawn into one reused buffer of this many draws, and
+#: transitions are counted in slices of this many.  Changing it changes only
+#: the batching, not the values: the Philox normal stream does not depend on
+#: how it is drawn, and integer counts add up exactly.
+_NOISE_BLOCK = 1 << 16
 
 _LANGEVIN_STREAM = np.uint64(1) << np.uint64(63)
 
@@ -227,7 +229,9 @@ def langevin_trajectory(cfg: LangevinConfig) -> np.ndarray:
 
     The steps run in the kernel ``_get_walk_kernel`` picks: numba-compiled
     when numba is importable, a pure-Python loop (about 2.3 million steps/s)
-    otherwise.  Either gives the same trajectory bit for bit.
+    otherwise.  Either gives the same trajectory bit for bit.  Besides the
+    result, memory holds one noise buffer of ``_NOISE_BLOCK`` draws (512 KB)
+    whatever the step count.
     """
     kernel = _get_walk_kernel()
     key = np.array([np.uint64(cfg.seed & _SEED_MASK), _LANGEVIN_STREAM], dtype=np.uint64)
@@ -238,10 +242,12 @@ def langevin_trajectory(cfg: LangevinConfig) -> np.ndarray:
     bin_scale = cfg.bins / TWO_PI
     out[0] = int(x * bin_scale)
     amp = cfg.sigma * math.sqrt(cfg.dt)
+    buffer = np.empty(min(_NOISE_BLOCK, cfg.steps))
     done = 0
     while done < cfg.steps:
         block = min(_NOISE_BLOCK, cfg.steps - done)
-        noise = rng.standard_normal(block)
+        noise = buffer[:block]
+        rng.standard_normal(out=noise)
         x = kernel(
             x,
             noise,
@@ -275,12 +281,16 @@ def count_matrix(bins, num_bins: int) -> sp.csr_matrix:
     lo, hi = int(bins.min()), int(bins.max())
     if lo < 0 or hi >= num_bins:
         raise ValueError(f"bin indices must lie in [0, {num_bins}), got [{lo}, {hi}]")
-    # one int64 code array built in place: no widened copy of bins[1:] and no
-    # product temporary (together 800 MB at 5e7 steps)
-    codes = bins[:-1].astype(np.int64)
-    codes *= num_bins
-    codes += bins[1:]
-    counts = np.bincount(codes, minlength=num_bins * num_bins)
+    # codes i * num_bins + j are built in int64 one slice of _NOISE_BLOCK
+    # transitions at a time, so no array spans the trajectory (one would take
+    # 400 MB at 5e7 steps)
+    counts = np.zeros(num_bins * num_bins, dtype=np.int64)
+    for start in range(0, bins.size - 1, _NOISE_BLOCK):
+        stop = min(start + _NOISE_BLOCK, bins.size - 1)
+        codes = bins[start:stop].astype(np.int64)
+        codes *= num_bins
+        codes += bins[start + 1 : stop + 1]
+        counts += np.bincount(codes, minlength=counts.size)
     return sp.csr_matrix(
         counts.reshape(num_bins, num_bins).astype(float)
     )

@@ -87,7 +87,8 @@ class KKTResiduals(NamedTuple):
 
     @property
     def worst(self) -> float:
-        return max(self)
+        """The largest residual, NaN when any residual is NaN."""
+        return float(np.max(self))
 
 
 @dataclass(frozen=True)
@@ -363,6 +364,6 @@ def solve_qp(qp: ReducedQP, opts: SolverOptions | None = None) -> SolverResult:
         factor_steps=factor_steps,
         kkt_residuals=residuals,
     )
-    if residuals.worst > opts.kkt_tolerance:
+    if not residuals.worst <= opts.kkt_tolerance:
         raise MaxIterations(result)
     return result

@@ -138,6 +138,21 @@ def test_bench_small(tmp_path, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize("excess, holds", [(1e-12, True), (1e-9, False)])
+def test_bench_dominance_allows_the_verification_slack(monkeypatch, capsys, excess, holds):
+    # a row sum that overshoots 1 by 9e-13 stays in the MH baseline and not
+    # in R: [[0, 1+9e-13, 0], [0.5, 0, 0.5], [0, 1, 0]] gives a distance of
+    # 1.10e-12 against 5.2e-16 on a correct solve
+    row = dict(
+        case=0, n=3, nnz_p=4, nnz_r=4, distance=5.2e-16 + excess, mh_distance=5.2e-16,
+        residual_stochasticity=0.0, residual_detailed_balance=0.0,
+        residual_stationarity=0.0, solve_seconds=0.0,
+    )
+    monkeypatch.setattr(cli, "run_benchmark", lambda cfg, output_path: [row])
+    assert main(["bench", "--n", "1"]) == 0
+    assert f"dominance holds: {holds}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "argv, out, err",
     [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from revmarkov import (
     stochasticity_residual,
     torsion_potential,
 )
+from revmarkov.experiments import _NOISE_BLOCK
 
 
 @pytest.mark.parametrize(
@@ -138,7 +140,7 @@ class TestLangevinTrajectory:
         [
             LangevinConfig(steps=1, seed=12),
             # not a multiple of the sub-chunk, and crosses a noise block
-            LangevinConfig(steps=(1 << 20) + 4_097, seed=12),
+            LangevinConfig(steps=_NOISE_BLOCK + 4_097, seed=12),
         ],
         ids=["one-step", "block-crossing"],
     )
@@ -164,6 +166,22 @@ class TestLangevinTrajectory:
             bins, ends = run(kernel)
             assert np.array_equal(bins, reference), kernel
             assert ends == reference_ends, kernel
+
+    def test_memory_is_bounded_by_the_output(self):
+        # besides the int16 trajectory, the walk holds one noise buffer and
+        # the counts one slice of codes, whatever the step count; a noise
+        # block or a code array per step would exceed the bound
+        cfg = LangevinConfig(steps=1_000_000, seed=3)
+        langevin_trajectory(LangevinConfig(steps=1))  # compile a numba kernel untraced
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            bins = langevin_trajectory(cfg)
+            count_matrix(bins, cfg.bins)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - bins.nbytes <= 2 << 20, f"{(peak - bins.nbytes) / 2**20:.1f} MB"
 
     def test_occupancy_tracks_gibbs_weights(self, butane):
         # desk-scale run vs quadrature of exp(-2 U / sigma^2) per bin
@@ -211,6 +229,14 @@ class TestCountMatrix:
             expected[i, j] += 1
         C = count_matrix(bins, 300)
         assert np.array_equal(C.toarray(), expected)
+
+    def test_slices_add_up_to_one_bincount(self):
+        # three whole slices of transitions and a remainder
+        rng = np.random.default_rng(5)
+        bins = rng.integers(0, 300, size=3 * _NOISE_BLOCK + 1_235).astype(np.int16)
+        codes = bins[:-1].astype(np.int64) * 300 + bins[1:]
+        expected = np.bincount(codes, minlength=300 * 300).reshape(300, 300)
+        assert np.array_equal(count_matrix(bins, 300).toarray(), expected)
 
     def test_butane_counts_support(self, butane):
         # one-step moves only reach adjacent bins (plus the periodic corner),

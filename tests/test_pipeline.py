@@ -15,6 +15,7 @@ from revmarkov import (
     PatternNotSymmetric,
     PipelineOptions,
     ProbabilityVector,
+    RevMarkovError,
     SolverOptions,
     SparseStochasticMatrix,
     SparsityPattern,
@@ -479,6 +480,20 @@ def test_metastable_ring_rung():
     outflow = pi * np.asarray(off_diagonal.sum(axis=1)).ravel()
     assert np.max(np.abs(pi @ off_diagonal - outflow) / outflow) <= 1e-13
     assert_rung(P)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_subnormal_mass_is_not_accepted_as_optimal():
+    # pi_1 is subnormal, so the Hessian ratio pi_0 / pi_1 overflows and the
+    # class's KKT stationarity is NaN; accepting it returned R = I at
+    # distance 1.414 against MH 2.7e-14, with residuals (0, 0, 0)
+    P = SparseStochasticMatrix.from_dense([[1.0, 6.3e-311], [1 - 4.5e-5, 4.5e-5]])
+    try:
+        R, diag = nearest_sparse_reversible(P)
+    except RevMarkovError:
+        return
+    assert np.max(diag.residuals) <= 1e-10
+    assert diag.distance <= diag.mh_distance
 
 
 def test_wide_span_chains_match_oracle():

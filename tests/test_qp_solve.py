@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from revmarkov import (
     BenchmarkConfig,
+    KKTResiduals,
     MaxIterations,
     PipelineOptions,
     ProbabilityVector,
@@ -207,6 +208,14 @@ def test_singular_newton_system_falls_back_to_factor(caplog):
         # a singular system is not left to run to the fixed iteration cap
         assert int(match.group(1)) <= 4 * qp.n
     assert np.abs(result.y - oracle_solve(qp)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_worst_residual_is_nan_when_any_residual_is(position):
+    # max() keeps a NaN only in first place, and NaN > tolerance is False
+    values = [0.0, 1e-12, 0.0, 1e-13]
+    values[position] = float("nan")
+    assert np.isnan(KKTResiduals(*values).worst)
 
 
 def test_spent_regularization_ladder_returns_best_iterate(monkeypatch):

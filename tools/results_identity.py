@@ -9,6 +9,8 @@ holds:
   four workloads), the SHA-256 of the CSR buffers of ``R`` and the hex of the
   pipeline's ``distance``;
 * the totals of Newton steps and conjugate-gradient iterations over the bank;
+* for every ``torsion`` bank case, the SHA-256 of the Langevin trajectory's
+  bytes and of the CSR buffers of its count matrix;
 * over ``wide_span_chain`` seeds 0-999 (``tests/chains.py``): the failed
   calls, the Newton systems handed to the sparse factor, the Newton steps
   and the CG iterations;
@@ -37,7 +39,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 import numpy as np  # noqa: E402
 
 from chains import wide_span_chain  # noqa: E402
-from revmarkov import RevMarkovError, nearest_sparse_reversible  # noqa: E402
+from revmarkov import (  # noqa: E402
+    RevMarkovError,
+    count_matrix,
+    langevin_trajectory,
+    nearest_sparse_reversible,
+)
 from workloads import WORKLOADS, operate  # noqa: E402
 
 WIDE_SPAN_SEEDS = range(1000)
@@ -49,9 +56,8 @@ METHODS = {
 }
 
 
-def digest(R) -> str:
-    """SHA-256 of the CSR buffers of ``R``, indices widened to int64."""
-    csr = R.csr
+def digest(csr) -> str:
+    """SHA-256 of the buffers of a CSR matrix, indices widened to int64."""
     h = hashlib.sha256()
     h.update(np.asarray(csr.indptr, dtype=np.int64).tobytes())
     h.update(np.asarray(csr.indices, dtype=np.int64).tobytes())
@@ -94,11 +100,23 @@ def bank_identity() -> dict:
         with counting_solves() as counts:
             for case in bank["cases"]:
                 _, R, diag = operate(workload, workload.make_input(case["key"]))
-                cases[name].append([case["key"], digest(R), diag.distance.hex()])
+                cases[name].append([case["key"], digest(R.csr), diag.distance.hex()])
                 newton += sum(c.iterations for c in diag.per_class)
                 cg += sum(c.cg_iterations for c in diag.per_class)
         solves[name] = dict(sorted(counts.items()))
     return {"cases": cases, "solves": solves, "newton_steps": newton, "cg_iterations": cg}
+
+
+def torsion_data_identity() -> list:
+    """``[key, trajectory SHA-256, count matrix SHA-256]`` per torsion case."""
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    workload, rows = WORKLOADS["torsion"], []
+    for case in reference["workloads"]["torsion"]["cases"]:
+        cfg = workload.make_input(case["key"])
+        bins = langevin_trajectory(cfg)
+        counts = count_matrix(bins, cfg.bins)
+        rows.append([case["key"], hashlib.sha256(bins.tobytes()).hexdigest(), digest(counts)])
+    return rows
 
 
 def wide_span_identity() -> dict:
@@ -124,7 +142,12 @@ def wide_span_identity() -> dict:
 
 
 def main() -> int:
-    print(json.dumps({"bank": bank_identity(), "wide_span_chain": wide_span_identity()}))
+    identity = {
+        "bank": bank_identity(),
+        "torsion_data": torsion_data_identity(),
+        "wide_span_chain": wide_span_identity(),
+    }
+    print(json.dumps(identity))
     return 0
 
 
