@@ -281,12 +281,14 @@ def count_matrix(bins, num_bins: int) -> sp.csr_matrix:
     lo, hi = int(bins.min()), int(bins.max())
     if lo < 0 or hi >= num_bins:
         raise ValueError(f"bin indices must lie in [0, {num_bins}), got [{lo}, {hi}]")
-    # codes i * num_bins + j are built in int64 one slice of _NOISE_BLOCK
-    # transitions at a time, so no array spans the trajectory (one would take
-    # 400 MB at 5e7 steps)
+    # codes i * num_bins + j are built in int64 one slice of transitions at a
+    # time, so no array spans the trajectory (one would take 400 MB at 5e7
+    # steps); a slice is never shorter than the count vector, whose every
+    # entry each slice's bincount writes
     counts = np.zeros(num_bins * num_bins, dtype=np.int64)
-    for start in range(0, bins.size - 1, _NOISE_BLOCK):
-        stop = min(start + _NOISE_BLOCK, bins.size - 1)
+    step = max(_NOISE_BLOCK, counts.size)
+    for start in range(0, bins.size - 1, step):
+        stop = min(start + step, bins.size - 1)
         codes = bins[start:stop].astype(np.int64)
         codes *= num_bins
         codes += bins[start + 1 : stop + 1]

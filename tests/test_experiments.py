@@ -221,22 +221,16 @@ class TestCountMatrix:
             count_matrix(np.array([0, 7]), 5)
 
     def test_int16_codes_do_not_overflow(self):
-        # 299 * 300 + 299 overflows int16, so the codes must be built wider
+        # 299 * 300 + 299 overflows int16, so the codes must be built wider;
+        # the run spans three whole slices of transitions and a remainder
         rng = np.random.default_rng(4)
-        bins = rng.integers(0, 300, size=20_000).astype(np.int16)
+        size = 3 * max(_NOISE_BLOCK, 300 * 300) + 1_235
+        bins = rng.integers(0, 300, size=size).astype(np.int16)
         expected = np.zeros((300, 300))
         for i, j in zip(bins[:-1].tolist(), bins[1:].tolist()):
             expected[i, j] += 1
         C = count_matrix(bins, 300)
         assert np.array_equal(C.toarray(), expected)
-
-    def test_slices_add_up_to_one_bincount(self):
-        # three whole slices of transitions and a remainder
-        rng = np.random.default_rng(5)
-        bins = rng.integers(0, 300, size=3 * _NOISE_BLOCK + 1_235).astype(np.int16)
-        codes = bins[:-1].astype(np.int64) * 300 + bins[1:]
-        expected = np.bincount(codes, minlength=300 * 300).reshape(300, 300)
-        assert np.array_equal(count_matrix(bins, 300).toarray(), expected)
 
     def test_butane_counts_support(self, butane):
         # one-step moves only reach adjacent bins (plus the periodic corner),
