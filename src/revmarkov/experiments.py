@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
-from .chain_analysis import strongly_connected_components
 from .exceptions import DegenerateInstance, EmptyTrajectory
 from .pipeline import nearest_sparse_reversible
 from .sparse_core import row_normalize
@@ -84,7 +84,12 @@ def gen_random_chain(cfg: BenchmarkConfig, case_index: int, attempt: int = 0):
     Draws ``n`` uniformly from ``[n_min, n_max]``, places ``floor(alpha n)``
     uniform(0,1) values at uniform positions (duplicates collapse, so the
     count is an upper bound), restricts to the largest strongly connected
-    component of the support, and row-normalizes.
+    component of the support, and row-normalizes.  A tie between largest
+    components goes to the one holding the smallest state.
+
+    The positions are drawn as keys ``i * n + j``.  Sorted, the distinct keys
+    are the row-major order of canonical CSR storage, so the support and its
+    restriction are built as CSR arrays directly.
 
     Raises
     ------
@@ -95,23 +100,38 @@ def gen_random_chain(cfg: BenchmarkConfig, case_index: int, attempt: int = 0):
     rng = _case_rng(cfg.seed, case_index, attempt)
     n = int(rng.integers(cfg.n_min, cfg.n_max + 1))
     nnz = int(cfg.alpha * n)
-    flat = np.unique(rng.integers(0, n * n, size=nnz))
-    values = rng.random(flat.size)
-    raw = sp.coo_matrix(
-        (values, (flat // n, flat % n)), shape=(n, n)
-    ).tocsr()
+    keys = np.sort(rng.integers(0, n * n, size=nnz))
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+    values = rng.random(keys.size)
+    rows, cols = np.divmod(keys, n)
+    support = _row_major_csr(values, rows, cols, n)
 
-    components = strongly_connected_components(raw)
-    sizes = [len(c) for c in components]
-    largest = max(sizes)
+    _, labels = connected_components(support, directed=True, connection="strong")
+    component_size = np.bincount(labels)[labels]  # of each state's component
+    largest = int(component_size.max())
     if largest < 2:
         raise DegenerateInstance(
             f"largest strongly connected component has {largest} state(s)"
         )
-    members = min(
-        (c for c in components if len(c) == largest), key=lambda c: int(c[0])
+    # the first state in a largest component picks it, so a tie goes to the
+    # component holding the smallest state
+    keep = labels == labels[np.argmax(component_size == largest)]
+    local = np.cumsum(keep) - 1  # monotone, so the entries stay row-major
+    inside = keep[rows] & keep[cols]
+    restricted = _row_major_csr(
+        values[inside], local[rows[inside]], local[cols[inside]], largest
     )
-    return row_normalize(raw[members][:, members])
+    return row_normalize(restricted)
+
+
+def _row_major_csr(values, rows, cols, n: int) -> sp.csr_matrix:
+    """``n x n`` CSR matrix of entries given in row-major order.
+
+    Its index arrays are handed over as int32, the type SciPy picks for
+    fewer than 2**31 entries, which spares SciPy checking and converting them.
+    """
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+    return sp.csr_matrix((values, cols.astype(np.int32), indptr), shape=(n, n))
 
 
 @dataclass(frozen=True)

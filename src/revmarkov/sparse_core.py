@@ -35,14 +35,37 @@ __all__ = [
 STOCHASTIC_TOL = 1e-12
 
 
-def _canonical_csr(matrix, dtype=float) -> sp.csr_matrix:
-    """Copy ``matrix`` into canonical CSR form: summed duplicates, no stored
-    zeros, sorted column indices."""
-    csr = sp.csr_matrix(matrix, dtype=dtype, copy=True)
-    csr.sum_duplicates()
-    csr.eliminate_zeros()
-    csr.sort_indices()
+def _is_canonical(matrix) -> bool:
+    """Whether ``matrix`` is a float CSR matrix in canonical form: sorted
+    column indices and no duplicates, as SciPy flags them, and no stored
+    zero."""
+    return (
+        sp.issparse(matrix)
+        and matrix.format == "csr"
+        and matrix.dtype == float
+        and matrix.has_canonical_format
+        and matrix.data.all()
+    )
+
+
+def _canonical_csr(matrix) -> sp.csr_matrix:
+    """Copy ``matrix`` into canonical float CSR form: summed duplicates, no
+    stored zeros, sorted column indices."""
+    csr = sp.csr_matrix(matrix, dtype=float, copy=True)
+    if not _is_canonical(csr):
+        csr.sum_duplicates()
+        csr.eliminate_zeros()
+        csr.sort_indices()
     return csr
+
+
+def _row_sums(csr: sp.csr_matrix) -> np.ndarray:
+    """Row sums of ``csr``, bit for bit those of ``csr.sum(axis=1)``: the
+    same ``np.add.reduceat`` over the rows that store an entry."""
+    sums = np.zeros(csr.shape[0])
+    rows = np.flatnonzero(np.diff(csr.indptr))
+    sums[rows] = np.add.reduceat(csr.data, csr.indptr[rows])
+    return sums
 
 
 def _symmetric_lu(matrix: sp.csc_matrix):
@@ -363,18 +386,24 @@ def row_normalize(counts) -> SparseStochasticMatrix:
     """
     if isinstance(counts, SparseStochasticMatrix):
         counts = counts.csr
-    csr = _canonical_csr(counts)
+    # only read below, so a canonical input needs no copy
+    csr = counts if _is_canonical(counts) else _canonical_csr(counts)
     if csr.nnz and csr.data.min() < 0.0:
         raise ValueError("count matrix entries must be nonnegative")
-    row_sums = np.asarray(csr.sum(axis=1)).ravel()
+    row_sums = _row_sums(csr)
     zero_rows = np.flatnonzero(row_sums <= 0.0)
     if zero_rows.size:
         raise ZeroRow(int(zero_rows[0]))
-    inv = 1.0 / row_sums
-    out = sp.csr_matrix(
-        (csr.data * np.repeat(inv, np.diff(csr.indptr)), csr.indices, csr.indptr),
-        shape=csr.shape,
-    )
+    lengths = np.diff(csr.indptr)
+    with np.errstate(over="ignore"):
+        inv = 1.0 / row_sums
+    data = csr.data * np.repeat(inv, lengths)
+    tiny = np.isinf(inv)
+    if tiny.any():
+        # a sum below about 5.6e-309 has no finite reciprocal: divide its row
+        entries = np.repeat(tiny, lengths)
+        data[entries] = csr.data[entries] / np.repeat(row_sums, lengths)[entries]
+    out = sp.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
     return SparseStochasticMatrix(out, stochastic=True)
 
 
@@ -437,7 +466,7 @@ def stochasticity_residual(P) -> float:
     csr = _as_csr(P)
     if csr.shape[0] != csr.shape[1]:
         raise DimensionMismatch("matrix must be square")
-    row_sums = np.asarray(csr.sum(axis=1)).ravel()
+    row_sums = _row_sums(csr)
     return float(np.abs(row_sums - 1.0).max()) if row_sums.size else 0.0
 
 

@@ -11,17 +11,27 @@ held to.  The small helpers at the top give a pattern's positions, CSR
 buffer equality, bit equality of two hot-loop results, the dense ``Y`` of reduced variables and the full objective
 value, for the tests to compare against.  :func:`reference_newton_pcg` and
 :func:`reference_jump_chain_sweep` are the plain loops of the two hot loops,
-which the library's buffered versions must match bit for bit.
+which the library's buffered versions must match bit for bit, and
+:func:`reference_random_chain` is the random-ensemble generator built from
+SciPy's sparse operations, which ``gen_random_chain`` must match bit for bit.
 """
 
 import warnings
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg
 from scipy.linalg.blas import dger
 
-from revmarkov import IndexMaps, build_index_maps
+from revmarkov import (
+    DegenerateInstance,
+    IndexMaps,
+    build_index_maps,
+    row_normalize,
+    strongly_connected_components,
+)
+from revmarkov import experiments
 from revmarkov.chain_analysis import _SWEEP_BUDGET, _SWEEP_CHECK, _SWEEP_FLOOR
 from revmarkov.qp_solve import _CG_MAX_ITERATIONS, _CG_TOLERANCE
 
@@ -369,3 +379,29 @@ def reference_jump_chain_sweep(O, d: np.ndarray):
                     return None, step, residual
             previous = residual
         x = 0.5 * (x + y)
+
+
+def reference_random_chain(cfg, case_index: int, attempt: int = 0):
+    """The random chain that ``experiments.gen_random_chain`` must match bit
+    for bit, built from SciPy's sparse operations.
+
+    The same draws from the case's stream (``experiments._case_rng``, looked
+    up at call time so a test can replace it) give the distinct keys by
+    ``np.unique``; COO to CSR gives the support, whose strongly connected
+    components come from :func:`strongly_connected_components`; fancy
+    indexing restricts it to the largest one (a tie goes to the one with
+    the smallest first state), and :func:`row_normalize` normalizes that.
+    """
+    rng = experiments._case_rng(cfg.seed, case_index, attempt)
+    n = int(rng.integers(cfg.n_min, cfg.n_max + 1))
+    flat = np.unique(rng.integers(0, n * n, size=int(cfg.alpha * n)))
+    values = rng.random(flat.size)
+    raw = sp.coo_matrix((values, (flat // n, flat % n)), shape=(n, n)).tocsr()
+    components = strongly_connected_components(raw)
+    largest = max(len(c) for c in components)
+    if largest < 2:
+        raise DegenerateInstance(
+            f"largest strongly connected component has {largest} state(s)"
+        )
+    members = min((c for c in components if len(c) == largest), key=lambda c: int(c[0]))
+    return row_normalize(raw[members][:, members])

@@ -4,18 +4,24 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse as sp
 
-from dense_oracle import same_csr
+import revmarkov.experiments as experiments
+from dense_oracle import reference_random_chain, same_csr
 from revmarkov import (
     BenchmarkConfig,
+    DegenerateInstance,
     EmptyTrajectory,
     LangevinConfig,
+    RevMarkovError,
+    ZeroRow,
     count_matrix,
     gen_random_chain,
     is_irreducible,
     langevin_trajectory,
     run_benchmark,
     stochasticity_residual,
+    strongly_connected_components,
     torsion_potential,
 )
 from revmarkov.experiments import _NOISE_BLOCK
@@ -74,6 +80,84 @@ class TestGenRandomChain:
         cfg = BenchmarkConfig(seed=13)
         first, other = (gen_random_chain(cfg, 0, attempt=k).csr for k in (0, 1))
         assert not same_csr(first, other)
+
+
+def same_outcome(cfg, case, attempt=0):
+    """Whether ``gen_random_chain`` and its SciPy reference give byte-equal
+    buffers, or raise the same error; the outcome, for the caller to check
+    what it covered."""
+    outcomes = []
+    for generate in (gen_random_chain, reference_random_chain):
+        try:
+            csr = generate(cfg, case, attempt).csr
+        except RevMarkovError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append(
+                tuple((buf.dtype, buf.tobytes()) for buf in (csr.indptr, csr.indices, csr.data))
+            )
+    assert outcomes[0] == outcomes[1], (cfg, case, attempt)
+    return outcomes[0]
+
+
+class TestGeneratorMatchesReference:
+    def test_bench_ensemble_keys(self):
+        # the benchmark's ensemble is BenchmarkConfig() over keys 0-399
+        cfg = BenchmarkConfig()
+        for case in range(400):
+            same_outcome(cfg, case)
+
+    def test_attempts_and_other_sizes(self):
+        for cfg in (
+            BenchmarkConfig(),
+            BenchmarkConfig(n_min=800, n_max=800),
+            BenchmarkConfig(n_min=3, n_max=40, alpha=1.5, seed=3),
+        ):
+            for case in range(4):
+                for attempt in range(1, 4):
+                    same_outcome(cfg, case, attempt)
+
+    def test_tiny_configs_degenerate_alike(self):
+        cfg = BenchmarkConfig(n_min=2, n_max=2, alpha=1.0, seed=1)
+        outcomes = [same_outcome(cfg, case, attempt) for case in range(20) for attempt in range(3)]
+        errors = [outcome for outcome in outcomes if outcome[0] is DegenerateInstance]
+        assert errors and len(errors) < len(outcomes)
+
+    def test_tie_between_largest_components(self):
+        # two components of two states tie, and SciPy labels {1, 3} before
+        # {0, 2}; the chain is the restriction to {0, 2}, which holds state 0
+        cfg, case = BenchmarkConfig(n_min=4, n_max=4, alpha=2.0, seed=1), 8
+        rng = experiments._case_rng(cfg.seed, case)
+        n = int(rng.integers(cfg.n_min, cfg.n_max + 1))
+        flat = np.unique(rng.integers(0, n * n, size=int(cfg.alpha * n)))
+        support = sp.coo_matrix((np.ones(flat.size), (flat // n, flat % n)), shape=(n, n))
+        components = [c.tolist() for c in strongly_connected_components(support)]
+        assert components[:2] == [[1, 3], [0, 2]] and all(len(c) == 1 for c in components[2:])
+        same_outcome(cfg, case)
+        assert gen_random_chain(cfg, case).n == 2
+
+    def test_a_drawn_zero_is_handled_alike(self, monkeypatch):
+        # a value drawn as exactly 0.0 stays an edge of the support for the
+        # components and is dropped when the restriction is normalized
+        draw = experiments._case_rng
+
+        class ZeroingStream:
+            def __init__(self, *key):
+                self._rng = draw(*key)
+
+            def integers(self, *args, **kwargs):
+                return self._rng.integers(*args, **kwargs)
+
+            def random(self, size):
+                values = self._rng.random(size)
+                values[::2] = 0.0
+                return values
+
+        monkeypatch.setattr(experiments, "_case_rng", ZeroingStream)
+        cfg = BenchmarkConfig(n_min=3, n_max=12, alpha=2.0, seed=5)
+        firsts = [same_outcome(cfg, case)[0] for case in range(40)]
+        errors = [first for first in firsts if isinstance(first, type)]
+        assert set(errors) == {ZeroRow, DegenerateInstance} and len(errors) < len(firsts)
 
 
 class TestTorsionPotential:

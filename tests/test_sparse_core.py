@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -53,6 +55,17 @@ class TestRowNormalize:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             row_normalize(np.array([[1.0, -0.5], [0.0, 1.0]]))
+
+    def test_subnormal_row_sum_is_divided(self):
+        # 1 / 1.5e-323 overflows, so that row is divided by its sum; every
+        # other row keeps the bits of its entries times the reciprocal
+        counts = np.array([[5e-324, 1e-323, 0.0], [0.1, 0.2, 0.4], [0.0, 0.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = row_normalize(counts)
+        middle = np.array([0.1, 0.2, 0.4])
+        expected = np.r_[np.array([1.0, 2.0]) / 3.0, middle * (1.0 / (0.1 + 0.2 + 0.4)), 1.0]
+        assert P.csr.data.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_idempotent_on_stochastic(self, chain_factory, seed):
@@ -251,6 +264,70 @@ def test_row_normalize_rows_sum_to_one(n, seed):
     counts[np.arange(n), rng.integers(0, n, size=n)] += 0.5  # no zero rows
     out = row_normalize(counts)
     assert stochasticity_residual(out) <= 1e-12
+
+
+def scipy_canonical(matrix) -> sp.csr_matrix:
+    """Canonical CSR form by SciPy's own sequence on a float copy."""
+    csr = sp.csr_matrix(matrix, dtype=float, copy=True)
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    csr.sort_indices()
+    return csr
+
+
+@st.composite
+def sparse_inputs(draw):
+    """A square COO or CSR matrix whose entries come in any order, with
+    duplicates, explicit zeros and empty rows, or a canonical CSR matrix."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    value = st.sampled_from([0.0, 0.25, 1.0, 3.0]) | st.floats(1e-300, 10.0)
+    index = st.integers(min_value=0, max_value=n - 1)
+    entries = draw(st.lists(st.tuples(index, index, value), max_size=3 * n * n))
+    rows = np.array([e[0] for e in entries], dtype=np.int64)
+    cols = np.array([e[1] for e in entries], dtype=np.int64)
+    vals = np.array([e[2] for e in entries], dtype=float)
+    coo = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    form = draw(st.sampled_from(["coo", "csr", "canonical"]))
+    if form == "coo":
+        return coo
+    if form == "canonical":
+        return scipy_canonical(coo)
+    order = np.argsort(rows, kind="stable")  # rows grouped, columns as drawn
+    indptr = np.searchsorted(rows[order], np.arange(n + 1))
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
+
+
+def buffers(csr):
+    return [(buf.dtype, buf.tobytes()) for buf in (csr.indptr, csr.indices, csr.data)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_inputs())
+def test_canonical_construction_matches_scipy(matrix):
+    expected = scipy_canonical(matrix)
+    given_buffers = buffers(matrix.tocsr())
+    P = SparseStochasticMatrix(matrix, stochastic=False)
+    assert buffers(P.csr) == buffers(expected)
+    assert not any(buf.flags.writeable for buf in (P.csr.indptr, P.csr.indices, P.csr.data))
+
+    sums = np.asarray(matrix.tocsr().sum(axis=1)).ravel()
+    assert stochasticity_residual(matrix).hex() == float(np.abs(sums - 1.0).max()).hex()
+
+    # the reference row_normalize: SciPy's canonical form, its row sums, and
+    # each entry times its row's reciprocal
+    sums = np.asarray(expected.sum(axis=1)).ravel()
+    if sums.min() > 0.0:
+        scaled = expected.data * np.repeat(1.0 / sums, np.diff(expected.indptr))
+        assert buffers(row_normalize(matrix).csr) == buffers(
+            scipy_canonical(sp.csr_matrix((scaled, expected.indices, expected.indptr)))
+        )
+    else:
+        with pytest.raises(ZeroRow):
+            row_normalize(matrix)
+    # the input is neither changed nor frozen
+    assert buffers(matrix.tocsr()) == given_buffers
+    if matrix.format == "csr":
+        assert matrix.data.flags.writeable
 
 
 def _product_case(index_dtype):

@@ -6,8 +6,8 @@ Run from any directory; the program is imported from ``src/``.  The object
 holds:
 
 * for every case of the benchmark's bank (``perfbench/reference.json``, all
-  four workloads), the SHA-256 of the CSR buffers of ``R`` and the hex of the
-  pipeline's ``distance``;
+  four workloads), the SHA-256 of the CSR buffers of the input chain ``P``
+  and of ``R``, and the hex of the pipeline's ``distance``;
 * the totals of Newton steps and conjugate-gradient iterations over the bank;
 * for every ``torsion`` bank case, the SHA-256 of the Langevin trajectory's
   bytes and of the CSR buffers of its count matrix;
@@ -99,8 +99,10 @@ def bank_identity() -> dict:
         cases[name] = []
         with counting_solves() as counts:
             for case in bank["cases"]:
-                _, R, diag = operate(workload, workload.make_input(case["key"]))
-                cases[name].append([case["key"], digest(R.csr), diag.distance.hex()])
+                P, R, diag = operate(workload, workload.make_input(case["key"]))
+                cases[name].append(
+                    [case["key"], digest(P.csr), digest(R.csr), diag.distance.hex()]
+                )
                 newton += sum(c.iterations for c in diag.per_class)
                 cg += sum(c.cg_iterations for c in diag.per_class)
         solves[name] = dict(sorted(counts.items()))
