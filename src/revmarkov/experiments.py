@@ -101,7 +101,7 @@ def gen_random_chain(cfg: BenchmarkConfig, case_index: int, attempt: int = 0):
     n = int(rng.integers(cfg.n_min, cfg.n_max + 1))
     nnz = int(cfg.alpha * n)
     keys = np.sort(rng.integers(0, n * n, size=nnz))
-    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     values = rng.random(keys.size)
     rows, cols = np.divmod(keys, n)
     support = _row_major_csr(values, rows, cols, n)

@@ -51,11 +51,14 @@ def _is_canonical(matrix) -> bool:
 def _canonical_csr(matrix) -> sp.csr_matrix:
     """Copy ``matrix`` into canonical float CSR form: summed duplicates, no
     stored zeros, sorted column indices."""
+    if _is_canonical(matrix):
+        return sp.csr_matrix(
+            (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape, copy=True
+        )
     csr = sp.csr_matrix(matrix, dtype=float, copy=True)
-    if not _is_canonical(csr):
-        csr.sum_duplicates()
-        csr.eliminate_zeros()
-        csr.sort_indices()
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    csr.sort_indices()
     return csr
 
 
