@@ -278,7 +278,8 @@ def scipy_canonical(matrix) -> sp.csr_matrix:
 @st.composite
 def sparse_inputs(draw):
     """A square COO or CSR matrix whose entries come in any order, with
-    duplicates, explicit zeros and empty rows, or a canonical CSR matrix."""
+    duplicates, explicit zeros and empty rows, or a canonical CSR matrix
+    with int32 or int64 indices."""
     n = draw(st.integers(min_value=1, max_value=6))
     value = st.sampled_from([0.0, 0.25, 1.0, 3.0]) | st.floats(1e-300, 10.0)
     index = st.integers(min_value=0, max_value=n - 1)
@@ -287,11 +288,14 @@ def sparse_inputs(draw):
     cols = np.array([e[1] for e in entries], dtype=np.int64)
     vals = np.array([e[2] for e in entries], dtype=float)
     coo = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    form = draw(st.sampled_from(["coo", "csr", "canonical"]))
+    form = draw(st.sampled_from(["coo", "csr", "canonical", "canonical int64"]))
     if form == "coo":
         return coo
-    if form == "canonical":
-        return scipy_canonical(coo)
+    if form.startswith("canonical"):
+        csr = scipy_canonical(coo)
+        if form.endswith("int64"):
+            csr.indices, csr.indptr = csr.indices.astype(np.int64), csr.indptr.astype(np.int64)
+        return csr
     order = np.argsort(rows, kind="stable")  # rows grouped, columns as drawn
     indptr = np.searchsorted(rows[order], np.arange(n + 1))
     return sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
