@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .exceptions import DimensionMismatch, InconsistentSupport, StationaryUnderflow
+from .exceptions import DimensionMismatch, InconsistentSupport, RevMarkovError, StationaryUnderflow
 from .sparse_core import (
     ProbabilityVector,
     SparseStochasticMatrix,
@@ -21,7 +21,11 @@ from .sparse_core import (
     _edge_rows,
     _gather,
     _row_edges,
+    _row_major,
+    _row_sums,
+    _scipy,
     _symmetric_lu,
+    _transpose,
 )
 
 __all__ = [
@@ -57,9 +61,8 @@ def _class_stationary(n: int, rows, cols, vals) -> np.ndarray:
     if n == 1:
         return np.ones(1)
     off = rows != cols
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[off], minlength=n))])
-    O = sp.csr_matrix((vals[off], cols[off], indptr), shape=(n, n))
-    d = np.asarray(O.sum(axis=1)).ravel()
+    O = _row_major(vals[off], rows[off], cols[off], n)
+    d = _row_sums(O)
     pi, steps, residual = _jump_chain_sweep(O, d)
     if pi is None:
         pi = _balance_solve(O, d, f"class of {n} states (sweep declined at step {steps})")
@@ -70,11 +73,12 @@ def _class_stationary(n: int, rows, cols, vals) -> np.ndarray:
     return pi
 
 
-def _balance_solve(O: sp.csr_matrix, d, label: str) -> np.ndarray:
+def _balance_solve(O, d, label: str) -> np.ndarray:
     """The solution ``x`` of the balance equations ``x (D - O) = 0`` with
     ``x_0 = 1``: the expected visits of the walk restarted at state 0.  ``O``
-    is canonical CSR with no diagonal, and ``d`` its row sums as the caller
-    summed them, so no entry comes from a subtraction.
+    is canonical CSR with no diagonal, as a ``csr_matrix`` or the arrays of
+    one, and ``d`` its row sums as the caller summed them, so no entry comes
+    from a subtraction.
 
     Sparse LU is accurate in norm only, so its ``x`` is kept if nonnegative
     with every balance equation, state 0's too, holding to
@@ -93,8 +97,11 @@ def _balance_solve(O: sp.csr_matrix, d, label: str) -> np.ndarray:
     inner, diagonal = (rows > 0) & (cols > 0), np.arange(1, m)
     i, j = np.r_[rows[inner], diagonal] - 1, np.r_[cols[inner], diagonal] - 1
     A = sp.csr_matrix((np.r_[-vals[inner], d[1:]], (i, j)), shape=(m - 1, m - 1))
+    head = slice(O.indptr[0], O.indptr[1])  # row 0 of O: the right-hand side
+    rhs = np.zeros(m)
+    rhs[cols[head]] = vals[head]
     try:
-        x = np.r_[1.0, _symmetric_lu(A.T).solve(O[0, 1:].toarray().ravel())]
+        x = np.r_[1.0, _symmetric_lu(A.T).solve(rhs[1:])]
     except RuntimeError:  # exactly singular factor
         x = np.full(m, np.nan)
     residual = np.inf
@@ -107,7 +114,7 @@ def _balance_solve(O: sp.csr_matrix, d, label: str) -> np.ndarray:
         logger.debug("%s by sparse LU: residual %.3g", label, residual)
         return x
     logger.debug("%s by GTH elimination: sparse LU residual %.3g rejected", label, residual)
-    rng, rounds = np.random.default_rng(0), []
+    rng, rounds, O = np.random.default_rng(0), [], _scipy(O)
     while O.shape[0] > 1:
         m = O.shape[0]
         link = (O + O.T).tocoo()
@@ -141,7 +148,7 @@ _SWEEP_BUDGET = 400
 _SWEEP_CHECK = 10
 
 
-def _jump_chain_sweep(O: sp.csr_matrix, d: np.ndarray):
+def _jump_chain_sweep(O, d: np.ndarray):
     """Lazy power iteration ``x <- (x + O^T (x / d)) / 2`` on the jump chain
     ``D^-1 O``, whose stationary vector is ``x = pi * d``.
 
@@ -157,16 +164,17 @@ def _jump_chain_sweep(O: sp.csr_matrix, d: np.ndarray):
     projects more than ``_SWEEP_BUDGET`` steps in all, or a start already at
     the floor shows no contraction to certify it.
 
-    ``O^T`` is copied once into CSR (about 12 bytes per stored entry), whose
-    rows sum each entry in the order ``O.T @`` does, and every step writes
-    its product by :func:`_csr_apply` into reused buffers.  That is the
-    plain loop's arithmetic up to commutation, so every iterate has the same
-    bits.
+    ``O`` is the CSR arrays of the off-diagonal block.  Its transpose is
+    copied once into CSR arrays by :func:`_transpose` (about 12 bytes per
+    stored entry), whose rows sum each entry in the order ``O.T @`` does,
+    and every step writes its product by :func:`_csr_apply` into reused
+    buffers.  That is the plain loop's arithmetic up to commutation, so
+    every iterate has the same bits.
 
     Returns ``(pi, steps, residual)``, with ``pi`` ``None`` when declined.
     """
     scale = 1.0 / d
-    flow_in = O.T.tocsr()
+    flow_in = _transpose(O)
     x = d / d.sum()
     xs, y = np.empty_like(x), np.empty_like(x)
     for step in range(_SWEEP_BUDGET + 1):
@@ -227,7 +235,9 @@ def _closed_components(P: SparseStochasticMatrix):
     is_open[sources[sources != labels[csr.indices]]] = True
     # each state keyed by its component's first state: a stable sort by key
     # lists the closed components by first state, each one ascending
-    first = np.unique(labels, return_index=True)[1][labels]
+    first = np.full(count, csr.shape[0])
+    np.minimum.at(first, labels, np.arange(csr.shape[0]))
+    first = first[labels]
     closed = np.flatnonzero(~is_open[labels])
     closed = closed[np.argsort(first[closed], kind="stable")]
     starts = np.flatnonzero(np.diff(first[closed])) + 1
@@ -292,7 +302,9 @@ def stationary_mixture(P: SparseStochasticMatrix) -> ProbabilityVector:
     That probability comes from the expected visits to the transient states,
     solved by :func:`_balance_solve` with no ``1 - p_tt`` formed.  Transient
     states get exactly zero mass; a class state whose mass underflows to zero
-    raises :class:`~revmarkov.StationaryUnderflow`.
+    raises :class:`~revmarkov.StationaryUnderflow`, and masses that overflow
+    (expected visits beyond the double range) raise
+    :class:`~revmarkov.RevMarkovError`.
 
     The result is the Cesàro limit of the iterates, which equals their plain
     limit whenever that exists, for any spectral gap and periodic chains.  It
@@ -318,16 +330,18 @@ def _mixture(P, closed, transient, blocks) -> ProbabilityVector:
         off = cols != owner + 1
         rows, cols = np.r_[np.zeros(m, np.intp), owner[off] + 1], np.r_[1 : m + 1, cols[off]]
         O = sp.csr_matrix((np.r_[x0[transient], vals[off]], (rows, cols)), shape=(m + 1, m + 1))
-        d = np.asarray(O.sum(axis=1)).ravel()
-        visits = _balance_solve(O, d, f"transient visits of {m} states")[1:]
+        visits = _balance_solve(O, _row_sums(O), f"transient visits of {m} states")[1:]
         mass = x0 + np.bincount(csr.indices[edges], weights=visits[owner] * vals, minlength=P.n)
 
     pi = np.zeros(P.n)
     for members, block in zip(closed, blocks):
         pi[members] = mass[members].sum() * _class_stationary(members.size, *block)
+    total = pi.sum()
+    if not np.isfinite(total):
+        raise RevMarkovError(f"the class weights left the double range (their sum is {total})")
     if np.count_nonzero(pi) + transient.size < P.n:
         raise StationaryUnderflow(int(np.setdiff1d(np.flatnonzero(pi == 0.0), transient)[0]))
-    return ProbabilityVector(pi / pi.sum())
+    return ProbabilityVector(pi / total)
 
 
 @dataclass(frozen=True)

@@ -67,13 +67,13 @@ class NegativeEntry(RevMarkovError):
 
 
 class MaxIterations(RevMarkovError):
-    """The QP solver hit its iteration cap; ``result`` holds the best iterate."""
+    """The QP solver stopped without meeting its KKT tolerance, at its
+    iteration cap or earlier; ``result`` holds the best iterate and the
+    message names the residuals that fail and the Newton steps taken."""
 
-    def __init__(self, result):
+    def __init__(self, result, message: str):
         self.result = result
-        super().__init__(
-            f"iteration limit reached with kkt residuals {result.kkt_residuals}"
-        )
+        super().__init__(message)
 
 
 class EmptyTrajectory(RevMarkovError):

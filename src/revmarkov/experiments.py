@@ -25,7 +25,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .exceptions import DegenerateInstance, EmptyTrajectory
 from .pipeline import nearest_sparse_reversible
-from .sparse_core import row_normalize
+from .sparse_core import _row_major, _scipy, row_normalize
 
 __all__ = [
     "BenchmarkConfig",
@@ -104,7 +104,7 @@ def gen_random_chain(cfg: BenchmarkConfig, case_index: int, attempt: int = 0):
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     values = rng.random(keys.size)
     rows, cols = np.divmod(keys, n)
-    support = _row_major_csr(values, rows, cols, n)
+    support = _scipy(_row_major(values, rows, cols, n))
 
     _, labels = connected_components(support, directed=True, connection="strong")
     component_size = np.bincount(labels)[labels]  # of each state's component
@@ -118,20 +118,8 @@ def gen_random_chain(cfg: BenchmarkConfig, case_index: int, attempt: int = 0):
     keep = labels == labels[np.argmax(component_size == largest)]
     local = np.cumsum(keep) - 1  # monotone, so the entries stay row-major
     inside = keep[rows] & keep[cols]
-    restricted = _row_major_csr(
-        values[inside], local[rows[inside]], local[cols[inside]], largest
-    )
-    return row_normalize(restricted)
-
-
-def _row_major_csr(values, rows, cols, n: int) -> sp.csr_matrix:
-    """``n x n`` CSR matrix of entries given in row-major order.
-
-    Its index arrays are handed over as int32, the type SciPy picks for
-    fewer than 2**31 entries, which spares SciPy checking and converting them.
-    """
-    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
-    return sp.csr_matrix((values, cols.astype(np.int32), indptr), shape=(n, n))
+    restricted = _row_major(values[inside], local[rows[inside]], local[cols[inside]], largest)
+    return row_normalize(_scipy(restricted))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,15 @@ positions of the admissible pattern are keyed ``j * m + i`` (the variable
 order of :class:`~revmarkov.qp_build.IndexMaps`), and ``P_ij`` and ``P_ji``
 are carried onto each position.  The reduced program, the unscaled entries of
 ``R``, the class distance and the Metropolis-Hastings baseline are all read
-from that table, so the only chain object a call builds is the result.
+from that table, so the only chain object a call builds is the result, put
+in row-major order by one sort of its entries.
+
+The rest runs on arrays too: every sparse product, the pipeline's and
+``verify``'s, goes to SciPy's kernels on stored CSR arrays (see
+:func:`~revmarkov.sparse_core._csr_apply`), and each transposed copy comes
+from SciPy's conversion kernel.  So a call whose classes the jump-chain sweep
+solves builds two SciPy matrices per class, the equality and the normal
+matrix, and one for ``R``, which the chain's constructor copies once.
 """
 
 from __future__ import annotations
@@ -37,6 +45,8 @@ from .sparse_core import (
     _pair_values,
     _pattern_positions,
     _row_edges,
+    _row_major,
+    _scipy,
     detailed_balance_residual,
     stationarity_residual,
     stochasticity_residual,
@@ -174,8 +184,11 @@ def _solve_pair_table(pi, members, block, pattern, solver_opts):
     pi_class = pi_class / pi_class.sum()
     maps = IndexMaps(n=m, upper_rows=i, upper_cols=j)
     qp = _assemble(maps, pi_class, p_up, p_down)
+    solver_opts = solver_opts or SolverOptions()
     result = solve_qp(qp, solver_opts)
-    r_up, r_down = _unscale(result.y, maps, qp.pi_hat)
+    # a renormalization beyond the solver's tolerance would break detailed
+    # balance by as much, so such a class is refused
+    r_up, r_down = _unscale(result.y, maps, qp.pi_hat, solver_opts.kkt_tolerance)
 
     off = ~maps.diagonal_mask
     moved = np.r_[r_up - p_up, (r_down - p_down)[off], outside]
@@ -287,11 +300,14 @@ def nearest_sparse_reversible(
         raise ClassSolveFailed(failures)
 
     # reassemble: transient rows verbatim, class blocks from the pair tables,
-    # into the one chain object built, canonicalized once
+    # all distinct positions, put in row-major order by one sort
     entries, squared, mh_squared, moved, reports = zip(*solved)
     edges, owner = _row_edges(csr, transient)
     parts = [(transient[owner], csr.indices[edges], csr.data[edges]), *entries]
-    R = SparseStochasticMatrix.from_coo(P.n, *map(np.concatenate, zip(*parts)))
+    rows, cols, vals = map(np.concatenate, zip(*parts))
+    stored = np.flatnonzero(vals)
+    order = stored[np.argsort(rows[stored] * P.n + cols[stored])]
+    R = SparseStochasticMatrix(_scipy(_row_major(vals[order], rows[order], cols[order], P.n)))
 
     diagnostics = PipelineDiagnostics(
         num_classes=len(classes),

@@ -36,15 +36,20 @@ from .exceptions import (
     LengthMismatch,
     NegativeEntry,
     NonPositivePi,
+    RevMarkovError,
 )
 from .sparse_core import (
     STOCHASTIC_TOL,
     ProbabilityVector,
     SparseStochasticMatrix,
     SparsityPattern,
+    _CSRArrays,
     _edge_rows,
+    _index_type,
     _pair_values,
     _pattern_positions,
+    _scipy,
+    _transpose,
 )
 
 __all__ = [
@@ -176,15 +181,17 @@ def _assemble(maps: IndexMaps, pi_vals, p_up, p_down) -> ReducedQP:
     scale_up = pi_hat[j] / pi_hat[i]
     linear = np.where(diag, -p_up, -(p_up * scale_up + p_down / scale_up))
 
-    # column k of Y s = s holds s_j in row i and, off the diagonal, s_i in row j
+    # column k of Y s = s holds s_j in row i and, off the diagonal, s_i in row j;
+    # those CSC arrays of A are the CSR arrays of A^T, transposed into CSR
     off = ~diag
-    indptr = np.concatenate([[0], np.cumsum(1 + off)])
+    index = _index_type(2 * maps.y_m)  # at least the entries and the columns
+    indptr = np.concatenate([[0], np.cumsum(1 + off)]).astype(index)
     first, second = indptr[:-1], indptr[:-1][off] + 1
-    rows = np.empty(indptr[-1], dtype=i.dtype)
+    rows = np.empty(indptr[-1], dtype=index)
     vals = np.empty(indptr[-1])
     rows[first], vals[first] = i, pi_hat[j]
     rows[second], vals[second] = j[off], pi_hat[i[off]]
-    a_eq = sp.csc_matrix((vals, rows, indptr), shape=(maps.n, maps.y_m)).tocsr()
+    a_eq = _scipy(_transpose(_CSRArrays(vals, rows, indptr, (maps.y_m, maps.n))))
 
     return ReducedQP(
         maps=maps,
@@ -223,10 +230,12 @@ def unscale_solution(
     )
 
 
-def _unscale(y: np.ndarray, maps: IndexMaps, pi_hat: np.ndarray):
+def _unscale(y: np.ndarray, maps: IndexMaps, pi_hat: np.ndarray, tolerance: float = np.inf):
     """``R_ij`` and ``R_ji`` at each variable position ``(i, j)`` (both
     ``R_ii`` on the diagonal), with the clamp and renormalization of
-    :func:`unscale_solution`."""
+    :func:`unscale_solution`.  A row-sum deviation above ``tolerance``
+    raises :class:`~revmarkov.RevMarkovError` instead of being renormalized
+    away."""
     worst = int(np.argmin(y)) if y.size else 0
     if y.size and y[worst] < -NEGATIVE_TOLERANCE:
         raise NegativeEntry(worst, float(y[worst]))
@@ -239,6 +248,11 @@ def _unscale(y: np.ndarray, maps: IndexMaps, pi_hat: np.ndarray):
     row_sums = np.bincount(i, weights=r_up, minlength=maps.n)
     row_sums += np.bincount(j[off], weights=r_down[off], minlength=maps.n)
     deviation = float(np.abs(row_sums - 1.0).max()) if row_sums.size else 0.0
+    if deviation > tolerance:
+        raise RevMarkovError(
+            f"unscaled rows miss a sum of 1 by {deviation:.3e} (> {tolerance:.0e}): "
+            "the solution does not satisfy detailed balance once renormalized"
+        )
     if deviation > STOCHASTIC_TOL:
         logger.warning(
             "renormalizing rows: row-sum deviation %.3e exceeds %.0e",

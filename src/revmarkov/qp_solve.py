@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from .exceptions import MaxIterations
 from .qp_build import ReducedQP
-from .sparse_core import _csr_apply, _edge_rows, _symmetric_lu
+from .sparse_core import _csr_apply, _csr_apply_transposed, _CSRArrays, _edge_rows, _symmetric_lu
 
 __all__ = [
     "SolverOptions",
@@ -143,8 +143,11 @@ def _newton_pcg(normal: sp.csr_matrix, diag: np.ndarray, rhs: np.ndarray):
 
     The iterates live in two buffers, ``[x; -r]`` and ``[p; S p]``, so one
     multiply-add updates ``x`` and ``r``, and ``S p`` is written into the
-    second by :func:`_csr_apply`.  That is the textbook recurrence up to sign
-    flips and commutation, so every iterate has the same bits.  The exact
+    second by :func:`_csr_apply`, SciPy's kernel on the stored arrays of
+    ``S``.  That is the textbook recurrence up to sign flips and
+    commutation, so every iterate has the same bits.  The products of the
+    Newton loop around it (``A^T lam``, ``A y``, ``(A o A) w_F`` and
+    ``A^T step``) run the same kernels on the arrays of ``A``.  The exact
     test ``||r||_inf <= target`` runs only once ``r^T D^-1 r <= 4 target^2
     sum(1/d)``: it cannot pass before, as ``||r||_inf^2 >= r^T D^-1 r /
     sum(1/d)``, and the factor 4 covers the rounding of both sides.
@@ -190,9 +193,12 @@ def kkt_residuals(qp: ReducedQP, y: np.ndarray, lam: np.ndarray, z: np.ndarray) 
     """KKT residual tuple at ``y`` for the equality multipliers ``lam`` and
     the bound multipliers ``z``."""
     y = np.asarray(y, dtype=float).ravel()
+    at_lam, a_y = np.empty(qp.y_m), np.empty(qp.n)
+    _csr_apply_transposed(qp.a_eq, np.asarray(lam, dtype=float).ravel(), at_lam)
+    _csr_apply(qp.a_eq, y, a_y)
     g = qp.hessian_diag * y + qp.linear
-    stationarity = float(np.abs(g - qp.a_eq.T @ lam - z).max())
-    primal_eq = float(np.abs(qp.a_eq @ y - qp.b_eq).max())
+    stationarity = float(np.abs(g - at_lam - z).max())
+    primal_eq = float(np.abs(a_y - qp.b_eq).max())
     primal_ineq = float(max(0.0, -y.min())) if y.size else 0.0
     complementarity = float(np.abs(np.minimum(y, z)).max()) if y.size else 0.0
     return KKTResiduals(stationarity, primal_eq, primal_ineq, complementarity)
@@ -211,7 +217,8 @@ def _normal_matrix(qp: ReducedQP):
     endpoints as its column indices.
 
     Returns ``form``: ``form(w_F)`` writes ``S`` for the weights ``w_F`` into
-    the one matrix it returns, with its diagonal.
+    the one matrix it returns, and its diagonal into the one vector it
+    returns.
     """
     a, maps = qp.a_eq, qp.maps
     i, j = maps.upper_rows, maps.upper_cols
@@ -221,10 +228,11 @@ def _normal_matrix(qp: ReducedQP):
     normal = sp.csr_matrix(
         (np.empty(a.nnz), columns.astype(a.indices.dtype), a.indptr), (qp.n, qp.n)
     )
-    a_squared = sp.csr_matrix((a.data**2, a.indices, a.indptr), a.shape)
+    a_squared = _CSRArrays(a.data**2, a.indices, a.indptr, a.shape)
+    diag = np.empty(qp.n)
 
     def form(w_f):
-        diag = a_squared @ w_f
+        _csr_apply(a_squared, w_f, diag)
         np.take(qp.pi_hat[i] * qp.pi_hat[j] * w_f, a.indices, out=normal.data)
         normal.data[diagonal] = diag
         return normal, diag
@@ -283,19 +291,23 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
     exhausted ``max_iterations`` returns the iterate with the smallest
     ``||b - A y||_inf`` instead.
 
-    Returns ``(y, lam, z, iterations, cg_iterations, factor_steps)``: the
-    Newton steps, the conjugate-gradient iterations over all of them and the
+    Returns ``(y, lam, z, iterations, steps, cg_iterations,
+    factor_steps)``: the Newton step that reached ``lam``, the Newton steps
+    taken, the conjugate-gradient iterations over all of them and the
     systems handed to the factor.
     """
     q, c, a, b = qp.hessian_diag, qp.linear, qp.a_eq, qp.b_eq
     w = 1.0 / q
-    at = a.T
     form_normal = _normal_matrix(qp)
+    a_y = np.empty(qp.n)
 
     def dual_point(lam):
-        v = at @ lam - c
+        v = np.empty(qp.y_m)
+        _csr_apply_transposed(a, lam, v)
+        v -= c
         y = np.maximum(v, 0.0) / q
-        return v, y, b - a @ y
+        _csr_apply(a, y, a_y)
+        return v, y, b - a_y
 
     lam = np.zeros(qp.n)
     v, y, grad = dual_point(lam)
@@ -320,7 +332,8 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
             step = _normal_solve(normal, grad)
             if step is None:
                 break
-        u = at @ step
+        u = np.empty(qp.y_m)
+        _csr_apply_transposed(a, step, u)
         slope = float(grad @ step)
         t = 1.0
         for _ in range(60):
@@ -333,12 +346,12 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
         v, y, grad = dual_point(lam)
         worst = float(np.abs(grad).max())
         if worst <= opts.kkt_tolerance and t == 1.0 and np.array_equal(y > 0.0, free):
-            return y, lam, np.maximum(-v, 0.0), iteration, cg_total, factor_steps
+            return y, lam, np.maximum(-v, 0.0), iteration, iteration, cg_total, factor_steps
         if worst < best[0]:
             best = (worst, lam, iteration)
-    _, lam, iteration = best
+    _, lam, best_step = best
     v, y, _ = dual_point(lam)
-    return y, lam, np.maximum(-v, 0.0), iteration, cg_total, factor_steps
+    return y, lam, np.maximum(-v, 0.0), best_step, iteration, cg_total, factor_steps
 
 
 def solve_qp(qp: ReducedQP, opts: SolverOptions | None = None) -> SolverResult:
@@ -352,10 +365,11 @@ def solve_qp(qp: ReducedQP, opts: SolverOptions | None = None) -> SolverResult:
     Raises
     ------
     MaxIterations
-        If the tolerance is not met; the exception carries the best iterate.
+        If the tolerance is not met; the exception carries the best iterate
+        and names the residuals that fail and the Newton steps taken.
     """
     opts = opts or SolverOptions()
-    y, lam, z, iterations, cg_iterations, factor_steps = _solve_dual_newton(qp, opts)
+    y, lam, z, iterations, steps, cg_iterations, factor_steps = _solve_dual_newton(qp, opts)
     residuals = kkt_residuals(qp, y, lam, z)
     result = SolverResult(
         y=y,
@@ -365,5 +379,14 @@ def solve_qp(qp: ReducedQP, opts: SolverOptions | None = None) -> SolverResult:
         kkt_residuals=residuals,
     )
     if not residuals.worst <= opts.kkt_tolerance:
-        raise MaxIterations(result)
+        failed = ", ".join(
+            f"{name} {value:.3e}"
+            for name, value in residuals._asdict().items()
+            if not value <= opts.kkt_tolerance
+        )
+        raise MaxIterations(
+            result,
+            f"KKT residuals above {opts.kkt_tolerance:.0e} ({failed}) after {steps} "
+            f"of at most {opts.max_iterations} Newton steps",
+        )
     return result

@@ -8,16 +8,20 @@ freely across threads.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .exceptions import DimensionMismatch, MissingDiagonal, PatternNotSymmetric, ZeroRow
 
-try:  # SciPy's private kernel behind ``csr_matrix @ vector``
+try:  # SciPy's private kernels behind ``@`` and ``.T.tocsr()``
+    from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
     from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+    from scipy.sparse._sparsetools import csr_tocsc as _csr_tocsc
 except ImportError:
-    _csr_matvec = None
+    _csr_matvec = _csc_matvec = _csr_tocsc = None
 
 __all__ = [
     "SparseStochasticMatrix",
@@ -84,21 +88,85 @@ def _symmetric_lu(matrix: sp.csc_matrix):
     )
 
 
-def _csr_apply(matrix: sp.csr_matrix, x: np.ndarray, out: np.ndarray):
+class _CSRArrays(NamedTuple):
+    """The arrays of a CSR matrix under SciPy's attribute names, so that the
+    kernels below take them or a ``csr_matrix`` alike, without building a
+    SciPy matrix."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+
+def _index_type(size: int):
+    """The index type SciPy picks for ``size`` states or entries: int32 up to
+    ``2**31 - 1``, so that it neither checks nor converts the arrays."""
+    return np.int32 if size <= np.iinfo(np.int32).max else np.int64
+
+
+def _row_major(values, rows, cols, n: int) -> _CSRArrays:
+    """CSR arrays of the ``n x n`` matrix of the entries given in row-major
+    order, with the index type of :func:`_index_type`."""
+    index = _index_type(max(n, values.size))
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(index)
+    return _CSRArrays(values, cols.astype(index), indptr, (n, n))
+
+
+def _scipy(matrix) -> sp.csr_matrix:
+    """``matrix`` as a SciPy CSR matrix on the same arrays, for the fallback
+    paths of the kernels."""
+    return sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+
+
+def _csr_apply(matrix, x: np.ndarray, out: np.ndarray):
     """Write ``matrix @ x`` into ``out``, bit for bit the product ``@``
     gives.
 
     Calls the kernel that ``@`` itself runs, without ``@``'s dispatch and
-    result allocation, which cost more than the kernel on the products of
-    the two hot loops (the jump-chain sweep and Newton-CG).  ``x`` and
-    ``out`` are float64 like ``matrix``.  Falls back to ``@`` when SciPy no
-    longer has the kernel under its private name.
+    result allocation, which cost more than the kernel on the small
+    products of the pipeline.  ``matrix`` is a ``csr_matrix`` or
+    :class:`_CSRArrays`; ``x`` and ``out`` are float64 like its data.  Falls
+    back to ``@`` when SciPy no longer has the kernel under its private name.
     """
     if _csr_matvec is None:
-        out[:] = matrix @ x
+        out[:] = _scipy(matrix) @ x
     else:
         out.fill(0.0)  # the kernel adds the product to ``out``
         _csr_matvec(*matrix.shape, matrix.indptr, matrix.indices, matrix.data, x, out)
+
+
+def _csr_apply_transposed(matrix, x: np.ndarray, out: np.ndarray):
+    """Write ``matrix.T @ x`` into ``out``, bit for bit the product ``@``
+    gives, as :func:`_csr_apply` does: the CSR arrays of ``matrix`` are the
+    CSC arrays of its transpose, whose kernel ``@`` runs."""
+    if _csc_matvec is None:
+        out[:] = _scipy(matrix).T @ x
+    else:
+        out.fill(0.0)
+        rows, cols = matrix.shape
+        _csc_matvec(cols, rows, matrix.indptr, matrix.indices, matrix.data, x, out)
+
+
+def _transpose(matrix) -> _CSRArrays:
+    """The CSR arrays of ``matrix.T``, bit for bit and type for type those
+    of ``matrix.T.tocsr()``, from the kernel that conversion runs: each
+    row's entries come out in ascending column order."""
+    if _csr_tocsc is None:
+        flipped = _scipy(matrix).T.tocsr()
+        return _CSRArrays(flipped.data, flipped.indices, flipped.indptr, flipped.shape)
+    rows, cols = matrix.shape
+    nnz = int(matrix.indptr[-1])
+    index = _index_type(max(nnz, rows, cols))
+    indptr, indices = matrix.indptr.astype(index, copy=False), matrix.indices.astype(index, copy=False)
+    out = _CSRArrays(
+        np.empty(nnz, dtype=matrix.data.dtype),
+        np.empty(nnz, dtype=index),
+        np.empty(cols + 1, dtype=index),
+        (cols, rows),
+    )
+    _csr_tocsc(rows, cols, indptr, indices, matrix.data, out.indptr, out.indices, out.data)
+    return out
 
 
 def _edge_rows(csr: sp.csr_matrix) -> np.ndarray:
@@ -435,11 +503,16 @@ def detailed_balance_residual(P, pi: ProbabilityVector) -> float:
         )
     if not csr.has_canonical_format:
         csr = _canonical_csr(csr)
-    # each entry meets its reciprocal (0 when absent) in the pair table
-    i, j, up, down = _pair_table(csr.shape[0], _edge_rows(csr), csr.indices, csr.data)
-    off = i != j
-    flux_gap = pi_values[i[off]] * up[off] - pi_values[j[off]] * down[off]
-    return float(np.max(np.abs(flux_gap), initial=0.0))
+    # each flux pi_i X_ij meets its reciprocal pi_j X_ji (0 when absent) at
+    # the same position of the transpose
+    flux = _CSRArrays(pi_values[_edge_rows(csr)] * csr.data, csr.indices, csr.indptr, csr.shape)
+    back = _transpose(flux)
+    if np.array_equal(back.indptr, flux.indptr) and np.array_equal(back.indices, flux.indices):
+        gap = _CSRArrays(flux.data - back.data, flux.indices, flux.indptr, flux.shape)
+    else:  # some entry lacks its reciprocal: subtract over the union
+        gap = _scipy(flux) - _scipy(back)
+    off = _edge_rows(gap) != gap.indices
+    return float(np.max(np.abs(gap.data[off]), initial=0.0))
 
 
 def frobenius_distance(A, B) -> float:
@@ -476,7 +549,9 @@ def stochasticity_residual(P) -> float:
 def stationarity_residual(P, pi) -> float:
     """Infinity norm of ``pi^T P - pi^T``."""
     csr = _as_csr(P)
-    pi_values = pi.values if isinstance(pi, ProbabilityVector) else np.asarray(pi)
+    pi_values = pi.values if isinstance(pi, ProbabilityVector) else np.asarray(pi, dtype=float).ravel()
     if csr.shape[0] != pi_values.size:
         raise DimensionMismatch("dimensions of P and pi disagree")
-    return float(np.abs(pi_values @ csr - pi_values).max())
+    flow = np.empty(csr.shape[1])
+    _csr_apply_transposed(csr, pi_values, flow)
+    return float(np.abs(flow - pi_values).max())

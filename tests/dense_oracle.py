@@ -357,7 +357,8 @@ def reference_jump_chain_sweep(O, d: np.ndarray):
     Returns ``(pi, steps, residual)``, with ``pi`` ``None`` when declined.
     """
     scale = 1.0 / d
-    flow_in = O.T  # transposed view, no copy
+    # O is the CSR arrays of the block; its transposed view, no copy
+    flow_in = sp.csr_matrix((O.data, O.indices, O.indptr), shape=O.shape).T
     x = d / d.sum()
     for step in range(_SWEEP_BUDGET + 1):
         y = flow_in @ (x * scale)

@@ -14,6 +14,7 @@ from revmarkov import (
     NonPositivePi,
     PipelineOptions,
     ProbabilityVector,
+    RevMarkovError,
     SparseStochasticMatrix,
     StationaryUnderflow,
     detailed_balance_residual,
@@ -135,6 +136,21 @@ class TestStationaryMixture:
         assert stationarity_residual(P, pi) <= 1e-16
         # the chain is doubly stochastic, so the stationary vector is uniform
         assert np.allclose(pi.values, 1.0 / 3.0, atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_visits_raise_a_typed_error(self):
+        # states 1 and 2 leave for the absorbing state 0 at a rate of about
+        # 1e-348 per step, so the expected visits to them overflow; this
+        # ended in ProbabilityVector's bare "probabilities must be finite"
+        P = SparseStochasticMatrix.from_dense(
+            [
+                [0.9999999999999999, 0.0, 0.0],
+                [0.0, 1.0, 3.4937133565446957e-46],
+                [2.5702954957231672e-317, 1.2993977941103033e-15, 0.9999999999999986],
+            ]
+        )
+        with pytest.raises(RevMarkovError, match="left the double range"):
+            stationary_mixture(P)
 
 
 def reachability(dense):

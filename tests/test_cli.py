@@ -252,8 +252,10 @@ def test_empty_chain_exits_1(tmp_path, capsys, command):
 
 
 def test_failed_verification_exits_2(tmp_path, capsys):
-    # one Newton step at a loose tolerance leaves residuals above 1e-10
+    # one Newton step at a loose tolerance leaves residuals above 1e-10; its
+    # unscaled rows miss 1 by 0.103, which a class solve refuses at any
+    # tolerance below that, so the tolerance is looser still
     matrix = tmp_path / "P.mtx"
     rmio.write_matrix(matrix, gen_random_chain(BenchmarkConfig(n_min=30, n_max=30, seed=3), 0))
-    assert main(["nearest", str(matrix), "--tol", "0.05", "--max-iterations", "1"]) == 2
+    assert main(["nearest", str(matrix), "--tol", "0.2", "--max-iterations", "1"]) == 2
     assert "verification FAILED" in capsys.readouterr().err

@@ -185,6 +185,7 @@ JUDGED_BY_HAND = frozenset(
         "ClassReport.cg_iterations",
         "ClassReport.distance",
         "ClassReport.factor_steps",
+        "ClassReport.indices",
         "ClassReport.iterations",
         "ClassReport.kkt_residuals",
         "ClassReport.to_dict",

@@ -1,4 +1,5 @@
 import json
+import logging
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from revmarkov import (
     BenchmarkConfig,
     ClassSolveFailed,
     DimensionMismatch,
+    MaxIterations,
     MissingDiagonal,
     PatternNotSymmetric,
     PipelineOptions,
@@ -486,14 +488,63 @@ def test_metastable_ring_rung():
 def test_subnormal_mass_is_not_accepted_as_optimal():
     # pi_1 is subnormal, so the Hessian ratio pi_0 / pi_1 overflows and the
     # class's KKT stationarity is NaN; accepting it returned R = I at
-    # distance 1.414 against MH 2.7e-14, with residuals (0, 0, 0)
+    # distance 1.414 against MH 2.7e-14, with residuals (0, 0, 0).  The
+    # refusal names the failing residual and the one Newton step taken.
     P = SparseStochasticMatrix.from_dense([[1.0, 6.3e-311], [1 - 4.5e-5, 4.5e-5]])
-    try:
-        R, diag = nearest_sparse_reversible(P)
-    except RevMarkovError:
-        return
-    assert np.max(diag.residuals) <= 1e-10
-    assert diag.distance <= diag.mh_distance
+    with pytest.raises(ClassSolveFailed) as err:
+        nearest_sparse_reversible(P)
+    ((members, exc),) = err.value.failures
+    assert isinstance(exc, MaxIterations)
+    assert str(exc) == (
+        "KKT residuals above 1e-10 (stationarity nan) after 1 of at most 200 Newton steps"
+    )
+
+
+def test_large_renormalization_is_refused(caplog):
+    # the unscaled rows of this class miss 1 by 0.5; renormalizing them gave
+    # R_03 = 1 and R_30 = 1/3 although pi_0 = pi_3, a relative detailed-balance
+    # violation of 0.67 that verify read as 1.7e-16
+    P = SparseStochasticMatrix.from_dense(
+        [
+            [0.0, 0.0, 0.0, 1.0],
+            [3.8356689640445083e-56, 0.0, 0.99999999999999989, 1.3586817310715059e-86],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+        ]
+    )
+    with pytest.raises(ClassSolveFailed) as err:
+        nearest_sparse_reversible(P)
+    ((members, exc),) = err.value.failures
+    assert members.tolist() == [0, 1, 2, 3]
+    assert type(exc) is RevMarkovError
+    assert str(exc).startswith("unscaled rows miss a sum of 1 by 5.000e-01 (> 1e-10)")
+    assert "renormalizing" not in caplog.text
+
+
+def test_scipy_glue_per_call(monkeypatch, caplog):
+    # a single-class call whose class the sweep solves builds three SciPy
+    # compressed matrices: A_eq, the normal matrix and R, which the chain's
+    # constructor copies once; no product goes through ``@``
+    counts = {"built": 0, "products": 0}
+    compressed = sp._compressed._cs_matrix
+    init, product = compressed.__init__, compressed._matmul_vector
+
+    def counting_init(self, *args, **kwargs):
+        counts["built"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_product(self, other):
+        counts["products"] += 1
+        return product(self, other)
+
+    P = gen_random_chain(BenchmarkConfig(n_min=100, n_max=100, seed=1), 0)
+    monkeypatch.setattr(compressed, "__init__", counting_init)
+    monkeypatch.setattr(compressed, "_matmul_vector", counting_product)
+    caplog.set_level(logging.DEBUG, logger="revmarkov.chain_analysis")
+    R, diag = nearest_sparse_reversible(P)
+    assert diag.num_classes == 1 and not diag.transient.size
+    assert "by the jump-chain sweep" in caplog.text
+    assert counts == {"built": 4, "products": 0}
 
 
 def test_wide_span_chains_match_oracle():

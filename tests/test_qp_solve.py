@@ -121,6 +121,10 @@ class TestSolveQP:
         result = err.value.result
         assert result.y.shape == (qp.y_m,)
         assert result.kkt_residuals.worst > 1e-12
+        failed = result.kkt_residuals.primal_eq
+        assert str(err.value) == (
+            f"KKT residuals above 1e-12 (primal_eq {failed:.3e}) after 1 of at most 1 Newton steps"
+        )
 
     def test_reaches_machine_precision(self):
         P, pi, pattern = random_instance(8, 91)

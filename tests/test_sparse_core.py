@@ -335,17 +335,21 @@ def test_canonical_construction_matches_scipy(matrix):
 
 
 def _product_case(index_dtype):
-    """A 40-by-30 CSR matrix with an empty row, its indices in
-    ``index_dtype``, and a vector to multiply."""
+    """A 40-by-30 CSR matrix with an empty row and an empty column, its
+    indices in ``index_dtype``, and a vector to multiply."""
     rng = np.random.default_rng(7)
     dense = np.where(rng.random((40, 30)) < 0.2, rng.normal(size=(40, 30)), 0.0)
     dense[11] = 0.0
+    dense[:, 7] = 0.0
     matrix = sp.csr_matrix(dense)
     matrix.indices = matrix.indices.astype(index_dtype)
     matrix.indptr = matrix.indptr.astype(index_dtype)
     assert matrix.indices.dtype == matrix.indptr.dtype == index_dtype
-    assert matrix.indptr[11] == matrix.indptr[12]
+    assert matrix.indptr[11] == matrix.indptr[12] and 7 not in matrix.indices
     return matrix, rng.normal(size=30)
+
+
+KERNELS = ("_csr_matvec", "_csc_matvec", "_csr_tocsc")
 
 
 @pytest.mark.parametrize("kernel", ["scipy", "fallback"])
@@ -359,7 +363,58 @@ def test_csr_apply_gives_the_bits_of_the_product(kernel, index_dtype, monkeypatc
     assert out.tobytes() == (matrix @ x).tobytes()
 
 
+@pytest.mark.parametrize("kernel", ["scipy", "fallback"])
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("form", ["matrix", "arrays"])
+def test_transposed_kernels_give_the_bits_of_scipy(kernel, index_dtype, form, monkeypatch):
+    # A^T x and the CSR copy of A^T, from a SciPy matrix or its bare arrays
+    if kernel == "fallback":
+        for name in KERNELS:
+            monkeypatch.setattr(sparse_core, name, None)
+    matrix, _ = _product_case(index_dtype)
+    given = matrix
+    if form == "arrays":
+        given = sparse_core._CSRArrays(matrix.data, matrix.indices, matrix.indptr, matrix.shape)
+    x = np.random.default_rng(8).normal(size=40)
+    out = np.full(30, np.nan)
+    sparse_core._csr_apply_transposed(given, x, out)
+    assert out.tobytes() == (matrix.T @ x).tobytes()
+
+    flipped, expected = sparse_core._transpose(given), matrix.T.tocsr()
+    assert flipped.shape == expected.shape == (30, 40)
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(flipped, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the product of the copy is that of the transpose, bit for bit
+    sparse_core._csr_apply(flipped, x, out)
+    assert out.tobytes() == (matrix.T @ x).tobytes()
+
+
 def test_csr_apply_runs_scipys_kernel():
-    # the hot loops lean on SciPy's private kernel; a SciPy that moves it
-    # must fail here rather than fall back to ``@`` unnoticed
-    assert sparse_core._csr_matvec is not None
+    # the hot loops lean on SciPy's private kernels; a SciPy that moves one
+    # must fail here rather than fall back to ``@`` or ``.tocsr()`` unnoticed
+    for name in KERNELS:
+        assert getattr(sparse_core, name) is not None, name
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_flux_residuals_give_the_bits_of_dense_arithmetic(symmetric, index_dtype):
+    # detailed balance from the flux matrix and its kernel transpose, and
+    # stationarity from the transposed kernel, against the same products
+    # formed densely and by ``@``; explicit zeros and one-way entries included
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        dense = np.where(rng.random((12, 12)) < 0.35, rng.random((12, 12)), 0.0)
+        if symmetric:
+            dense = np.where((dense + dense.T) > 0.0, rng.random((12, 12)), 0.0)
+            dense = np.where(dense.T > 0.0, dense, 0.0)
+        csr = sp.csr_matrix(dense)
+        csr.data[::5] = 0.0  # stored zeros keep canonical form
+        csr.indices = csr.indices.astype(index_dtype)
+        csr.indptr = csr.indptr.astype(index_dtype)
+        dense = csr.toarray()
+        pi = rng.random(12)
+        flux = pi[:, None] * dense
+        assert detailed_balance_residual(csr, pi) == np.abs(flux - flux.T).max()
+        assert stationarity_residual(csr, pi) == np.abs(pi @ csr - pi).max()
