@@ -522,9 +522,9 @@ def test_large_renormalization_is_refused(caplog):
 
 
 def test_scipy_glue_per_call(monkeypatch, caplog):
-    # a single-class call whose class the sweep solves builds three SciPy
-    # compressed matrices: A_eq, the normal matrix and R, which the chain's
-    # constructor copies once; no product goes through ``@``
+    # a single-class call whose class the sweep solves builds at most three
+    # SciPy compressed matrices: A_eq, the normal matrix and R, which the
+    # chain's constructor copies once; no product goes through ``@``
     counts = {"built": 0, "products": 0}
     compressed = sp._compressed._cs_matrix
     init, product = compressed.__init__, compressed._matmul_vector
@@ -544,7 +544,7 @@ def test_scipy_glue_per_call(monkeypatch, caplog):
     R, diag = nearest_sparse_reversible(P)
     assert diag.num_classes == 1 and not diag.transient.size
     assert "by the jump-chain sweep" in caplog.text
-    assert counts == {"built": 4, "products": 0}
+    assert counts["built"] <= 4 and counts["products"] == 0
 
 
 def test_wide_span_chains_match_oracle():
