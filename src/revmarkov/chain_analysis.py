@@ -18,6 +18,7 @@ from .sparse_core import (
     SparseStochasticMatrix,
     _as_csr,
     _csr_apply,
+    _CSRArrays,
     _edge_rows,
     _gather,
     _row_edges,
@@ -76,9 +77,9 @@ def _class_stationary(n: int, rows, cols, vals) -> np.ndarray:
 def _balance_solve(O, d, label: str) -> np.ndarray:
     """The solution ``x`` of the balance equations ``x (D - O) = 0`` with
     ``x_0 = 1``: the expected visits of the walk restarted at state 0.  ``O``
-    is canonical CSR with no diagonal, as a ``csr_matrix`` or the arrays of
-    one, and ``d`` its row sums as the caller summed them, so no entry comes
-    from a subtraction.
+    is the arrays of a canonical CSR matrix with no diagonal, and ``d`` its
+    row sums as the caller summed them, so no entry comes from a
+    subtraction.
 
     Sparse LU is accurate in norm only, so its ``x`` is kept if nonnegative
     with every balance equation, state 0's too, holding to
@@ -330,6 +331,7 @@ def _mixture(P, closed, transient, blocks) -> ProbabilityVector:
         off = cols != owner + 1
         rows, cols = np.r_[np.zeros(m, np.intp), owner[off] + 1], np.r_[1 : m + 1, cols[off]]
         O = sp.csr_matrix((np.r_[x0[transient], vals[off]], (rows, cols)), shape=(m + 1, m + 1))
+        O = _CSRArrays(O.data, O.indices, O.indptr, O.shape)
         visits = _balance_solve(O, _row_sums(O), f"transient visits of {m} states")[1:]
         mass = x0 + np.bincount(csr.indices[edges], weights=visits[owner] * vals, minlength=P.n)
 

@@ -45,7 +45,6 @@ from .sparse_core import (
     SparsityPattern,
     _CSRArrays,
     _edge_rows,
-    _index_type,
     _pair_values,
     _pattern_positions,
     _scipy,
@@ -184,7 +183,7 @@ def _assemble(maps: IndexMaps, pi_vals, p_up, p_down) -> ReducedQP:
     # column k of Y s = s holds s_j in row i and, off the diagonal, s_i in row j;
     # those CSC arrays of A are the CSR arrays of A^T, transposed into CSR
     off = ~diag
-    index = _index_type(2 * maps.y_m)  # at least the entries and the columns
+    index = sp.get_index_dtype(maxval=2 * maps.y_m)  # at least the entries and the columns
     indptr = np.concatenate([[0], np.cumsum(1 + off)]).astype(index)
     first, second = indptr[:-1], indptr[:-1][off] + 1
     rows = np.empty(indptr[-1], dtype=index)

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .exceptions import MaxIterations
+from .exceptions import LengthMismatch, MaxIterations
 from .qp_build import ReducedQP
 from .sparse_core import _csr_apply, _csr_apply_transposed, _CSRArrays, _edge_rows, _symmetric_lu
 
@@ -191,10 +191,18 @@ def _newton_pcg(normal: sp.csr_matrix, diag: np.ndarray, rhs: np.ndarray):
 
 def kkt_residuals(qp: ReducedQP, y: np.ndarray, lam: np.ndarray, z: np.ndarray) -> KKTResiduals:
     """KKT residual tuple at ``y`` for the equality multipliers ``lam`` and
-    the bound multipliers ``z``."""
-    y = np.asarray(y, dtype=float).ravel()
+    the bound multipliers ``z``.
+
+    ``y`` and ``z`` must have ``qp.y_m`` entries and ``lam`` ``qp.n``, or
+    :class:`LengthMismatch` is raised: the products below run SciPy's
+    kernels, which read their vectors without checking the lengths.
+    """
+    y, lam, z = (np.asarray(v, dtype=float).ravel() for v in (y, lam, z))
+    for name, vector, size in (("y", y, qp.y_m), ("lam", lam, qp.n), ("z", z, qp.y_m)):
+        if vector.size != size:
+            raise LengthMismatch(f"expected {name} of length {size}, got {vector.size}")
     at_lam, a_y = np.empty(qp.y_m), np.empty(qp.n)
-    _csr_apply_transposed(qp.a_eq, np.asarray(lam, dtype=float).ravel(), at_lam)
+    _csr_apply_transposed(qp.a_eq, lam, at_lam)
     _csr_apply(qp.a_eq, y, a_y)
     g = qp.hessian_diag * y + qp.linear
     stationarity = float(np.abs(g - at_lam - z).max())
@@ -293,8 +301,9 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
 
     Returns ``(y, lam, z, iterations, steps, cg_iterations,
     factor_steps)``: the Newton step that reached ``lam``, the Newton steps
-    taken, the conjugate-gradient iterations over all of them and the
-    systems handed to the factor.
+    applied to ``lam`` (a step the loop breaks on is not), the
+    conjugate-gradient iterations over all of them and the systems handed to
+    the factor.
     """
     q, c, a, b = qp.hessian_diag, qp.linear, qp.a_eq, qp.b_eq
     w = 1.0 / q
@@ -312,7 +321,7 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
     lam = np.zeros(qp.n)
     v, y, grad = dual_point(lam)
     best = (float(np.abs(grad).max()), lam, 0)
-    cg_total = factor_steps = 0
+    cg_total = factor_steps = steps = 0
     for iteration in range(1, opts.max_iterations + 1):
         free = y > 0.0
         w_f = np.where(free, w, 0.0)
@@ -343,15 +352,16 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
         else:
             break  # no ascent left at this precision
         lam = lam + t * step
+        steps = iteration
         v, y, grad = dual_point(lam)
         worst = float(np.abs(grad).max())
         if worst <= opts.kkt_tolerance and t == 1.0 and np.array_equal(y > 0.0, free):
-            return y, lam, np.maximum(-v, 0.0), iteration, iteration, cg_total, factor_steps
+            return y, lam, np.maximum(-v, 0.0), steps, steps, cg_total, factor_steps
         if worst < best[0]:
-            best = (worst, lam, iteration)
+            best = (worst, lam, steps)
     _, lam, best_step = best
     v, y, _ = dual_point(lam)
-    return y, lam, np.maximum(-v, 0.0), best_step, iteration, cg_total, factor_steps
+    return y, lam, np.maximum(-v, 0.0), best_step, steps, cg_total, factor_steps
 
 
 def solve_qp(qp: ReducedQP, opts: SolverOptions | None = None) -> SolverResult:

@@ -99,16 +99,11 @@ class _CSRArrays(NamedTuple):
     shape: tuple
 
 
-def _index_type(size: int):
-    """The index type SciPy picks for ``size`` states or entries: int32 up to
-    ``2**31 - 1``, so that it neither checks nor converts the arrays."""
-    return np.int32 if size <= np.iinfo(np.int32).max else np.int64
-
-
 def _row_major(values, rows, cols, n: int) -> _CSRArrays:
     """CSR arrays of the ``n x n`` matrix of the entries given in row-major
-    order, with the index type of :func:`_index_type`."""
-    index = _index_type(max(n, values.size))
+    order, with the index type SciPy picks for them, so that it neither
+    checks nor converts the arrays."""
+    index = sp.get_index_dtype(maxval=max(n, values.size))
     indptr = np.searchsorted(rows, np.arange(n + 1)).astype(index)
     return _CSRArrays(values, cols.astype(index), indptr, (n, n))
 
@@ -157,7 +152,7 @@ def _transpose(matrix) -> _CSRArrays:
         return _CSRArrays(flipped.data, flipped.indices, flipped.indptr, flipped.shape)
     rows, cols = matrix.shape
     nnz = int(matrix.indptr[-1])
-    index = _index_type(max(nnz, rows, cols))
+    index = sp.get_index_dtype(maxval=max(nnz, rows, cols))
     indptr, indices = matrix.indptr.astype(index, copy=False), matrix.indices.astype(index, copy=False)
     out = _CSRArrays(
         np.empty(nnz, dtype=matrix.data.dtype),

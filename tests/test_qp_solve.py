@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from revmarkov import (
     BenchmarkConfig,
     KKTResiduals,
+    LengthMismatch,
     MaxIterations,
     PipelineOptions,
     ProbabilityVector,
@@ -126,6 +127,24 @@ class TestSolveQP:
             f"KKT residuals above 1e-12 (primal_eq {failed:.3e}) after 1 of at most 1 Newton steps"
         )
 
+    def test_kkt_residuals_check_the_lengths(self):
+        # the products run SciPy's kernels, which read a short vector past its
+        # end; every length is checked before them
+        P, pi, pattern = random_instance(6, 20)
+        qp = build_reduced_qp(P, pi, pattern)
+        y, lam, z = np.zeros(qp.y_m), np.zeros(qp.n), np.zeros(qp.y_m)
+        assert kkt_residuals(qp, y, lam, z) == kkt_residuals(qp, y[:, None], lam, [z])
+        for name, args in (
+            ("y", (y[:-1], lam, z)),
+            ("lam", (y, lam[:-1], z)),
+            ("lam", (y, np.zeros(qp.n + 1), z)),
+            ("z", (y, lam, z[:1])),
+        ):
+            size = qp.n if name == "lam" else qp.y_m
+            got = args[("y", "lam", "z").index(name)].size
+            with pytest.raises(LengthMismatch, match=f"expected {name} of length {size}, got {got}"):
+                kkt_residuals(qp, *args)
+
     def test_reaches_machine_precision(self):
         P, pi, pattern = random_instance(8, 91)
         qp = build_reduced_qp(P, pi, pattern)
@@ -231,7 +250,14 @@ def test_spent_regularization_ladder_returns_best_iterate(monkeypatch):
         shifts.append(matrix)
         raise RuntimeError("Factor is exactly singular")
 
+    systems = []
+
+    def counted_pcg(*args):
+        systems.append(args)
+        return _newton_pcg(*args)
+
     monkeypatch.setattr("revmarkov.qp_solve._symmetric_lu", singular_factor)
+    monkeypatch.setattr("revmarkov.qp_solve._newton_pcg", counted_pcg)
     P = wide_span_chain(111)
     qp = build_reduced_qp(P, stationary_mixture(P), symmetrized_pattern(P))
     with pytest.raises(MaxIterations) as info:
@@ -239,6 +265,9 @@ def test_spent_regularization_ladder_returns_best_iterate(monkeypatch):
     assert len(shifts) == 6
     assert info.value.result.factor_steps == 1
     assert info.value.result.y.shape == (qp.y_m,)
+    # the loop broke on the first system, whose step was never applied
+    assert len(systems) == 1
+    assert str(info.value).endswith("after 0 of at most 200 Newton steps")
 
 
 def own_program(P, pattern=None):
