@@ -109,8 +109,7 @@ def _balance_solve(O, d, label: str) -> np.ndarray:
     if x.min() >= 0.0:
         outflow = x * d
         gap = np.abs(np.bincount(cols, weights=x[rows] * vals, minlength=m) - outflow)
-        with np.errstate(divide="ignore"):
-            residual = np.max(np.divide(gap, outflow, out=np.zeros_like(gap), where=gap > 0.0))
+        residual = np.max(np.divide(gap, outflow, out=np.zeros_like(gap), where=gap > 0.0))
     if residual <= BALANCE_TOLERANCE:
         logger.debug("%s by sparse LU: residual %.3g", label, residual)
         return x
@@ -316,6 +315,9 @@ def stationary_mixture(P: SparseStochasticMatrix) -> ProbabilityVector:
     return _mixture(P, closed, transient, [_gather(P.csr, members) for members in closed])
 
 
+# a value of the stationary solve that leaves the double range ends as inf or
+# NaN, which declines the sweep, rejects an LU solution or fails the check below
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _mixture(P, closed, transient, blocks) -> ProbabilityVector:
     """:func:`stationary_mixture` given the closed components of ``P``, the
     gathered entries of each, and the transient states."""

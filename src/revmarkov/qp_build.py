@@ -175,10 +175,16 @@ def _assemble(maps: IndexMaps, pi_vals, p_up, p_down) -> ReducedQP:
     i, j = maps.upper_rows, maps.upper_cols
     diag = maps.diagonal_mask
 
-    ratio = pi_vals[i] / pi_vals[j]
-    hessian_diag = np.where(diag, 1.0, ratio + 1.0 / ratio)
-    scale_up = pi_hat[j] / pi_hat[i]
-    linear = np.where(diag, -p_up, -(p_up * scale_up + p_down / scale_up))
+    with np.errstate(over="ignore", divide="ignore"):  # refused below instead
+        ratio = pi_vals[i] / pi_vals[j]
+        hessian_diag = np.where(diag, 1.0, ratio + 1.0 / ratio)
+        scale_up = pi_hat[j] / pi_hat[i]
+        linear = np.where(diag, -p_up, -(p_up * scale_up + p_down / scale_up))
+    if not (np.isfinite(hessian_diag).all() and np.isfinite(linear).all()):
+        raise RevMarkovError(
+            "the reduced QP left the double range: pi spans "
+            f"{pi_vals.min():.3g} to {pi_vals.max():.3g}, so a Hessian ratio pi_i / pi_j overflows"
+        )
 
     # column k of Y s = s holds s_j in row i and, off the diagonal, s_i in row j;
     # those CSC arrays of A are the CSR arrays of A^T, transposed into CSR

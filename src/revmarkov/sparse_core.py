@@ -16,12 +16,10 @@ from scipy.sparse.linalg import splu
 
 from .exceptions import DimensionMismatch, MissingDiagonal, PatternNotSymmetric, ZeroRow
 
-try:  # SciPy's private kernels behind ``@`` and ``.T.tocsr()``
-    from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
-    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-    from scipy.sparse._sparsetools import csr_tocsc as _csr_tocsc
-except ImportError:
-    _csr_matvec = _csc_matvec = _csr_tocsc = None
+# SciPy's private kernels behind ``@`` and ``.T.tocsr()``
+from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+from scipy.sparse._sparsetools import csr_tocsc as _csr_tocsc
 
 __all__ = [
     "SparseStochasticMatrix",
@@ -109,8 +107,8 @@ def _row_major(values, rows, cols, n: int) -> _CSRArrays:
 
 
 def _scipy(matrix) -> sp.csr_matrix:
-    """``matrix`` as a SciPy CSR matrix on the same arrays, for the fallback
-    paths of the kernels."""
+    """``matrix`` as a SciPy CSR matrix on the same arrays, for the callers
+    that need SciPy's matrix arithmetic or a public result."""
     return sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
 
 
@@ -121,35 +119,25 @@ def _csr_apply(matrix, x: np.ndarray, out: np.ndarray):
     Calls the kernel that ``@`` itself runs, without ``@``'s dispatch and
     result allocation, which cost more than the kernel on the small
     products of the pipeline.  ``matrix`` is a ``csr_matrix`` or
-    :class:`_CSRArrays`; ``x`` and ``out`` are float64 like its data.  Falls
-    back to ``@`` when SciPy no longer has the kernel under its private name.
+    :class:`_CSRArrays`; ``x`` and ``out`` are float64 like its data.
     """
-    if _csr_matvec is None:
-        out[:] = _scipy(matrix) @ x
-    else:
-        out.fill(0.0)  # the kernel adds the product to ``out``
-        _csr_matvec(*matrix.shape, matrix.indptr, matrix.indices, matrix.data, x, out)
+    out.fill(0.0)  # the kernel adds the product to ``out``
+    _csr_matvec(*matrix.shape, matrix.indptr, matrix.indices, matrix.data, x, out)
 
 
 def _csr_apply_transposed(matrix, x: np.ndarray, out: np.ndarray):
     """Write ``matrix.T @ x`` into ``out``, bit for bit the product ``@``
     gives, as :func:`_csr_apply` does: the CSR arrays of ``matrix`` are the
     CSC arrays of its transpose, whose kernel ``@`` runs."""
-    if _csc_matvec is None:
-        out[:] = _scipy(matrix).T @ x
-    else:
-        out.fill(0.0)
-        rows, cols = matrix.shape
-        _csc_matvec(cols, rows, matrix.indptr, matrix.indices, matrix.data, x, out)
+    out.fill(0.0)
+    rows, cols = matrix.shape
+    _csc_matvec(cols, rows, matrix.indptr, matrix.indices, matrix.data, x, out)
 
 
 def _transpose(matrix) -> _CSRArrays:
     """The CSR arrays of ``matrix.T``, bit for bit and type for type those
     of ``matrix.T.tocsr()``, from the kernel that conversion runs: each
     row's entries come out in ascending column order."""
-    if _csr_tocsc is None:
-        flipped = _scipy(matrix).T.tocsr()
-        return _CSRArrays(flipped.data, flipped.indices, flipped.indptr, flipped.shape)
     rows, cols = matrix.shape
     nnz = int(matrix.indptr[-1])
     index = sp.get_index_dtype(maxval=max(nnz, rows, cols))

@@ -137,7 +137,6 @@ class TestStationaryMixture:
         # the chain is doubly stochastic, so the stationary vector is uniform
         assert np.allclose(pi.values, 1.0 / 3.0, atol=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_visits_raise_a_typed_error(self):
         # states 1 and 2 leave for the absorbing state 0 at a rate of about
         # 1e-348 per step, so the expected visits to them overflow; this
@@ -149,6 +148,19 @@ class TestStationaryMixture:
                 [2.5702954957231672e-317, 1.2993977941103033e-15, 0.9999999999999986],
             ]
         )
+        with pytest.raises(RevMarkovError, match="left the double range"):
+            stationary_mixture(P)
+
+    @pytest.mark.parametrize("seed", [15, 53, 97, 373, 2173])
+    def test_out_of_range_values_stay_inside_the_solve(self, seed):
+        # entries down to 1e-330 make expected visits overflow or row sums
+        # underflow, on a different line of the stationary solve for each
+        # chain; none may let a NumPy RuntimeWarning out (an error here)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        dense = np.where(rng.random((n, n)) < 0.6, 10.0 ** rng.uniform(-330, 0, (n, n)), 0.0)
+        dense[np.arange(n), np.arange(n)] += rng.random(n)
+        P = SparseStochasticMatrix.from_dense(dense / dense.sum(axis=1, keepdims=True))
         with pytest.raises(RevMarkovError, match="left the double range"):
             stationary_mixture(P)
 

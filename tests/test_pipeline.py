@@ -1,5 +1,6 @@
 import json
 import logging
+import traceback
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,6 @@ from revmarkov import (
     BenchmarkConfig,
     ClassSolveFailed,
     DimensionMismatch,
-    MaxIterations,
     MissingDiagonal,
     PatternNotSymmetric,
     PipelineOptions,
@@ -484,19 +484,21 @@ def test_metastable_ring_rung():
     assert_rung(P)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_subnormal_mass_is_not_accepted_as_optimal():
-    # pi_1 is subnormal, so the Hessian ratio pi_0 / pi_1 overflows and the
-    # class's KKT stationarity is NaN; accepting it returned R = I at
-    # distance 1.414 against MH 2.7e-14, with residuals (0, 0, 0).  The
-    # refusal names the failing residual and the one Newton step taken.
+    # pi_1 is subnormal, so the Hessian ratio pi_0 / pi_1 overflows; accepting
+    # the class returned R = I at distance 1.414 against MH 2.7e-14, with
+    # residuals (0, 0, 0).  The class is refused as its program is built,
+    # before any Newton step, and without a NumPy warning.
     P = SparseStochasticMatrix.from_dense([[1.0, 6.3e-311], [1 - 4.5e-5, 4.5e-5]])
     with pytest.raises(ClassSolveFailed) as err:
         nearest_sparse_reversible(P)
     ((members, exc),) = err.value.failures
-    assert isinstance(exc, MaxIterations)
+    assert members.tolist() == [0, 1]
+    assert type(exc) is RevMarkovError
+    assert traceback.extract_tb(exc.__traceback__)[-1].name == "_assemble"
     assert str(exc) == (
-        "KKT residuals above 1e-10 (stationarity nan) after 1 of at most 200 Newton steps"
+        "the reduced QP left the double range: pi spans 6.3e-311 to 1, "
+        "so a Hessian ratio pi_i / pi_j overflows"
     )
 
 
