@@ -40,6 +40,9 @@ dist = np.array([r["distance"] for r in ok])
 mh = np.array([r["mh_distance"] for r in ok])
 print(f"\ndistance:  median {np.median(dist):.2f}, range [{dist.min():.2f}, {dist.max():.2f}]")
 print(f"baseline:  median {np.median(mh):.2f}, range [{mh.min():.2f}, {mh.max():.2f}]")
-print(f"baseline dominance holds in every case: {bool(np.all(dist <= mh))}")
+# the slack of `revmarkov bench`: a row sum may overshoot 1 by up to 1e-12,
+# which the baseline keeps and the nearest chain does not, so the distance
+# may exceed the baseline's by about that much
+print(f"baseline dominance holds in every case: {bool(np.all(dist <= mh + 1e-10))}")
 growth = np.array([r["nnz_r"] / r["nnz_p"] for r in ok])
 print(f"support growth factors: median {np.median(growth):.2f}")

@@ -299,11 +299,12 @@ def stationary_mixture(P: SparseStochasticMatrix) -> ProbabilityVector:
     Decomposes the chain into closed classes and transient states, and
     weights each class's stationary vector (see :func:`_class_stationary`)
     by the probability that a walk started uniformly is absorbed into it.
-    That probability comes from the expected visits to the transient states,
-    solved by :func:`_balance_solve` with no ``1 - p_tt`` formed.  Transient
-    states get exactly zero mass; a class state whose mass underflows to zero
-    raises :class:`~revmarkov.StationaryUnderflow`, and masses that overflow
-    (expected visits beyond the double range) raise
+    That probability comes from the expected departures from the transient
+    states, solved by :func:`_balance_solve` on their jump chain with no
+    ``1 - p_tt`` formed, times the probability of each jump into a class.
+    Transient states get exactly zero mass; a class state whose mass
+    underflows to zero raises :class:`~revmarkov.StationaryUnderflow`, and
+    masses that leave the double range raise
     :class:`~revmarkov.RevMarkovError`.
 
     The result is the Cesàro limit of the iterates, which equals their plain
@@ -322,7 +323,9 @@ def _mixture(P, closed, transient, blocks) -> ProbabilityVector:
     """:func:`stationary_mixture` given the closed components of ``P``, the
     gathered entries of each, and the transient states."""
     # a class's weight is its start mass plus the transient states' flow into
-    # it; a state 0 sends them x0_T (as states 1..m) and takes back their outflow
+    # it; a state 0 sends them x0_T (as states 1..m) and takes back their
+    # outflow.  The departures from each state, solved on the walk's jump chain,
+    # stay finite where the visits to a state left at a subnormal rate overflow
     mass = x0 = np.full(P.n, 1.0 / P.n)
     if transient.size:
         csr, m = P.csr, transient.size
@@ -333,9 +336,12 @@ def _mixture(P, closed, transient, blocks) -> ProbabilityVector:
         off = cols != owner + 1
         rows, cols = np.r_[np.zeros(m, np.intp), owner[off] + 1], np.r_[1 : m + 1, cols[off]]
         O = sp.csr_matrix((np.r_[x0[transient], vals[off]], (rows, cols)), shape=(m + 1, m + 1))
-        O = _CSRArrays(O.data, O.indices, O.indptr, O.shape)
-        visits = _balance_solve(O, _row_sums(O), f"transient visits of {m} states")[1:]
-        mass = x0 + np.bincount(csr.indices[edges], weights=visits[owner] * vals, minlength=P.n)
+        d = _row_sums(O)
+        jump = _CSRArrays(O.data / np.repeat(d, np.diff(O.indptr)), O.indices, O.indptr, O.shape)
+        flows = _balance_solve(jump, _row_sums(jump), f"transient flows of {m} states")[1:]
+        # the expected departures from each state times a jump probability, at most 1
+        weights = flows[owner] * d[0] * (vals / d[1:][owner])
+        mass = x0 + np.bincount(csr.indices[edges], weights=weights, minlength=P.n)
 
     pi = np.zeros(P.n)
     for members, block in zip(closed, blocks):

@@ -15,9 +15,9 @@ from that table, so the only chain object a call builds is the result, put
 in row-major order by one sort of its entries.
 
 The rest runs on arrays too: every sparse product, the pipeline's and
-``verify``'s, goes to SciPy's kernels on stored CSR arrays (see
-:func:`~revmarkov.sparse_core._csr_apply`), and each transposed copy comes
-from SciPy's conversion kernel.  So a call whose classes the jump-chain sweep
+``verify``'s, runs SciPy's product kernel on stored CSR arrays (see
+:func:`~revmarkov.sparse_core._csr_apply`), a transpose's on a copy made by
+SciPy's conversion kernel.  So a call whose classes the jump-chain sweep
 solves builds two SciPy matrices per class, the equality and the normal
 matrix, and one for ``R``, which the chain's constructor copies once.
 """

@@ -124,20 +124,25 @@ class ReducedQP:
     ``hessian_diag`` is the diagonal of the (diagonal) Hessian.  Adding
     ``1/2 ||P||_F^2`` to the objective gives ``1/2 ||X - P||_F^2`` for the
     matrix ``X`` recovered from ``y`` by :func:`unscale_solution`.
+    ``a_eq_t`` holds the CSR arrays of ``A_eq^T``, bit for bit and type for
+    type those of ``a_eq.T.tocsr()``, on which the solver runs its products
+    by ``A_eq^T``.
     """
 
     maps: IndexMaps
     hessian_diag: np.ndarray
     linear: np.ndarray
     a_eq: sp.csr_matrix
+    a_eq_t: _CSRArrays
     b_eq: np.ndarray
     pi_hat: np.ndarray
 
     def __post_init__(self):
         for arr in (self.hessian_diag, self.linear, self.b_eq, self.pi_hat):
             arr.setflags(write=False)
-        for buf in (self.a_eq.data, self.a_eq.indices, self.a_eq.indptr):
-            buf.setflags(write=False)
+        for matrix in (self.a_eq, self.a_eq_t):
+            for buf in (matrix.data, matrix.indices, matrix.indptr):
+                buf.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -187,7 +192,7 @@ def _assemble(maps: IndexMaps, pi_vals, p_up, p_down) -> ReducedQP:
         )
 
     # column k of Y s = s holds s_j in row i and, off the diagonal, s_i in row j;
-    # those CSC arrays of A are the CSR arrays of A^T, transposed into CSR
+    # those CSC arrays of A are the CSR arrays of A^T, kept and transposed into CSR
     off = ~diag
     index = sp.get_index_dtype(maxval=2 * maps.y_m)  # at least the entries and the columns
     indptr = np.concatenate([[0], np.cumsum(1 + off)]).astype(index)
@@ -196,13 +201,14 @@ def _assemble(maps: IndexMaps, pi_vals, p_up, p_down) -> ReducedQP:
     vals = np.empty(indptr[-1])
     rows[first], vals[first] = i, pi_hat[j]
     rows[second], vals[second] = j[off], pi_hat[i[off]]
-    a_eq = _scipy(_transpose(_CSRArrays(vals, rows, indptr, (maps.y_m, maps.n))))
+    a_eq_t = _CSRArrays(vals, rows, indptr, (maps.y_m, maps.n))
 
     return ReducedQP(
         maps=maps,
         hessian_diag=hessian_diag,
         linear=linear,
-        a_eq=a_eq,
+        a_eq=_scipy(_transpose(a_eq_t)),
+        a_eq_t=a_eq_t,
         b_eq=pi_hat.copy(),
         pi_hat=pi_hat,
     )

@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from .exceptions import LengthMismatch, MaxIterations
 from .qp_build import ReducedQP
-from .sparse_core import _csr_apply, _csr_apply_transposed, _CSRArrays, _edge_rows, _symmetric_lu
+from .sparse_core import _csr_apply, _CSRArrays, _edge_rows, _symmetric_lu
 
 __all__ = [
     "SolverOptions",
@@ -147,10 +147,11 @@ def _newton_pcg(normal: sp.csr_matrix, diag: np.ndarray, rhs: np.ndarray):
     ``S``.  That is the textbook recurrence up to sign flips and
     commutation, so every iterate has the same bits.  The products of the
     Newton loop around it (``A^T lam``, ``A y``, ``(A o A) w_F`` and
-    ``A^T step``) run the same kernels on the arrays of ``A``.  The exact
-    test ``||r||_inf <= target`` runs only once ``r^T D^-1 r <= 4 target^2
-    sum(1/d)``: it cannot pass before, as ``||r||_inf^2 >= r^T D^-1 r /
-    sum(1/d)``, and the factor 4 covers the rounding of both sides.
+    ``A^T step``) run the same kernel on the arrays of ``A`` and of the
+    stored ``A^T``.  The exact test ``||r||_inf <= target`` runs only once
+    ``r^T D^-1 r <= 4 target^2 sum(1/d)``: it cannot pass before, as
+    ``||r||_inf^2 >= r^T D^-1 r / sum(1/d)``, and the factor 4 covers the
+    rounding of both sides.
     """
     n = rhs.size
     residual = float(np.abs(rhs).max())
@@ -202,7 +203,7 @@ def kkt_residuals(qp: ReducedQP, y: np.ndarray, lam: np.ndarray, z: np.ndarray) 
         if vector.size != size:
             raise LengthMismatch(f"expected {name} of length {size}, got {vector.size}")
     at_lam, a_y = np.empty(qp.y_m), np.empty(qp.n)
-    _csr_apply_transposed(qp.a_eq, lam, at_lam)
+    _csr_apply(qp.a_eq_t, lam, at_lam)
     _csr_apply(qp.a_eq, y, a_y)
     g = qp.hessian_diag * y + qp.linear
     stationarity = float(np.abs(g - at_lam - z).max())
@@ -268,6 +269,9 @@ def _dual_gain(v, u, w, slope, t):
     return t * slope - 0.5 * float(r @ w)
 
 
+# a value of the Newton loop that leaves the double range ends as inf or NaN,
+# which stalls the line search or fails the KKT gate of solve_qp
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
     """Semismooth Newton method on the dual of the reduced program.
 
@@ -312,7 +316,7 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
 
     def dual_point(lam):
         v = np.empty(qp.y_m)
-        _csr_apply_transposed(a, lam, v)
+        _csr_apply(qp.a_eq_t, lam, v)
         v -= c
         y = np.maximum(v, 0.0) / q
         _csr_apply(a, y, a_y)
@@ -342,7 +346,7 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
             if step is None:
                 break
         u = np.empty(qp.y_m)
-        _csr_apply_transposed(a, step, u)
+        _csr_apply(qp.a_eq_t, step, u)
         slope = float(grad @ step)
         t = 1.0
         for _ in range(60):

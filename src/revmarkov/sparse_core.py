@@ -17,7 +17,6 @@ from scipy.sparse.linalg import splu
 from .exceptions import DimensionMismatch, MissingDiagonal, PatternNotSymmetric, ZeroRow
 
 # SciPy's private kernels behind ``@`` and ``.T.tocsr()``
-from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 from scipy.sparse._sparsetools import csr_tocsc as _csr_tocsc
 
@@ -123,15 +122,6 @@ def _csr_apply(matrix, x: np.ndarray, out: np.ndarray):
     """
     out.fill(0.0)  # the kernel adds the product to ``out``
     _csr_matvec(*matrix.shape, matrix.indptr, matrix.indices, matrix.data, x, out)
-
-
-def _csr_apply_transposed(matrix, x: np.ndarray, out: np.ndarray):
-    """Write ``matrix.T @ x`` into ``out``, bit for bit the product ``@``
-    gives, as :func:`_csr_apply` does: the CSR arrays of ``matrix`` are the
-    CSC arrays of its transpose, whose kernel ``@`` runs."""
-    out.fill(0.0)
-    rows, cols = matrix.shape
-    _csc_matvec(cols, rows, matrix.indptr, matrix.indices, matrix.data, x, out)
 
 
 def _transpose(matrix) -> _CSRArrays:
@@ -536,5 +526,5 @@ def stationarity_residual(P, pi) -> float:
     if csr.shape[0] != pi_values.size:
         raise DimensionMismatch("dimensions of P and pi disagree")
     flow = np.empty(csr.shape[1])
-    _csr_apply_transposed(csr, pi_values, flow)
+    _csr_apply(_transpose(csr), pi_values, flow)
     return float(np.abs(flow - pi_values).max())

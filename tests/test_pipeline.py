@@ -2,11 +2,12 @@ import json
 import logging
 import traceback
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revmarkov import (
@@ -500,6 +501,54 @@ def test_subnormal_mass_is_not_accepted_as_optimal():
         "the reduced QP left the double range: pi spans 6.3e-311 to 1, "
         "so a Hessian ratio pi_i / pi_j overflows"
     )
+
+
+def edge_of_range_chain(seed):
+    """A chain of 1-13 states with entries 10^U(-s, 0), s up to 330, so that
+    some underflow or are subnormal.  Every third seed splits it into two
+    diagonal blocks and a last state free to leak into both; every fourth
+    scales each row by 1 +- 4e-13, which the stochastic constructor still
+    accepts."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 14))
+    span = rng.choice([8, 30, 150, 300, 330])
+    lo, hi = np.zeros(n, dtype=int), np.full(n, n)  # the columns each row may use
+    if seed % 3 == 0 and n >= 3:
+        cut = int(rng.integers(1, n - 1))
+        lo[cut:-1], hi[:cut], hi[cut:-1] = cut, cut, n - 1
+    cols = np.arange(n)
+    allowed = (lo[:, None] <= cols) & (cols < hi[:, None])
+    mask = (rng.random((n, n)) < rng.uniform(0.1, 0.9)) & allowed
+    mask[cols, lo + (rng.random(n) * (hi - lo)).astype(int)] = True
+    P = row_normalize(np.where(mask, 10.0 ** rng.uniform(-span, 0, (n, n)), 0.0))
+    if seed % 4 == 0:
+        csr = P.csr
+        scale = np.repeat(1.0 + rng.choice([-4e-13, 4e-13], n), np.diff(csr.indptr))
+        nudged = sp.csr_matrix((csr.data * scale, csr.indices, csr.indptr), csr.shape)
+        P = SparseStochasticMatrix(nudged)
+    return P
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(815)  # refused; the line search's squares overflowed
+@example(3398)  # solved; the Jacobi preconditioner 1 / diag overflowed
+def test_edge_of_range_chains_are_solved_or_refused(seed):
+    # no silent wrong answer and no bare error: a chain that underflows to a
+    # zero row or leaves the double range inside the call raises a typed
+    # error, and any result keeps the pipeline's contract.  NumPy warnings
+    # are recorded, not raised: the pipeline would wrap one raised inside a
+    # class solve into ClassSolveFailed, a typed refusal
+    with warnings.catch_warnings(record=True) as leaked:
+        warnings.simplefilter("always", RuntimeWarning)
+        try:
+            _, diag = nearest_sparse_reversible(edge_of_range_chain(seed))
+        except RevMarkovError:
+            diag = None
+    assert not [w for w in leaked if issubclass(w.category, RuntimeWarning)]
+    if diag is not None:
+        assert max(diag.residuals) <= 1e-10
+        assert diag.distance <= diag.mh_distance + 1e-10
 
 
 def test_large_renormalization_is_refused(caplog):

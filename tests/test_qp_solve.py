@@ -316,6 +316,13 @@ def test_formed_normal_matrix_is_the_dense_product(case, monkeypatch):
     programs = NORMAL_MATRIX_CASES[case](monkeypatch)
     assert programs
     for qp in programs:
+        # the stored A^T, on which the solver's transposed products run
+        expected = qp.a_eq.T.tocsr()
+        assert qp.a_eq_t.shape == expected.shape
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(qp.a_eq_t, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
         a = qp.a_eq.toarray()
         form = _normal_matrix(qp)
         for density in (0.0, 0.3, 0.7, 1.0):

@@ -14,9 +14,13 @@ holds:
 * over ``wide_span_chain`` seeds 0-999 (``tests/chains.py``): the failed
   calls, the Newton systems handed to the sparse factor, the Newton steps
   and the CG iterations;
-* the stationary solves of each bank workload and of the seeds, counted by
-  the method kept (``sweep``, ``lu`` or ``elimination``), as the ``DEBUG``
-  records of ``revmarkov.chain_analysis`` name it.
+* for every ``two_blocks_with_transients`` seed 0-99 (``tests/chains.py``),
+  the only reducible inputs here, so the only ones with a transient solve:
+  the SHA-256 of the bytes of ``stationary_mixture``'s pi, that of the CSR
+  buffers of ``R``, and the hex of the pipeline's ``distance``;
+* the stationary solves of each bank workload and of each section of
+  seeds, counted by the method kept (``sweep``, ``lu`` or ``elimination``),
+  as the ``DEBUG`` records of ``revmarkov.chain_analysis`` name it.
 
 Two commits whose outputs are equal compute the same bits on every bank
 case.  The digests depend on the BLAS and the machine, so compare two
@@ -38,16 +42,18 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
-from chains import wide_span_chain  # noqa: E402
+from chains import two_blocks_with_transients, wide_span_chain  # noqa: E402
 from revmarkov import (  # noqa: E402
     RevMarkovError,
     count_matrix,
     langevin_trajectory,
     nearest_sparse_reversible,
+    stationary_mixture,
 )
 from workloads import WORKLOADS, operate  # noqa: E402
 
 WIDE_SPAN_SEEDS = range(1000)
+REDUCIBLE_SEEDS = range(100)
 #: The phrase of each stationary method in the ``DEBUG`` record of a solve.
 METHODS = {
     "by the jump-chain sweep": "sweep",
@@ -143,11 +149,27 @@ def wide_span_identity() -> dict:
     }
 
 
+def reducible_identity() -> dict:
+    """``[seed, pi SHA-256, R SHA-256, distance hex]`` per seed of
+    ``two_blocks_with_transients``, and the section's stationary solves."""
+    rows = []
+    with counting_solves() as counts:
+        for seed in REDUCIBLE_SEEDS:
+            P = two_blocks_with_transients(seed=seed)
+            pi = stationary_mixture(P).values
+            R, diag = nearest_sparse_reversible(P)
+            rows.append(
+                [seed, hashlib.sha256(pi.tobytes()).hexdigest(), digest(R.csr), diag.distance.hex()]
+            )
+    return {"cases": rows, "solves": dict(sorted(counts.items()))}
+
+
 def main() -> int:
     identity = {
         "bank": bank_identity(),
         "torsion_data": torsion_data_identity(),
         "wide_span_chain": wide_span_identity(),
+        "reducible": reducible_identity(),
     }
     print(json.dumps(identity))
     return 0
