@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .chain_analysis import _closed_components, _decompose, _mixture
-from .exceptions import ClassSolveFailed, DimensionMismatch
+from .exceptions import ClassSolveFailed, DimensionMismatch, RevMarkovError
 from .qp_build import IndexMaps, _assemble, _unscale
 from .qp_solve import SolverOptions, solve_qp
 from .reversibilize import _mh_squared_distance
@@ -255,8 +255,9 @@ def nearest_sparse_reversible(
         When ``options.pi`` or ``options.pattern`` does not have the size of
         ``P``; raised before any class is solved.
     ClassSolveFailed
-        When one or more class solves fail; every class is still attempted
-        and the failures are aggregated.
+        When one or more class solves raise a :class:`~revmarkov.RevMarkovError`;
+        every class is still attempted and those errors are aggregated.  Any
+        other exception of a class solve propagates unchanged.
     InconsistentSupport
         When the supplied (or computed) ``pi`` is not consistent with the
         transition structure.
@@ -294,7 +295,7 @@ def nearest_sparse_reversible(
     for members, block in zip(classes, blocks):
         try:
             solved.append(_solve_pair_table(pi, members, block, options.pattern, options.solver))
-        except Exception as exc:  # aggregated below
+        except RevMarkovError as exc:  # aggregated below; other faults propagate
             failures.append((members, exc))
     if failures:
         raise ClassSolveFailed(failures)

@@ -14,6 +14,12 @@ That system is solved by Jacobi-preconditioned conjugate gradients,
 one sparse product per iteration, and by a sparse factor of the same matrix
 only when conjugate gradients break down or stall.
 
+Newton-CG is inexact while the free set changes (Dembo, Eisenstat &
+Steihaug, SIAM J. Numer. Anal. 19, 1982; Zhao, Sun & Toh, SIAM J. Optim. 20,
+2010): only the last Newton step needs its system solved to machine
+precision, and a step that changes the free set cannot be the last, so it is
+taken at a loose conjugate-gradient tolerance.
+
 Since the objective is strongly convex the minimizer is unique; the test
 suite holds the solver to the one found by enumerating every active set of
 small instances.
@@ -47,6 +53,11 @@ logger = logging.getLogger(__name__)
 #: the Newton loop needs its last unit step solved to machine precision: at
 #: 1e-14 the worst pipeline residual rose to 1e-13 on wide-span chains.
 _CG_TOLERANCE = 1e-16
+
+#: The forcing term of a Newton step that cannot be the last: conjugate
+#: gradients may return once ``||r||_inf <= _CG_FORCING * ||g||_inf`` when the
+#: step at that iterate changes the free set.
+_CG_FORCING = 1e-2
 
 #: Conjugate-gradient iterations after which a Newton system is handed to the
 #: sparse factor, lowered to ``4 m`` for order ``m`` (exact arithmetic needs
@@ -130,64 +141,80 @@ def _normal_solve(normal: sp.csr_matrix, rhs: np.ndarray) -> Optional[np.ndarray
     return None
 
 
-def _newton_pcg(normal: sp.csr_matrix, diag: np.ndarray, rhs: np.ndarray):
+def _newton_pcg(normal: sp.csr_matrix, diag: np.ndarray, rhs: np.ndarray, stop_loose):
     """Solve ``S x = rhs`` by Jacobi-preconditioned conjugate gradients for a
     symmetric positive semidefinite ``S``.
 
-    ``diag`` is the diagonal of ``S``.  Returns ``(x, iterations,
-    residual)`` with ``residual = ||r||_inf`` of the recurred residual;
-    ``x`` is ``None`` when the iteration breaks down (a zero diagonal entry,
-    a direction of nonpositive curvature, or an ``r^T D^-1 r`` that
-    underflows to zero) or misses ``_CG_TOLERANCE`` within
-    ``min(_CG_MAX_ITERATIONS, 4 * rhs.size)`` iterations.
+    ``diag`` is the diagonal of ``S``.  Returns ``(x, iterations, residual,
+    tight)`` with ``residual = ||r||_inf`` of the recurred residual; ``x`` is
+    ``None`` when the iteration breaks down (a zero diagonal entry, a
+    direction of nonpositive curvature, or an ``r^T D^-1 r`` that underflows
+    to zero) or misses ``_CG_TOLERANCE`` within ``min(_CG_MAX_ITERATIONS, 4 *
+    rhs.size)`` iterations.
+
+    ``tight`` tells whether ``x`` meets ``_CG_TOLERANCE``.  The first iterate
+    that meets only the loose tolerance ``_CG_FORCING`` is passed to
+    ``stop_loose``, once: if it returns true, that iterate is returned with
+    ``tight`` false, and otherwise the iteration goes on from its own state,
+    so the tight iterate it returns has the bits it would have without the
+    loose test.
 
     The iterates live in two buffers, ``[x; -r]`` and ``[p; S p]``, so one
-    multiply-add updates ``x`` and ``r``, and ``S p`` is written into the
-    second by :func:`_csr_apply`, SciPy's kernel on the stored arrays of
-    ``S``.  That is the textbook recurrence up to sign flips and
-    commutation, so every iterate has the same bits.  The products of the
-    Newton loop around it (``A^T lam``, ``A y``, ``(A o A) w_F`` and
-    ``A^T step``) run the same kernel on the arrays of ``A`` and of the
-    stored ``A^T``.  The exact test ``||r||_inf <= target`` runs only once
-    ``r^T D^-1 r <= 4 target^2 sum(1/d)``: it cannot pass before, as
-    ``||r||_inf^2 >= r^T D^-1 r / sum(1/d)``, and the factor 4 covers the
-    rounding of both sides.
+    multiply-add updates ``x`` and ``r`` through a third, and ``S p`` is
+    written into the second by :func:`_csr_apply`, SciPy's kernel on the
+    stored arrays of ``S``.  That is the textbook recurrence up to sign flips
+    and commutation, so every iterate has the same bits.  The products of the
+    Newton loop around it (``A^T lam``, ``A y``, ``(A o A) w_F`` and ``A^T
+    step``) run the same kernel on the arrays of ``A`` and of the stored
+    ``A^T``.  The exact test ``||r||_inf <= target`` for either tolerance
+    runs only once ``r^T D^-1 r <= 4 target^2 sum(1/d)``: it cannot pass
+    before, as ``||r||_inf^2 >= r^T D^-1 r / sum(1/d)``, and the factor 4
+    covers the rounding of both sides.
     """
     n = rhs.size
     residual = float(np.abs(rhs).max())
-    target = _CG_TOLERANCE * residual
+    target, loose_target = _CG_TOLERANCE * residual, _CG_FORCING * residual
     if residual <= target:
-        return np.zeros_like(rhs), 0, residual
+        return np.zeros_like(rhs), 0, residual, True
     if not diag.all():
-        return None, 0, residual
+        return None, 0, residual, False
     inv_diag = 1.0 / diag
-    bound = 4.0 * target * target * float(inv_diag.sum())
-    if not bound >= np.finfo(float).tiny:  # target^2 underflowed
-        bound = np.inf
-    xr, ps, neg_z = np.zeros(2 * n), np.empty(2 * n), np.empty(n)
+    inv_sum = float(inv_diag.sum())
+
+    def screen(tolerance):  # inf when tolerance^2 underflowed
+        bound = 4.0 * tolerance * tolerance * inv_sum
+        return bound if bound >= np.finfo(float).tiny else np.inf
+
+    bound = screen(loose_target)
+    xr, ps, scaled = np.zeros(2 * n), np.empty(2 * n), np.empty(2 * n)
+    neg_z = np.empty(n)
     x, neg_r, p, s = xr[:n], xr[n:], ps[:n], ps[n:]
     np.negative(rhs, out=neg_r)
     np.multiply(inv_diag, rhs, out=p)
     rz = float(rhs @ p)
     if not rz:
-        return None, 0, residual
+        return None, 0, residual, False
     for iteration in range(1, min(_CG_MAX_ITERATIONS, 4 * n) + 1):
         _csr_apply(normal, p, s)
         curvature = float(p @ s)
         if curvature <= 0.0:
             break
-        xr += (rz / curvature) * ps
+        xr += np.multiply(ps, rz / curvature, out=scaled)
         np.multiply(inv_diag, neg_r, out=neg_z)
         rz, rz_old = float(neg_r @ neg_z), rz
         if rz <= bound:
             residual = float(np.abs(neg_r).max())
             if residual <= target:
-                return x, iteration, residual
+                return x, iteration, residual, True
+            if residual <= loose_target:  # once: then only the tight test
+                loose_target, bound = target, screen(target)
+                if stop_loose(x):
+                    return x, iteration, residual, False
             if not rz:  # underflowed: the next step would divide by it
                 break
         p *= rz / rz_old
         p -= neg_z
-    return None, iteration, float(np.abs(neg_r).max())
+    return None, iteration, float(np.abs(neg_r).max()), False
 
 
 def kkt_residuals(qp: ReducedQP, y: np.ndarray, lam: np.ndarray, z: np.ndarray) -> KKTResiduals:
@@ -295,10 +322,21 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
     this module's logger gives the order, the free-set size, the iterations
     and the residual reached.
 
+    The steps are inexact Newton steps with the forcing term
+    ``_CG_FORCING`` (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
+    1982) as long as the free set changes.  At the first CG iterate ``x``
+    whose residual is within ``_CG_FORCING ||g||_inf``, the loop forms
+    ``u = A^T x``: if ``A^T lam - c + u > 0`` differs from ``A^T lam - c >
+    0``, that step cannot be the last one, so CG returns ``x`` and the line
+    search reuses ``u``.  Otherwise CG goes on from its own state to
+    ``_CG_TOLERANCE``, with the bits it has without the loose test.
+
     The method stops once ``||b - A y||_inf <= kkt_tolerance`` after a unit
-    step whose free set is also the free set ``y > 0`` it produced.  That step
-    solved the equality-constrained program on its active set to machine
-    precision, so the residuals sit there too.  A stalled line search, a
+    step solved to ``_CG_TOLERANCE`` or by the factor, whose free set is
+    also the free set ``y > 0`` it produced.  That step solved the
+    equality-constrained program on its active set to machine precision, so
+    the residuals sit there too; a step solved only to the loose tolerance
+    never ends the loop this way.  A stalled line search, a
     factor that fails at every regularization of :func:`_normal_solve` or an
     exhausted ``max_iterations`` returns the iterate with the smallest
     ``||b - A y||_inf`` instead.
@@ -324,13 +362,22 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
 
     lam = np.zeros(qp.n)
     v, y, grad = dual_point(lam)
+    u = np.empty(qp.y_m)
+
+    def changes_free_set(step):
+        # writes u = A^T step, which the line search reuses when this is true
+        _csr_apply(qp.a_eq_t, step, u)
+        return not np.array_equal(v + u > 0.0, v > 0.0)
+
     best = (float(np.abs(grad).max()), lam, 0)
     cg_total = factor_steps = steps = 0
     for iteration in range(1, opts.max_iterations + 1):
         free = y > 0.0
         w_f = np.where(free, w, 0.0)
         normal, diag = form_normal(w_f)
-        step, cg_iterations, residual = _newton_pcg(normal, diag, grad)
+        step, cg_iterations, residual, tight = _newton_pcg(
+            normal, diag, grad, changes_free_set
+        )
         cg_total += cg_iterations
         if step is None:
             logger.debug(
@@ -342,11 +389,11 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
                 residual,
             )
             factor_steps += 1
-            step = _normal_solve(normal, grad)
+            step, tight = _normal_solve(normal, grad), True
             if step is None:
                 break
-        u = np.empty(qp.y_m)
-        _csr_apply(qp.a_eq_t, step, u)
+        if tight:
+            _csr_apply(qp.a_eq_t, step, u)
         slope = float(grad @ step)
         t = 1.0
         for _ in range(60):
@@ -359,7 +406,7 @@ def _solve_dual_newton(qp: ReducedQP, opts: SolverOptions):
         steps = iteration
         v, y, grad = dual_point(lam)
         worst = float(np.abs(grad).max())
-        if worst <= opts.kkt_tolerance and t == 1.0 and np.array_equal(y > 0.0, free):
+        if worst <= opts.kkt_tolerance and t == 1.0 and tight and np.array_equal(y > 0.0, free):
             return y, lam, np.maximum(-v, 0.0), steps, steps, cg_total, factor_steps
         if worst < best[0]:
             best = (worst, lam, steps)

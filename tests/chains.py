@@ -1,4 +1,4 @@
-"""Chain factories shared by the tests and by ``tools/results_identity.py``."""
+"""Chain factories shared by the tests and by the scripts in ``tools/``."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,3 +54,29 @@ def wide_span_chain(seed):
         mask &= (idx[:, None] - idx[None, :]) % 2 == 1
     mask[idx, (idx + 1) % n] = True
     return row_normalize(np.where(mask, 10.0 ** rng.uniform(-8, 0, (n, n)), 0.0))
+
+
+def edge_of_range_chain(seed):
+    """A chain of 1-13 states with entries 10^U(-s, 0), s up to 330, so that
+    some underflow or are subnormal.  Every third seed splits it into two
+    diagonal blocks and a last state free to leak into both; every fourth
+    scales each row by 1 +- 4e-13, which the stochastic constructor still
+    accepts."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 14))
+    span = rng.choice([8, 30, 150, 300, 330])
+    lo, hi = np.zeros(n, dtype=int), np.full(n, n)  # the columns each row may use
+    if seed % 3 == 0 and n >= 3:
+        cut = int(rng.integers(1, n - 1))
+        lo[cut:-1], hi[:cut], hi[cut:-1] = cut, cut, n - 1
+    cols = np.arange(n)
+    allowed = (lo[:, None] <= cols) & (cols < hi[:, None])
+    mask = (rng.random((n, n)) < rng.uniform(0.1, 0.9)) & allowed
+    mask[cols, lo + (rng.random(n) * (hi - lo)).astype(int)] = True
+    P = row_normalize(np.where(mask, 10.0 ** rng.uniform(-span, 0, (n, n)), 0.0))
+    if seed % 4 == 0:
+        csr = P.csr
+        scale = np.repeat(1.0 + rng.choice([-4e-13, 4e-13], n), np.diff(csr.indptr))
+        nudged = sp.csr_matrix((csr.data * scale, csr.indices, csr.indptr), csr.shape)
+        P = SparseStochasticMatrix(nudged)
+    return P

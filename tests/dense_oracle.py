@@ -33,7 +33,7 @@ from revmarkov import (
 )
 from revmarkov import experiments
 from revmarkov.chain_analysis import _SWEEP_BUDGET, _SWEEP_CHECK, _SWEEP_FLOOR
-from revmarkov.qp_solve import _CG_MAX_ITERATIONS, _CG_TOLERANCE
+from revmarkov.qp_solve import _CG_FORCING, _CG_MAX_ITERATIONS, _CG_TOLERANCE
 
 #: Active-set enumeration cap for :func:`oracle_solve`.
 ORACLE_LIMIT = 16
@@ -54,13 +54,14 @@ def same_csr(a, b) -> bool:
 
 
 def same_result(got, expected) -> bool:
-    """Whether two ``(vector or None, count, residual)`` results of the hot
-    loops agree bit for bit."""
-    (x, count, residual), (x_ref, count_ref, residual_ref) = got, expected
+    """Whether two ``(vector or None, count, residual, *flags)`` results of the
+    hot loops agree bit for bit."""
+    (x, count, residual, *flags), (x_ref, count_ref, residual_ref, *flags_ref) = got, expected
     same_x = x is x_ref is None or (
         x is not None and x_ref is not None and x.tobytes() == x_ref.tobytes()
     )
-    return same_x and count == count_ref and residual.hex() == residual_ref.hex()
+    same_counts = count == count_ref and flags == flags_ref
+    return same_x and same_counts and residual.hex() == residual_ref.hex()
 
 
 def symmetric_from_upper(y, maps: IndexMaps) -> np.ndarray:
@@ -289,50 +290,57 @@ def oracle_solve(qp) -> np.ndarray:
     return best_y
 
 
-def reference_newton_pcg(normal, diag: np.ndarray, rhs: np.ndarray):
+def reference_newton_pcg(normal, diag: np.ndarray, rhs: np.ndarray, stop_loose):
     """The plain loop that ``qp_solve._newton_pcg`` must match bit for bit.
 
     Solve ``S x = rhs`` by Jacobi-preconditioned conjugate gradients for a
     symmetric positive semidefinite ``S``.
 
-    ``diag`` is the diagonal of ``S``.  Returns ``(x, iterations,
-    residual)`` with ``residual = ||r||_inf`` of the recurred residual;
-    ``x`` is ``None`` when the iteration breaks down (a zero diagonal entry,
-    a direction of nonpositive curvature, or an ``r^T D^-1 r`` that
-    underflows to zero) or misses ``_CG_TOLERANCE`` within
-    ``min(_CG_MAX_ITERATIONS, 4 * rhs.size)`` iterations.
+    ``diag`` is the diagonal of ``S``.  Returns ``(x, iterations, residual,
+    tight)`` with ``residual = ||r||_inf`` of the recurred residual; ``x`` is
+    ``None`` when the iteration breaks down (a zero diagonal entry, a
+    direction of nonpositive curvature, or an ``r^T D^-1 r`` that underflows
+    to zero) or misses ``_CG_TOLERANCE`` within ``min(_CG_MAX_ITERATIONS, 4 *
+    rhs.size)`` iterations.  The first iterate that meets only
+    ``_CG_FORCING`` goes to ``stop_loose``, and is returned with ``tight``
+    false if that returns true.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
     residual = float(np.abs(r).max())
-    target = _CG_TOLERANCE * residual
+    target, loose_target = _CG_TOLERANCE * residual, _CG_FORCING * residual
     if residual <= target:
-        return x, 0, residual
+        return x, 0, residual, True
     if not diag.all():
-        return None, 0, residual
+        return None, 0, residual, False
     inv_diag = 1.0 / diag
     z = inv_diag * r
     p = z.copy()
     rz = float(r @ z)
     if not rz:
-        return None, 0, residual
+        return None, 0, residual, False
+    loose_pending = True
     for iteration in range(1, min(_CG_MAX_ITERATIONS, 4 * rhs.size) + 1):
         s = normal @ p
         curvature = float(p @ s)
         if curvature <= 0.0:
-            return None, iteration, residual
+            return None, iteration, residual, False
         alpha = rz / curvature
         x += alpha * p
         r -= alpha * s
         residual = float(np.abs(r).max())
         if residual <= target:
-            return x, iteration, residual
+            return x, iteration, residual, True
+        if loose_pending and residual <= loose_target:
+            loose_pending = False
+            if stop_loose(x):
+                return x, iteration, residual, False
         z = inv_diag * r
         rz, rz_old = float(r @ z), rz
         if not rz:
-            return None, iteration, residual
+            return None, iteration, residual, False
         p = z + (rz / rz_old) * p
-    return None, iteration, residual
+    return None, iteration, residual, False
 
 
 def reference_jump_chain_sweep(O, d: np.ndarray):

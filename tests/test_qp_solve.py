@@ -1,6 +1,7 @@
 import logging
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -214,8 +215,9 @@ def test_expander_above_dense_limit(size, caplog):
 
 def test_singular_newton_system_falls_back_to_factor(caplog):
     # on a bipartite chain the free-set normal matrix is singular, conjugate
-    # gradients stall, and the sparse factor takes the step
-    P = wide_span_chain(111)
+    # gradients stall on a system they must solve tight, and the sparse
+    # factor takes the step
+    P = wide_span_chain(443)
     qp = build_reduced_qp(P, stationary_mixture(P), symmetrized_pattern(P))
     with caplog.at_level(logging.DEBUG, logger="revmarkov.qp_solve"):
         result = solve_qp(qp)
@@ -242,8 +244,9 @@ def test_worst_residual_is_nan_when_any_residual_is(position):
 
 
 def test_spent_regularization_ladder_returns_best_iterate(monkeypatch):
-    # a factor that fails at every shift from 0 through 1e-14 ... 1e-6 ends
-    # the Newton loop on its best iterate, which the tolerance then rejects
+    # conjugate gradients that break down hand the first system to a factor
+    # that fails at every shift from 0 through 1e-14 ... 1e-6; that ends the
+    # Newton loop on its best iterate, which the tolerance then rejects
     shifts = []
 
     def singular_factor(matrix):
@@ -252,12 +255,12 @@ def test_spent_regularization_ladder_returns_best_iterate(monkeypatch):
 
     systems = []
 
-    def counted_pcg(*args):
-        systems.append(args)
-        return _newton_pcg(*args)
+    def broken_pcg(normal, diag, rhs, stop_loose):
+        systems.append(rhs)
+        return None, 0, float(np.abs(rhs).max()), False
 
     monkeypatch.setattr("revmarkov.qp_solve._symmetric_lu", singular_factor)
-    monkeypatch.setattr("revmarkov.qp_solve._newton_pcg", counted_pcg)
+    monkeypatch.setattr("revmarkov.qp_solve._newton_pcg", broken_pcg)
     P = wide_span_chain(111)
     qp = build_reduced_qp(P, stationary_mixture(P), symmetrized_pattern(P))
     with pytest.raises(MaxIterations) as info:
@@ -365,19 +368,33 @@ def test_solver_options_guards(fields, message):
         SolverOptions(**fields)
 
 
+def _never_loose(x):
+    raise AssertionError("no iterate should meet only the loose tolerance")
+
+
 def test_conjugate_gradients_report_breakdown():
     rhs = np.array([1.0, -1.0])
     # a direction of zero curvature: p = rhs is in the null space
     singular = sp.csr_matrix(np.ones((2, 2)))
-    assert _newton_pcg(singular, singular.diagonal(), rhs) == (None, 1, 1.0)
+    assert _newton_pcg(singular, singular.diagonal(), rhs, _never_loose) == (None, 1, 1.0, False)
     # a zero diagonal entry leaves no Jacobi preconditioner
     unreachable = sp.csr_matrix(np.diag([1.0, 0.0]))
-    assert _newton_pcg(unreachable, unreachable.diagonal(), rhs) == (None, 0, 1.0)
+    assert _newton_pcg(unreachable, unreachable.diagonal(), rhs, _never_loose) == (
+        None,
+        0,
+        1.0,
+        False,
+    )
     regular = sp.csr_matrix(np.diag([2.0, 4.0]))
-    x, iterations, residual = _newton_pcg(regular, regular.diagonal(), rhs)
-    assert (x.tolist(), iterations, residual) == ([0.5, -0.25], 1, 0.0)
+    x, iterations, residual, tight = _newton_pcg(regular, regular.diagonal(), rhs, _never_loose)
+    assert (x.tolist(), iterations, residual, tight) == ([0.5, -0.25], 1, 0.0, True)
     # the first r^T D^-1 r underflows to zero
-    assert _newton_pcg(regular, regular.diagonal(), 1e-170 * rhs) == (None, 0, 1e-170)
+    assert _newton_pcg(regular, regular.diagonal(), 1e-170 * rhs, _never_loose) == (
+        None,
+        0,
+        1e-170,
+        False,
+    )
 
 
 def _wide_diagonal_system(scale=1.0):
@@ -419,10 +436,26 @@ CG_SYSTEMS = {
 
 @pytest.mark.parametrize("case", CG_SYSTEMS)
 def test_conjugate_gradients_match_the_reference_loop(case):
+    # both loops hand the same iterate to stop_loose, and return it when
+    # told to stop there or go on to the same tight result
     normal, rhs = CG_SYSTEMS[case]()
     diag = normal.diagonal()
-    expected = reference_newton_pcg(normal, diag, rhs)
-    assert same_result(_newton_pcg(normal, diag, rhs), expected)
+    for stop in (False, True):
+        seen = {"loop": [], "reference": []}
+
+        def stop_loose(name):
+            def record(x):
+                seen[name].append(x.tobytes())
+                return stop
+
+            return record
+
+        expected = reference_newton_pcg(normal, diag, rhs, stop_loose("reference"))
+        assert same_result(_newton_pcg(normal, diag, rhs, stop_loose("loop")), expected)
+        assert seen["loop"] == seen["reference"]
+        assert len(seen["loop"]) <= 1
+        if case == "diagonal from 1e-8 to 1":  # passes the loose tolerance
+            assert seen["loop"]
 
 
 def test_dual_gain_matches_nested_where():
@@ -440,6 +473,63 @@ def test_dual_gain_matches_nested_where():
             np.maximum(v_t, 0.0) ** 2,
         )
         assert _dual_gain(v, u, w, 0.3, t) == t * 0.3 - 0.5 * float(r @ w)
+
+
+def _recording_pcg(monkeypatch):
+    """Replace ``_newton_pcg`` by a spy; returns the list it appends, per
+    Newton system, whether ``stop_loose`` was asked, what the system's step
+    was (``"tight"``, ``"loose"`` or ``"factor"``) and the bytes of the
+    conjugate-gradient step."""
+    systems = []
+
+    def spy(normal, diag, rhs, stop_loose):
+        asked = []
+
+        def watched(x):
+            asked.append(stop_loose(x))
+            return asked[-1]
+
+        x, iterations, residual, tight = _newton_pcg(normal, diag, rhs, watched)
+        kind = "factor" if x is None else "tight" if tight else "loose"
+        systems.append((bool(asked), kind, None if x is None else x.tobytes()))
+        return x, iterations, residual, tight
+
+    monkeypatch.setattr("revmarkov.qp_solve._newton_pcg", spy)
+    return systems
+
+
+def test_accepted_solutions_end_on_a_tight_step(monkeypatch):
+    # a step solved only to the loose tolerance changes the free set, so the
+    # Newton step that reached an accepted solution was solved tight, by
+    # conjugate gradients or by the factor
+    systems = _recording_pcg(monkeypatch)
+    chains = [wide_span_chain(seed) for seed in range(200)]
+    chains += [gen_random_chain(BenchmarkConfig(seed=1), case) for case in range(5)]
+    kinds = Counter()
+    for P in chains:
+        systems.clear()
+        result = solve_qp(own_program(P))
+        kinds.update(kind for _, kind, _ in systems)
+        if result.iterations:
+            assert systems[result.iterations - 1][1] != "loose"
+    assert kinds["loose"] > 0 and kinds["tight"] > 0
+
+
+def test_continued_conjugate_gradients_keep_their_bits(monkeypatch):
+    # the one Newton step of a ring program keeps its free set, so the
+    # iterate at the loose tolerance is not taken and conjugate gradients go
+    # on to the bits they give without the loose test
+    systems = _recording_pcg(monkeypatch)
+    qp = own_program(ring_chain(1.0 + 0.1 * np.random.default_rng(0).random(600)))
+    result = solve_qp(qp)
+    ((asked, kind, step),) = systems
+    assert asked and kind == "tight" and result.iterations == 1
+    monkeypatch.setattr("revmarkov.qp_solve._CG_FORCING", 0.0)
+    systems.clear()
+    plain = solve_qp(qp)
+    assert systems == [(False, "tight", step)]
+    assert result.y.tobytes() == plain.y.tobytes()
+    assert result.cg_iterations == plain.cg_iterations
 
 
 def test_counts_match_the_factor_records(caplog):
