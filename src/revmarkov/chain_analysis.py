@@ -17,7 +17,7 @@ from .sparse_core import (
     ProbabilityVector,
     SparseStochasticMatrix,
     _as_csr,
-    _csr_apply,
+    _csr_add,
     _CSRArrays,
     _edge_rows,
     _gather,
@@ -55,23 +55,29 @@ def _class_stationary(n: int, rows, cols, vals) -> np.ndarray:
 
     Works with the balance equations ``pi (D - O) = 0``, where ``O`` is the
     off-diagonal part of the block and ``D`` holds its row sums, so that
-    ``1 - p_ii`` never comes from a subtraction (the GTH trick): by
-    :func:`_jump_chain_sweep` when it converges fast, as on expanders, else
-    by :func:`_balance_solve`.  A ``DEBUG`` record names the method kept.
+    ``1 - p_ii`` never comes from a subtraction (the GTH trick), solved by
+    :func:`_sweep_or_solve`.
     """
     if n == 1:
         return np.ones(1)
     off = rows != cols
     O = _row_major(vals[off], rows[off], cols[off], n)
-    d = _row_sums(O)
-    pi, steps, residual = _jump_chain_sweep(O, d)
-    if pi is None:
-        pi = _balance_solve(O, d, f"class of {n} states (sweep declined at step {steps})")
-        return pi / pi.sum()
-    logger.debug(
-        "class of %d states by the jump-chain sweep: %d steps, residual %.3g", n, steps, residual
-    )
-    return pi
+    pi = _sweep_or_solve(O, _row_sums(O), f"class of {n} states")
+    return pi / pi.sum()
+
+
+def _sweep_or_solve(O, d, label: str) -> np.ndarray:
+    """The solution ``x`` of the balance equations ``x (D - O) = 0`` with
+    ``x_0 = 1``, for the CSR arrays ``O`` of an irreducible block with no
+    diagonal and its row sums ``d``: by :func:`_jump_chain_sweep` when it
+    converges fast, as on expanders, else by :func:`_balance_solve`.  One
+    ``DEBUG`` record names ``label`` and the method kept.
+    """
+    x, steps, residual = _jump_chain_sweep(O, d)
+    if x is None:
+        return _balance_solve(O, d, f"{label} (sweep declined at step {steps})")
+    logger.debug("%s by the jump-chain sweep: %d steps, residual %.3g", label, steps, residual)
+    return x
 
 
 def _balance_solve(O, d, label: str) -> np.ndarray:
@@ -146,46 +152,54 @@ _SWEEP_FLOOR = 1e-14
 _SWEEP_BUDGET = 400
 #: Steps between two residual checks of the sweep.
 _SWEEP_CHECK = 10
+#: Weight of the jump chain's step in each step of the sweep; the rest
+#: stays put, which damps a periodic class's eigenvalue -1 to -1/2.
+_SWEEP_WEIGHT = 0.75
 
 
 def _jump_chain_sweep(O, d: np.ndarray):
-    """Lazy power iteration ``x <- (x + O^T (x / d)) / 2`` on the jump chain
-    ``D^-1 O``, whose stationary vector is ``x = pi * d``.
+    """Damped power iteration ``x <- (1 - w) x + w O^T D^-1 x`` on the jump
+    chain ``D^-1 O``, with ``w = _SWEEP_WEIGHT``; its fixed point is
+    ``x = pi * d``.
 
     Started from uniform ``pi``.  Each step adds nonnegative terms only, as
     GTH elimination does (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985),
-    so every entry of ``pi`` comes out to relative accuracy; the lazy half
-    step makes periodic classes converge too.  The componentwise balance
-    residual ``max_j |O^T (x / d) - x|_j / x_j``, read off the step's own
-    product, falls geometrically at the jump chain's spectral gap (Stewart,
-    *Introduction to the Numerical Solution of Markov Chains*, 1994, ch. 3).
-    The sweep is kept only when the residual crosses ``_SWEEP_FLOOR`` between
-    two checks, and it declines as soon as the contraction between two checks
-    projects more than ``_SWEEP_BUDGET`` steps in all, or a start already at
-    the floor shows no contraction to certify it.
+    so every entry of ``pi`` comes out to relative accuracy.  The weight
+    maps the jump chain's eigenvalues ``l`` to ``1 - w + w l``: a periodic
+    class's ``-1`` becomes ``-1/2``, so periodic classes converge too.  The
+    componentwise balance residual ``max_j |O^T D^-1 x - x|_j / x_j``, read
+    off the step as ``|y - x|_j / (w x_j)``, falls geometrically at the
+    damped chain's spectral gap (Stewart, *Introduction to the Numerical
+    Solution of Markov Chains*, 1994, ch. 3).  The sweep is kept only when
+    the residual crosses ``_SWEEP_FLOOR`` between two checks, and it
+    declines as soon as the contraction between two checks projects more
+    than ``_SWEEP_BUDGET`` steps in all, or a start already at the floor
+    shows no contraction to certify it.
 
     ``O`` is the CSR arrays of the off-diagonal block.  Its transpose is
     copied once into CSR arrays by :func:`_transpose` (about 12 bytes per
-    stored entry), whose rows sum each entry in the order ``O.T @`` does,
-    and every step writes its product by :func:`_csr_apply` into reused
-    buffers.  That is the plain loop's arithmetic up to commutation, so
-    every iterate has the same bits.
+    stored entry), and each entry ``O_ij`` of the copy is scaled once to
+    ``O_ij (w / d_i)``.  A step is then two kernel calls on reused buffers:
+    ``y = (1 - w) x``, then :func:`_csr_add` adds each row's terms, in
+    storage order, onto ``y``.
 
-    Returns ``(pi, steps, residual)``, with ``pi`` ``None`` when declined.
+    Returns ``(pi, steps, residual)``, ``pi`` scaled so that ``pi_0 = 1``
+    (as :func:`_balance_solve` scales its ``x``) and ``None`` when declined.
     """
-    scale = 1.0 / d
     flow_in = _transpose(O)
+    np.multiply(flow_in.data, (_SWEEP_WEIGHT / d)[flow_in.indices], out=flow_in.data)
+    stay = 1.0 - _SWEEP_WEIGHT
     x = d / d.sum()
-    xs, y = np.empty_like(x), np.empty_like(x)
+    y = np.empty_like(x)
     for step in range(_SWEEP_BUDGET + 1):
-        np.multiply(x, scale, out=xs)
-        _csr_apply(flow_in, xs, y)
+        np.multiply(x, stay, out=y)
+        _csr_add(flow_in, x, y)
         if step % _SWEEP_CHECK == 0:
-            residual = float(np.max(np.abs(y - x) / x))
+            residual = float(np.max(np.abs(y - x) / x)) / _SWEEP_WEIGHT
             if step:
                 if residual <= _SWEEP_FLOOR < previous:
-                    pi = x * scale
-                    return pi / pi.sum(), step, residual
+                    pi = x / d
+                    return pi / pi[0], step, residual
                 # decline unless this check's contraction, kept up for the
                 # rest of the budget, reaches the floor (NaN declines too; at
                 # step _SWEEP_BUDGET no checks are left, so the loop ends here)
@@ -197,8 +211,7 @@ def _jump_chain_sweep(O, d: np.ndarray):
                 ):
                     return None, step, residual
             previous = residual
-        x += y
-        x *= 0.5
+        x, y = y, x
 
 
 def strongly_connected_components(P) -> list[np.ndarray]:
@@ -300,8 +313,9 @@ def stationary_mixture(P: SparseStochasticMatrix) -> ProbabilityVector:
     weights each class's stationary vector (see :func:`_class_stationary`)
     by the probability that a walk started uniformly is absorbed into it.
     That probability comes from the expected departures from the transient
-    states, solved by :func:`_balance_solve` on their jump chain with no
-    ``1 - p_tt`` formed, times the probability of each jump into a class.
+    states, solved on their jump chain with no ``1 - p_tt`` formed, by the
+    same :func:`_sweep_or_solve` as the classes, times the probability of
+    each jump into a class.
     Transient states get exactly zero mass; a class state whose mass
     underflows to zero raises :class:`~revmarkov.StationaryUnderflow`, and
     masses that leave the double range raise
@@ -338,7 +352,7 @@ def _mixture(P, closed, transient, blocks) -> ProbabilityVector:
         O = sp.csr_matrix((np.r_[x0[transient], vals[off]], (rows, cols)), shape=(m + 1, m + 1))
         d = _row_sums(O)
         jump = _CSRArrays(O.data / np.repeat(d, np.diff(O.indptr)), O.indices, O.indptr, O.shape)
-        flows = _balance_solve(jump, _row_sums(jump), f"transient flows of {m} states")[1:]
+        flows = _sweep_or_solve(jump, _row_sums(jump), f"transient flows of {m} states")[1:]
         # the expected departures from each state times a jump probability, at most 1
         weights = flows[owner] * d[0] * (vals / d[1:][owner])
         mass = x0 + np.bincount(csr.indices[edges], weights=weights, minlength=P.n)

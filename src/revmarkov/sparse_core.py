@@ -120,7 +120,14 @@ def _csr_apply(matrix, x: np.ndarray, out: np.ndarray):
     products of the pipeline.  ``matrix`` is a ``csr_matrix`` or
     :class:`_CSRArrays`; ``x`` and ``out`` are float64 like its data.
     """
-    out.fill(0.0)  # the kernel adds the product to ``out``
+    out.fill(0.0)
+    _csr_add(matrix, x, out)
+
+
+def _csr_add(matrix, x: np.ndarray, out: np.ndarray):
+    """Add ``matrix @ x`` to ``out`` by SciPy's kernel, which starts each
+    row's sum at its entry of ``out`` and adds the row's terms to it in
+    storage order."""
     _csr_matvec(*matrix.shape, matrix.indptr, matrix.indices, matrix.data, x, out)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.sparse as sp
 
-from revmarkov import SparseStochasticMatrix, row_normalize
+from revmarkov import BenchmarkConfig, SparseStochasticMatrix, gen_random_chain, row_normalize
 
 
 def two_blocks_with_transients(perturb=True, seed=0):
@@ -80,3 +80,17 @@ def edge_of_range_chain(seed):
         nudged = sp.csr_matrix((csr.data * scale, csr.indices, csr.indptr), csr.shape)
         P = SparseStochasticMatrix(nudged)
     return P
+
+
+def leaky_expander_chain(leak=1e-6):
+    """The 4,930-state expander ``gen_random_chain`` draws for n = 5,000
+    (seed 1, case 0), made transient: each of its rows keeps ``1 - leak`` of
+    its mass and leaks the rest into two absorbing states, the last two
+    states, split at a uniform random fraction (seed 0)."""
+    P = gen_random_chain(BenchmarkConfig(n_min=5000, n_max=5000, seed=1), 0).csr
+    n = P.shape[0]
+    split = np.random.default_rng(0).random(n)
+    leaks = sp.csr_matrix(np.column_stack([leak * split, leak * (1.0 - split)]))
+    top = sp.hstack([(1.0 - leak) * P, leaks])
+    bottom = sp.hstack([sp.csr_matrix((2, n)), sp.identity(2)])
+    return SparseStochasticMatrix(sp.vstack([top, bottom], format="csr"))

@@ -32,7 +32,7 @@ from revmarkov import (
     strongly_connected_components,
 )
 from revmarkov import experiments
-from revmarkov.chain_analysis import _SWEEP_BUDGET, _SWEEP_CHECK, _SWEEP_FLOOR
+from revmarkov.chain_analysis import _SWEEP_BUDGET, _SWEEP_CHECK, _SWEEP_FLOOR, _SWEEP_WEIGHT
 from revmarkov.qp_solve import _CG_FORCING, _CG_MAX_ITERATIONS, _CG_TOLERANCE
 
 #: Active-set enumeration cap for :func:`oracle_solve`.
@@ -347,35 +347,39 @@ def reference_jump_chain_sweep(O, d: np.ndarray):
     """The plain loop that ``chain_analysis._jump_chain_sweep`` must match
     bit for bit.
 
-    Lazy power iteration ``x <- (x + O^T (x / d)) / 2`` on the jump chain
-    ``D^-1 O``, whose stationary vector is ``x = pi * d``.
+    Damped power iteration ``x <- (1 - w) x + w O^T D^-1 x`` on the jump
+    chain ``D^-1 O``, with ``w = _SWEEP_WEIGHT``; its fixed point is
+    ``x = pi * d``.  Each step starts state ``j``'s sum at ``(1 - w) x_j``
+    and adds ``O_ij (w / d_i) x_i`` over the stored ``O_ij`` in ascending
+    ``i``, one term at a time.  The residual ``max_j |y - x|_j / (w x_j)``
+    is checked every ``_SWEEP_CHECK`` steps: the sweep is kept when it
+    crosses ``_SWEEP_FLOOR`` between two checks, and it declines as soon as
+    the contraction between two checks projects more than ``_SWEEP_BUDGET``
+    steps in all, or a start already at the floor shows no contraction.
 
-    Started from uniform ``pi``.  Each step adds nonnegative terms only, as
-    GTH elimination does (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985),
-    so every entry of ``pi`` comes out to relative accuracy; the lazy half
-    step makes periodic classes converge too.  The componentwise balance
-    residual ``max_j |O^T (x / d) - x|_j / x_j``, read off the step's own
-    product, falls geometrically at the jump chain's spectral gap (Stewart,
-    *Introduction to the Numerical Solution of Markov Chains*, 1994, ch. 3).
-    The sweep is kept only when the residual crosses ``_SWEEP_FLOOR`` between
-    two checks, and it declines as soon as the contraction between two checks
-    projects more than ``_SWEEP_BUDGET`` steps in all, or a start already at
-    the floor shows no contraction to certify it.
-
-    Returns ``(pi, steps, residual)``, with ``pi`` ``None`` when declined.
+    Returns ``(pi, steps, residual)``, ``pi`` scaled so that ``pi_0 = 1``
+    and ``None`` when declined.
     """
-    scale = 1.0 / d
-    # O is the CSR arrays of the block; its transposed view, no copy
-    flow_in = sp.csr_matrix((O.data, O.indices, O.indptr), shape=O.shape).T
+    n, stay = d.size, 1.0 - _SWEEP_WEIGHT
+    # the terms into each state j, as (i, O_ij w / d_i) in ascending i
+    inflow = [[] for _ in range(n)]
+    for i in range(n):
+        for k in range(O.indptr[i], O.indptr[i + 1]):
+            inflow[O.indices[k]].append((i, float(O.data[k]) * (_SWEEP_WEIGHT / float(d[i]))))
     x = d / d.sum()
     for step in range(_SWEEP_BUDGET + 1):
-        y = flow_in @ (x * scale)
+        xs, y = x.tolist(), np.empty(n)
+        for j in range(n):
+            total = stay * xs[j]
+            for i, term in inflow[j]:
+                total += term * xs[i]
+            y[j] = total
         if step % _SWEEP_CHECK == 0:
-            residual = float(np.max(np.abs(y - x) / x))
+            residual = float(np.max(np.abs(y - x) / x)) / _SWEEP_WEIGHT
             if step:
                 if residual <= _SWEEP_FLOOR < previous:
-                    pi = x * scale
-                    return pi / pi.sum(), step, residual
+                    pi = x / d
+                    return pi / pi[0], step, residual
                 # decline unless this check's contraction, kept up for the
                 # rest of the budget, reaches the floor (NaN declines too; at
                 # step _SWEEP_BUDGET no checks are left, so the loop ends here)
@@ -387,7 +391,7 @@ def reference_jump_chain_sweep(O, d: np.ndarray):
                 ):
                     return None, step, residual
             previous = residual
-        x = 0.5 * (x + y)
+        x = y
 
 
 def reference_random_chain(cfg, case_index: int, attempt: int = 0):

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from revmarkov import (
 from revmarkov import chain_analysis
 from revmarkov.chain_analysis import _closed_components
 
-from chains import ring_chain, two_blocks_with_transients, wide_span_chain
+from chains import leaky_expander_chain, ring_chain, two_blocks_with_transients, wide_span_chain
 from dense_oracle import gth_stationary
 from test_sparse_core import dense_stationary
 
@@ -210,6 +211,15 @@ def dense_mixture(P):
     return pi / pi.sum()
 
 
+def periodic_chain(period, size, seed):
+    """Irreducible chain of ``period`` groups of ``size`` states, each state
+    stepping only into the next group (cyclically) along random edges."""
+    rng = np.random.default_rng(seed)
+    group = np.arange(period * size) % period
+    mask = ((group[None, :] - group[:, None]) % period == 1) & (rng.random((group.size,) * 2) < 0.3)
+    return row_normalize(np.where(mask, rng.random(mask.shape), 0.0))
+
+
 def max_relative_deviation(values, reference):
     """Largest entrywise relative deviation; zeros of the reference must be
     matched exactly."""
@@ -268,6 +278,46 @@ class TestSparseStationarySolve:
         [record] = caplog.records
         assert record.levelno == logging.DEBUG
         assert "792 states by the jump-chain sweep" in record.getMessage()
+        # the weight-3/4 step converges in at most 100 steps (140 at weight 1/2)
+        assert int(record.getMessage().split(": ")[1].split()[0]) <= 100
+
+    @pytest.mark.parametrize("period", [2, 3])
+    def test_periodic_classes_are_solved_by_the_sweep(self, caplog, period):
+        # the damped step maps the eigenvalues of a period-p class on the
+        # unit circle inside it, so the sweep keeps the class
+        P = periodic_chain(period, 40, seed=0)
+        assert is_irreducible(P)
+        with caplog.at_level(logging.DEBUG, logger="revmarkov.chain_analysis"):
+            pi = stationary_mixture(P)
+        [record] = caplog.records
+        assert f"class of {40 * period} states by the jump-chain sweep" in record.getMessage()
+        assert max_relative_deviation(pi.values, gth_stationary(P)) <= 1e-12
+
+    def test_leaky_expander_flows_are_solved_by_the_sweep(self, caplog):
+        # every transient row leaks the same 1e-6, so a walk survives k steps
+        # with probability (1 - leak)^k whatever its path: the uniform start
+        # x0 sends x0 P^k (1 - leak)^k . leaks to the absorbing states at step
+        # k, and P^k has mixed to its stationary shape after 200 steps.  The
+        # sweep takes about 0.01 s on a 2-core VM; sparse LU, rejected here,
+        # then GTH elimination take about 110 s
+        leak, P = 1e-6, leaky_expander_chain(1e-6)
+        with caplog.at_level(logging.DEBUG, logger="revmarkov.chain_analysis"):
+            start = time.perf_counter()
+            pi = stationary_mixture(P)
+            elapsed = time.perf_counter() - start
+        assert elapsed <= 2.0
+        [record] = caplog.records
+        assert "transient flows of 4930 states by the jump-chain sweep" in record.getMessage()
+        m = P.n - 2
+        step, leaks = P.csr[:m][:, :m].T.tocsr(), P.csr[:m][:, m:].toarray()
+        flow, absorbed = np.full(m, 1.0 / P.n), np.zeros(2)
+        for _ in range(200):
+            absorbed += flow @ leaks
+            flow = step @ flow
+        absorbed += (flow @ leaks) / leak
+        mass = 1.0 / P.n + absorbed
+        assert np.all(pi.values[:m] == 0.0)
+        assert np.allclose(pi.values[m:], mass / mass.sum(), rtol=1e-12, atol=0.0)
 
     def test_start_at_the_floor_goes_to_lu(self, caplog):
         # uniform pi balances from the start, so the sweep observes no

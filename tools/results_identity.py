@@ -20,7 +20,9 @@ holds:
   buffers of ``R``, and the hex of the pipeline's ``distance``;
 * the stationary solves of each bank workload and of each section of
   seeds, counted by the method kept (``sweep``, ``lu`` or ``elimination``),
-  as the ``DEBUG`` records of ``revmarkov.chain_analysis`` name it.
+  as the ``DEBUG`` records of ``revmarkov.chain_analysis`` name it, and the
+  steps the jump-chain sweeps took, kept or declined (``sweep_steps``),
+  read off the same records.
 
 Two commits whose outputs are equal compute the same bits on every bank
 case.  The digests depend on the BLAS and the machine, so compare two
@@ -32,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -60,6 +63,8 @@ METHODS = {
     "by sparse LU": "lu",
     "by GTH elimination": "elimination",
 }
+#: The steps of a sweep, kept or declined, in the same record.
+SWEEP_STEPS = re.compile(r"(?:by the jump-chain sweep: |sweep declined at step )(\d+)")
 
 
 def digest(csr) -> str:
@@ -72,7 +77,8 @@ def digest(csr) -> str:
 
 
 class _SolveCounter(logging.Handler):
-    """Counts the stationary solves in the records it sees, by method."""
+    """Counts the stationary solves in the records it sees, by method, and
+    the steps of their sweeps."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
@@ -81,6 +87,9 @@ class _SolveCounter(logging.Handler):
     def emit(self, record):
         message = record.getMessage()
         self.counts.update(method for phrase, method in METHODS.items() if phrase in message)
+        steps = SWEEP_STEPS.search(message)
+        if steps:
+            self.counts["sweep_steps"] += int(steps.group(1))
 
 
 @contextmanager
