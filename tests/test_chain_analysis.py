@@ -300,7 +300,8 @@ class TestSparseStationarySolve:
         # k, and P^k has mixed to its stationary shape after 200 steps.  The
         # sweep takes about 0.01 s on a 2-core VM; sparse LU, rejected here,
         # then GTH elimination take about 110 s
-        leak, P = 1e-6, leaky_expander_chain(1e-6)
+        leak = 1e-6
+        P = leaky_expander_chain(leak)
         with caplog.at_level(logging.DEBUG, logger="revmarkov.chain_analysis"):
             start = time.perf_counter()
             pi = stationary_mixture(P)
