@@ -155,6 +155,9 @@ _SWEEP_CHECK = 10
 #: Weight of the jump chain's step in each step of the sweep; the rest
 #: stays put, which damps a periodic class's eigenvalue -1 to -1/2.
 _SWEEP_WEIGHT = 0.75
+#: Stored entries of the sweep's transposed copy scaled per block, so the
+#: gathered scale factors are one block long whatever the class's size.
+_SCALE_BLOCK = 1 << 16
 
 
 def _jump_chain_sweep(O, d: np.ndarray):
@@ -179,7 +182,8 @@ def _jump_chain_sweep(O, d: np.ndarray):
     ``O`` is the CSR arrays of the off-diagonal block.  Its transpose is
     copied once into CSR arrays by :func:`_transpose` (about 12 bytes per
     stored entry), and each entry ``O_ij`` of the copy is scaled once to
-    ``O_ij (w / d_i)``.  A step is then two kernel calls on reused buffers:
+    ``O_ij (w / d_i)``, ``_SCALE_BLOCK`` entries at a time, so the scale
+    factors gathered for it take at most 512 KB.  A step is then two kernel calls on reused buffers:
     ``y = (1 - w) x``, then :func:`_csr_add` adds each row's terms, in
     storage order, onto ``y``.
 
@@ -187,7 +191,10 @@ def _jump_chain_sweep(O, d: np.ndarray):
     (as :func:`_balance_solve` scales its ``x``) and ``None`` when declined.
     """
     flow_in = _transpose(O)
-    np.multiply(flow_in.data, (_SWEEP_WEIGHT / d)[flow_in.indices], out=flow_in.data)
+    scale = _SWEEP_WEIGHT / d
+    for lo in range(0, flow_in.data.size, _SCALE_BLOCK):
+        block = flow_in.data[lo : lo + _SCALE_BLOCK]
+        np.multiply(block, scale[flow_in.indices[lo : lo + _SCALE_BLOCK]], out=block)
     stay = 1.0 - _SWEEP_WEIGHT
     x = d / d.sum()
     y = np.empty_like(x)

@@ -14,8 +14,13 @@ values additionally depend on the platform's libm rounding of sin/cos).
 from __future__ import annotations
 
 import csv
+import gc
 import json
+import logging
 import math
+import mmap
+import os
+import signal
 import time
 from dataclasses import dataclass
 
@@ -212,10 +217,13 @@ def _get_walk_kernel():
 
     With numba importable, ``_walk_chunk`` JIT-compiled.  Without it,
     ``_walk_chunk_python``: the same Euler-Maruyama arithmetic in the same
-    order on Python floats, about 2.3 million steps/s on a 2-core Intel Xeon
-    VM (Python 3.11, 2e6-step trajectories), against 0.8 million for
-    ``_walk_chunk`` run uncompiled.  Both give trajectories bit-identical to
-    ``_walk_chunk``.
+    order on Python floats, 2.3 to 3.3 million steps/s in one process on a
+    2-core Intel Xeon VM (Python 3.11, 2e6-step trajectories, medians of
+    rounds under different load), against 0.8 million for ``_walk_chunk``
+    run uncompiled.  Both give trajectories
+    bit-identical to ``_walk_chunk``.  :func:`langevin_trajectory` runs the
+    kernel in one process, or in two when it splits a long walk; the
+    helper process calls the kernel the parent got here.
     """
     global _compiled_walk
     if _compiled_walk is None:
@@ -228,6 +236,120 @@ def _get_walk_kernel():
     return _compiled_walk
 
 
+#: Fewest steps at which :func:`langevin_trajectory` splits its walk with a
+#: forked helper.  On a 2-core Intel Xeon VM (Python 3.11, numba absent, 12
+#: seeds a size) the split's median speedup over one process was 0.70, 0.79
+#: and 0.88 at 2**16, 2**17 and 2**18 steps, where the two paths seldom meet
+#: within the second half, and 1.64 and 1.77 at 2**19 and 2**20 (worst 1.04
+#: and 1.07).
+_SPLIT_STEPS = 1 << 20
+
+logger = logging.getLogger(__name__)
+
+
+def _walk(kernel, rng, x, args, out, start, stop):
+    """Walk the steps ``start`` to ``stop`` from ``x`` with noise drawn from
+    ``rng`` one block at a time, binning step ``t`` into ``out[1 + t]``;
+    return the end position."""
+    buffer = np.empty(min(_NOISE_BLOCK, stop - start))
+    while start < stop:
+        noise = buffer[: min(_NOISE_BLOCK, stop - start)]
+        rng.standard_normal(out=noise)
+        x = kernel(x, noise, *args, out, 1 + start)
+        start += noise.size
+    return x
+
+
+def _splits(steps: int) -> bool:
+    return (
+        steps >= _SPLIT_STEPS
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+    )
+
+
+def _helper_walk(kernel, key, args, out, checkpoints, half, steps):
+    # the forked helper: the steps from half on, walked from x = pi, with its
+    # x at the end of every sub-chunk; it only draws, steps and writes into
+    # the shared mapping (the one lock it takes is its own generator's)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    buffer = np.empty(min(_NOISE_BLOCK, half))
+    for start in range(0, half, _NOISE_BLOCK):
+        rng.standard_normal(out=buffer[: min(_NOISE_BLOCK, half - start)])
+    x = math.pi
+    for k, start in enumerate(range(half, steps, _SUB_CHUNK)):
+        x = _walk(kernel, rng, x, args, out, start, min(start + _SUB_CHUNK, steps))
+        checkpoints[k] = x
+
+
+def _split_walk(kernel, key, args, dtype, steps):
+    """The binned walk of ``steps`` steps from ``x = pi`` on two processes.
+
+    A forked helper walks the second half from a guessed start, ``x = pi``,
+    with the noise of those steps, while this process walks the first half.
+    Driven by the same noise, the two Euler-Maruyama paths come to hold the
+    same double, and from then on every step is the same.  So this process
+    walks on, one sub-chunk at a time, until its ``x`` equals the helper's
+    at the sub-chunk's end: every later bin the helper wrote is the one this
+    process would write.  If the helper failed, or the paths never meet,
+    this process walks the whole second half itself.  Either way the result
+    is the one-process walk bit for bit.
+
+    The result and the helper's checkpoints live in one anonymous shared
+    mapping, which the returned array keeps alive.  The helper is reaped
+    before this returns or raises.
+    """
+    half = steps // 2
+    count = -(-(steps - half) // _SUB_CHUNK)
+    mapping = mmap.mmap(-1, 8 * count + np.dtype(dtype).itemsize * (steps + 1))
+    checkpoints = np.frombuffer(mapping, np.float64, count)
+    checkpoints.fill(np.nan)
+    out = np.frombuffer(mapping, dtype, steps + 1, offset=checkpoints.nbytes)
+    # a numba kernel compiles for these argument types here, not in the helper
+    kernel(math.pi, np.empty(0), *args, out, 1)
+    try:
+        pid = os.fork()
+    except OSError:  # no helper: this process walks every step
+        pid = None
+    if pid == 0:
+        status = 1
+        try:
+            gc.disable()  # no finalizer of the parent's garbage runs here too
+            _helper_walk(kernel, key, args, out, checkpoints, half, steps)
+            status = 0
+        finally:
+            os._exit(status)
+    status, rng = None, np.random.Generator(np.random.Philox(key=key))
+    try:
+        x = _walk(kernel, rng, math.pi, args, out, 0, half)
+        if pid is not None:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pid = None
+    finally:
+        if pid is not None:  # the walk here raised: end the helper too
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if status != 0:
+        checkpoints.fill(np.nan)  # every step of a failed helper is walked again
+    start = half
+    while start < steps:
+        stop = min(start + _SUB_CHUNK, steps)
+        x = _walk(kernel, rng, x, args, out, start, stop)
+        met = x == checkpoints[(start - half) // _SUB_CHUNK]
+        start = stop
+        if met:
+            break
+    logger.debug(
+        "Langevin walk of %d steps split at step %d: %d steps re-walked, helper exit status %s",
+        steps,
+        half,
+        start - half,
+        status,
+    )
+    return out
+
+
 def langevin_trajectory(cfg: LangevinConfig) -> np.ndarray:
     """Bin indices visited by one Euler-Maruyama trajectory.
 
@@ -236,40 +358,34 @@ def langevin_trajectory(cfg: LangevinConfig) -> np.ndarray:
     entries including the start ``x = pi``.
 
     The steps run in the kernel ``_get_walk_kernel`` picks: numba-compiled
-    when numba is importable, a pure-Python loop (about 2.3 million steps/s)
-    otherwise.  Either gives the same trajectory bit for bit.  Besides the
-    result, memory holds one noise buffer of ``_NOISE_BLOCK`` draws (512 KB)
-    whatever the step count.
+    when numba is importable, a pure-Python loop otherwise.  A walk of at
+    least ``_SPLIT_STEPS`` steps, where ``os.fork`` exists and the process
+    may run on two CPUs or more, is split with one forked helper process
+    (:func:`_split_walk`); every other walk runs in this process.  Either
+    way the trajectory is the same bit for bit.  On a 2-core Intel Xeon VM
+    (Python 3.11, numba absent), 2e6-step walks of the pure-Python loop ran
+    at a median 2.7 to 3.3 million steps/s in one process and 4.6 to 4.9
+    million split (three rounds of 10 interleaved pairs).
+
+    Besides the result, memory holds one noise buffer of ``_NOISE_BLOCK``
+    draws (512 KB) whatever the step count.  A split walk's result lives in
+    an anonymous shared mapping (with 8 bytes per ``_SUB_CHUNK`` steps of
+    checkpoints), which a process forked later shares too; the helper draws
+    into its own noise buffer.
     """
     kernel = _get_walk_kernel()
     key = np.array([np.uint64(cfg.seed & _SEED_MASK), _LANGEVIN_STREAM], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
     dtype = np.int16 if cfg.bins <= np.iinfo(np.int16).max else np.int64
-    out = np.empty(cfg.steps + 1, dtype=dtype)
-    x = math.pi
     bin_scale = cfg.bins / TWO_PI
-    out[0] = int(x * bin_scale)
     amp = cfg.sigma * math.sqrt(cfg.dt)
-    buffer = np.empty(min(_NOISE_BLOCK, cfg.steps))
-    done = 0
-    while done < cfg.steps:
-        block = min(_NOISE_BLOCK, cfg.steps - done)
-        noise = buffer[:block]
-        rng.standard_normal(out=noise)
-        x = kernel(
-            x,
-            noise,
-            cfg.b,
-            2.0 * cfg.c,
-            3.0 * cfg.d,
-            cfg.dt,
-            amp,
-            bin_scale,
-            cfg.bins,
-            out,
-            1 + done,
-        )
-        done += block
+    args = (cfg.b, 2.0 * cfg.c, 3.0 * cfg.d, cfg.dt, amp, bin_scale, cfg.bins)
+    if _splits(cfg.steps):
+        out = _split_walk(kernel, key, args, dtype, cfg.steps)
+    else:
+        out = np.empty(cfg.steps + 1, dtype=dtype)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        _walk(kernel, rng, math.pi, args, out, 0, cfg.steps)
+    out[0] = int(math.pi * bin_scale)
     return out
 
 
@@ -291,19 +407,43 @@ def count_matrix(bins, num_bins: int) -> sp.csr_matrix:
         raise ValueError(f"bin indices must lie in [0, {num_bins}), got [{lo}, {hi}]")
     # codes i * num_bins + j are built in int64 one slice of transitions at a
     # time, so no array spans the trajectory (one would take 400 MB at 5e7
-    # steps); a slice is never shorter than the count vector, whose every
-    # entry each slice's bincount writes
-    counts = np.zeros(num_bins * num_bins, dtype=np.int64)
-    step = max(_NOISE_BLOCK, counts.size)
-    for start in range(0, bins.size - 1, step):
-        stop = min(start + step, bins.size - 1)
+    # steps).  While the num_bins**2 codes fit a slice, one count vector
+    # over all of them adds up each slice's bincount; past that, each slice's
+    # distinct codes are counted by np.unique and merged, so memory follows
+    # the codes seen, not num_bins**2 (72 MB per vector at 3,000 bins)
+    size = num_bins * num_bins
+    dense = np.zeros(size, dtype=np.int64) if size <= _NOISE_BLOCK else None
+    merged, pending, waiting = (np.empty(0, dtype=np.int64),) * 2, [], 0
+    for start in range(0, bins.size - 1, _NOISE_BLOCK):
+        stop = min(start + _NOISE_BLOCK, bins.size - 1)
         codes = bins[start:stop].astype(np.int64)
         codes *= num_bins
         codes += bins[start + 1 : stop + 1]
-        counts += np.bincount(codes, minlength=counts.size)
-    return sp.csr_matrix(
-        counts.reshape(num_bins, num_bins).astype(float)
-    )
+        if dense is not None:
+            dense += np.bincount(codes, minlength=size)
+            continue
+        pending.append(np.unique(codes, return_counts=True))
+        waiting += pending[-1][0].size
+        if waiting >= merged[0].size:  # so each code is merged O(log) times
+            merged, pending, waiting = _merge_counts([merged, *pending]), [], 0
+    if dense is not None:
+        codes = np.flatnonzero(dense)
+        counts = dense[codes]
+    else:
+        codes, counts = _merge_counts([merged, *pending])
+    rows, cols = np.divmod(codes, num_bins)
+    return _scipy(_row_major(counts.astype(float), rows, cols, num_bins))
+
+
+def _merge_counts(parts):
+    """The distinct codes of ``parts``, ascending, and their summed counts;
+    ``parts`` holds pairs of distinct codes and their counts."""
+    codes = np.concatenate([part[0] for part in parts])
+    counts = np.concatenate([part[1] for part in parts])
+    order = np.argsort(codes, kind="stable")
+    codes, counts = codes[order], counts[order]
+    first = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    return codes[first], np.add.reduceat(counts, first)
 
 
 def run_benchmark(cfg: BenchmarkConfig, output_path=None) -> list:

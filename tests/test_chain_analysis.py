@@ -1,6 +1,7 @@
 import itertools
 import logging
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from revmarkov import (
 
 from revmarkov import chain_analysis
 from revmarkov.chain_analysis import _closed_components
+from revmarkov.sparse_core import _row_major, _row_sums
 
 from chains import leaky_expander_chain, ring_chain, two_blocks_with_transients, wide_span_chain
 from dense_oracle import gth_stationary
@@ -280,6 +282,25 @@ class TestSparseStationarySolve:
         assert "792 states by the jump-chain sweep" in record.getMessage()
         # the weight-3/4 step converges in at most 100 steps (140 at weight 1/2)
         assert int(record.getMessage().split(": ")[1].split()[0]) <= 100
+
+    def test_sweep_scales_its_copy_in_blocks(self):
+        # besides the transposed copy (12 bytes a stored entry), the sweep
+        # holds a few state vectors and one block of scale factors; one
+        # factor per stored entry would add 2.5 MB here
+        P = gen_random_chain(BenchmarkConfig(n_min=16_384, n_max=16_384, alpha=20.0, seed=1), 0)
+        rows = np.repeat(np.arange(P.n), np.diff(P.csr.indptr))
+        off = rows != P.csr.indices
+        O = _row_major(P.csr.data[off], rows[off], P.csr.indices[off], P.n)
+        assert O.data.size >= 1 << 18
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            chain_analysis._jump_chain_sweep(O, _row_sums(O))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        bound = 12 * O.data.size + 8 * 8 * P.n + 8 * chain_analysis._SCALE_BLOCK
+        assert peak <= bound, f"{peak / 2**20:.2f} MB > {bound / 2**20:.2f} MB"
 
     @pytest.mark.parametrize("period", [2, 3])
     def test_periodic_classes_are_solved_by_the_sweep(self, caplog, period):

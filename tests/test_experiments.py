@@ -1,4 +1,9 @@
+import logging
 import math
+import os
+import re
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,7 +29,7 @@ from revmarkov import (
     strongly_connected_components,
     torsion_potential,
 )
-from revmarkov.experiments import _NOISE_BLOCK
+from revmarkov.experiments import _NOISE_BLOCK, _SUB_CHUNK
 
 
 @pytest.mark.parametrize(
@@ -251,12 +256,14 @@ class TestLangevinTrajectory:
             assert np.array_equal(bins, reference), kernel
             assert ends == reference_ends, kernel
 
-    def test_memory_is_bounded_by_the_output(self):
+    @pytest.mark.parametrize("split", [False, True], ids=["one process", "split"])
+    def test_memory_is_bounded_by_the_output(self, monkeypatch, split):
         # besides the int16 trajectory, the walk holds one noise buffer and
         # the counts one slice of codes, whatever the step count; a noise
         # block or a code array per step would exceed the bound
         cfg = LangevinConfig(steps=1_000_000, seed=3)
         langevin_trajectory(LangevinConfig(steps=1))  # compile a numba kernel untraced
+        monkeypatch.setattr(experiments, "_SPLIT_STEPS", 1 if split else cfg.steps + 1)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -283,6 +290,98 @@ class TestLangevinTrajectory:
         assert tv <= 0.1
 
 
+def one_process_walk(monkeypatch, cfg):
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "_SPLIT_STEPS", cfg.steps + 1)
+        return langevin_trajectory(cfg)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def split_record(caplog):
+    """``(steps re-walked, helper exit status)`` of the one split record."""
+    [record] = [r for r in caplog.records if r.name == "revmarkov.experiments"]
+    assert record.levelno == logging.DEBUG
+    match = re.search(r": (\d+) steps re-walked, helper exit status (\S+)", record.getMessage())
+    return int(match.group(1)), match.group(2)
+
+
+@pytest.mark.skipif(not experiments._splits(1 << 62), reason="needs os.fork and two CPUs")
+class TestSplitWalk:
+    """Walks split with a forked helper, the threshold patched low."""
+
+    @pytest.fixture(autouse=True)
+    def low_threshold(self, monkeypatch, caplog):
+        monkeypatch.setattr(experiments, "_SPLIT_STEPS", 1)
+        caplog.set_level(logging.DEBUG, logger="revmarkov.experiments")
+
+    @pytest.mark.parametrize(
+        "steps, seed, early",
+        [
+            (1, 12, False),  # the helper starts where the walk does
+            (3 * _SUB_CHUNK + 5, 12, True),  # not a multiple of the sub-chunk
+            (_NOISE_BLOCK + 4_097, 12, True),  # crosses a noise block
+            (200_001, 7, False),  # the paths never meet: all walked again
+        ],
+    )
+    def test_matches_the_one_process_walk(self, monkeypatch, caplog, steps, seed, early):
+        # early: the paths meet before the last sub-chunk, so the helper's
+        # later bins are kept
+        cfg = LangevinConfig(steps=steps, seed=seed)
+        bins = langevin_trajectory(cfg)
+        assert_no_child_left()
+        rewalked, status = split_record(caplog)
+        assert status == "0" and (rewalked < steps - steps // 2) == early
+        expected = one_process_walk(monkeypatch, cfg)
+        assert bins.dtype == expected.dtype and np.array_equal(bins, expected)
+
+    def test_wide_bins(self, monkeypatch):
+        cfg = LangevinConfig(steps=20_000, bins=40_000, seed=2)
+        bins = langevin_trajectory(cfg)
+        assert bins.dtype == np.int64 and np.array_equal(bins, one_process_walk(monkeypatch, cfg))
+
+    @pytest.mark.parametrize("exit_status", [1, 3, -signal.SIGKILL])
+    def test_a_failed_helper_changes_no_bin(self, monkeypatch, caplog, exit_status):
+        # the helper walks, then scribbles over its bins and fails: its
+        # checkpoints hold the right positions, but none may be used
+        helper = experiments._helper_walk
+
+        def failing(kernel, key, args, out, checkpoints, half, steps):
+            helper(kernel, key, args, out, checkpoints, half, steps)
+            out[half + 1 :] = -1
+            if exit_status < 0:
+                os.kill(os.getpid(), -exit_status)
+            os._exit(exit_status)
+
+        monkeypatch.setattr(experiments, "_helper_walk", failing)
+        cfg = LangevinConfig(steps=_NOISE_BLOCK + 4_097, seed=12)
+        bins = langevin_trajectory(cfg)
+        assert_no_child_left()
+        assert split_record(caplog) == (cfg.steps - cfg.steps // 2, str(exit_status))
+        assert np.array_equal(bins, one_process_walk(monkeypatch, cfg))
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_a_raising_walk_ends_the_helper(self, monkeypatch, error):
+        # the helper would sleep for a minute: it is killed and reaped
+        parent, kernel = os.getpid(), experiments._get_walk_kernel()
+
+        def raising(x, noise, *args):
+            if os.getpid() == parent and noise.size:
+                raise error("stop")
+            return kernel(x, noise, *args)
+
+        monkeypatch.setattr(experiments, "_compiled_walk", raising)
+        monkeypatch.setattr(experiments, "_helper_walk", lambda *args: time.sleep(60))
+        start = time.perf_counter()
+        with pytest.raises(error, match="stop"):
+            langevin_trajectory(LangevinConfig(steps=10_000, seed=1))
+        assert_no_child_left()
+        assert time.perf_counter() - start < 30
+
+
 class TestCountMatrix:
     def test_constant_sequence(self):
         C = count_matrix(np.full(11, 3, dtype=int), 5)
@@ -306,7 +405,8 @@ class TestCountMatrix:
 
     def test_int16_codes_do_not_overflow(self):
         # 299 * 300 + 299 overflows int16, so the codes must be built wider;
-        # the run spans three whole slices of transitions and a remainder
+        # 300**2 codes exceed a slice, so the run's four whole slices and
+        # remainder are counted by distinct codes and merged
         rng = np.random.default_rng(4)
         size = 3 * max(_NOISE_BLOCK, 300 * 300) + 1_235
         bins = rng.integers(0, 300, size=size).astype(np.int16)
@@ -315,6 +415,22 @@ class TestCountMatrix:
             expected[i, j] += 1
         C = count_matrix(bins, 300)
         assert np.array_equal(C.toarray(), expected)
+
+    def test_memory_follows_the_codes_seen(self):
+        # 3,000 bins have 9e6 codes: a count vector over all of them would
+        # take 72 MB, where this trajectory has 10 transitions
+        bins = np.random.default_rng(5).integers(0, 3_000, size=11).astype(np.int16)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            C = count_matrix(bins, 3_000)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, f"{peak / 2**20:.1f} MB"
+        pairs = (bins[:-1].astype(np.int64), bins[1:].astype(np.int64))
+        expected = sp.coo_matrix((np.ones(10), pairs), shape=(3_000, 3_000)).tocsr()
+        assert C.has_sorted_indices and (C != expected).nnz == 0 and C.nnz == expected.nnz
 
     def test_butane_counts_support(self, butane):
         # one-step moves only reach adjacent bins (plus the periodic corner),

@@ -11,6 +11,10 @@ holds:
 * the totals of Newton steps and conjugate-gradient iterations over the bank;
 * for every ``torsion`` bank case, the SHA-256 of the Langevin trajectory's
   bytes and of the CSR buffers of its count matrix;
+* over those cases, the Langevin walks split with a forked helper
+  (``splits``) and the steps they walked again past the split
+  (``rewalked_steps``), read off the ``DEBUG`` records of
+  ``revmarkov.experiments`` (no walk splits on a single CPU);
 * over ``wide_span_chain`` seeds 0-999 (``tests/chains.py``): the failed
   calls, the Newton systems handed to the sparse factor, the Newton steps
   and the CG iterations;
@@ -65,6 +69,8 @@ METHODS = {
 }
 #: The steps of a sweep, kept or declined, in the same record.
 SWEEP_STEPS = re.compile(r"(?:by the jump-chain sweep: |sweep declined at step )(\d+)")
+#: The steps a split Langevin walk walked again, in the record of the walk.
+REWALKED = re.compile(r"split at step \d+: (\d+) steps re-walked")
 
 
 def digest(csr) -> str:
@@ -78,7 +84,8 @@ def digest(csr) -> str:
 
 class _SolveCounter(logging.Handler):
     """Counts the stationary solves in the records it sees, by method, and
-    the steps of their sweeps."""
+    the steps of their sweeps; and the split Langevin walks and the steps
+    they walked again."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
@@ -90,12 +97,17 @@ class _SolveCounter(logging.Handler):
         steps = SWEEP_STEPS.search(message)
         if steps:
             self.counts["sweep_steps"] += int(steps.group(1))
+        rewalked = REWALKED.search(message)
+        if rewalked:
+            self.counts["splits"] += 1
+            self.counts["rewalked_steps"] += int(rewalked.group(1))
 
 
 @contextmanager
-def counting_solves():
-    """Yield a ``Counter`` of the stationary solves made inside the block."""
-    logger = logging.getLogger("revmarkov.chain_analysis")
+def counting_solves(name="revmarkov.chain_analysis"):
+    """Yield a ``Counter`` of the records of logger ``name`` inside the
+    block, as :class:`_SolveCounter` counts them."""
+    logger = logging.getLogger(name)
     counter, level = _SolveCounter(), logger.level
     logger.addHandler(counter)
     logger.setLevel(logging.DEBUG)
@@ -124,16 +136,18 @@ def bank_identity() -> dict:
     return {"cases": cases, "solves": solves, "newton_steps": newton, "cg_iterations": cg}
 
 
-def torsion_data_identity() -> list:
-    """``[key, trajectory SHA-256, count matrix SHA-256]`` per torsion case."""
+def torsion_data_identity():
+    """``[key, trajectory SHA-256, count matrix SHA-256]`` per torsion case,
+    and the totals of the split walks' records."""
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     workload, rows = WORKLOADS["torsion"], []
-    for case in reference["workloads"]["torsion"]["cases"]:
-        cfg = workload.make_input(case["key"])
-        bins = langevin_trajectory(cfg)
-        counts = count_matrix(bins, cfg.bins)
-        rows.append([case["key"], hashlib.sha256(bins.tobytes()).hexdigest(), digest(counts)])
-    return rows
+    with counting_solves("revmarkov.experiments") as walks:
+        for case in reference["workloads"]["torsion"]["cases"]:
+            cfg = workload.make_input(case["key"])
+            bins = langevin_trajectory(cfg)
+            counts = count_matrix(bins, cfg.bins)
+            rows.append([case["key"], hashlib.sha256(bins.tobytes()).hexdigest(), digest(counts)])
+    return rows, dict(sorted(walks.items()))
 
 
 def wide_span_identity() -> dict:
@@ -174,9 +188,11 @@ def reducible_identity() -> dict:
 
 
 def main() -> int:
+    torsion_data, torsion_walks = torsion_data_identity()
     identity = {
         "bank": bank_identity(),
-        "torsion_data": torsion_data_identity(),
+        "torsion_data": torsion_data,
+        "torsion_walks": torsion_walks,
         "wide_span_chain": wide_span_identity(),
         "reducible": reducible_identity(),
     }
