@@ -42,6 +42,8 @@ __all__ = [
     "torsion_potential",
 ]
 
+logger = logging.getLogger(__name__)
+
 TWO_PI = 2.0 * math.pi
 
 #: Langevin noise is drawn into one reused buffer of this many draws, and
@@ -244,8 +246,6 @@ def _get_walk_kernel():
 #: and 1.07).
 _SPLIT_STEPS = 1 << 20
 
-logger = logging.getLogger(__name__)
-
 
 def _walk(kernel, rng, x, args, out, start, stop):
     """Walk the steps ``start`` to ``stop`` from ``x`` with noise drawn from
@@ -304,7 +304,6 @@ def _split_walk(kernel, key, args, dtype, steps):
     count = -(-(steps - half) // _SUB_CHUNK)
     mapping = mmap.mmap(-1, 8 * count + np.dtype(dtype).itemsize * (steps + 1))
     checkpoints = np.frombuffer(mapping, np.float64, count)
-    checkpoints.fill(np.nan)
     out = np.frombuffer(mapping, dtype, steps + 1, offset=checkpoints.nbytes)
     # a numba kernel compiles for these argument types here, not in the helper
     kernel(math.pi, np.empty(0), *args, out, 1)
@@ -330,8 +329,8 @@ def _split_walk(kernel, key, args, dtype, steps):
         if pid is not None:  # the walk here raised: end the helper too
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if status != 0:
-        checkpoints.fill(np.nan)  # every step of a failed helper is walked again
+    if status != 0:  # no checkpoint of a failed helper can match: all is walked again
+        checkpoints.fill(np.nan)
     start = half
     while start < steps:
         stop = min(start + _SUB_CHUNK, steps)

@@ -256,23 +256,24 @@ class TestLangevinTrajectory:
             assert np.array_equal(bins, reference), kernel
             assert ends == reference_ends, kernel
 
-    @pytest.mark.parametrize("split", [False, True], ids=["one process", "split"])
-    def test_memory_is_bounded_by_the_output(self, monkeypatch, split):
+    def test_memory_is_bounded_by_the_output(self, monkeypatch):
         # besides the int16 trajectory, the walk holds one noise buffer and
         # the counts one slice of codes, whatever the step count; a noise
-        # block or a code array per step would exceed the bound
+        # block or a code array per step would exceed the bound.  The same
+        # holds in one process and split with a helper (threshold patched).
         cfg = LangevinConfig(steps=1_000_000, seed=3)
         langevin_trajectory(LangevinConfig(steps=1))  # compile a numba kernel untraced
-        monkeypatch.setattr(experiments, "_SPLIT_STEPS", 1 if split else cfg.steps + 1)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            bins = langevin_trajectory(cfg)
-            count_matrix(bins, cfg.bins)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak - bins.nbytes <= 2 << 20, f"{(peak - bins.nbytes) / 2**20:.1f} MB"
+        for threshold in (cfg.steps + 1, 1):
+            monkeypatch.setattr(experiments, "_SPLIT_STEPS", threshold)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                bins = langevin_trajectory(cfg)
+                count_matrix(bins, cfg.bins)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak - bins.nbytes <= 2 << 20, f"{(peak - bins.nbytes) / 2**20:.1f} MB"
 
     def test_occupancy_tracks_gibbs_weights(self, butane):
         # desk-scale run vs quadrature of exp(-2 U / sigma^2) per bin
