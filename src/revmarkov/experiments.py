@@ -46,10 +46,11 @@ logger = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * math.pi
 
-#: Langevin noise is drawn into one reused buffer of this many draws, and
-#: transitions are counted in slices of this many.  Changing it changes only
-#: the batching, not the values: the Philox normal stream does not depend on
-#: how it is drawn, and integer counts add up exactly.
+#: Langevin noise is drawn into one reused buffer of this many draws
+#: (512 KB of float64), and transitions are counted in slices of this many,
+#: their int64 codes built in one reused buffer of the same size.  Changing
+#: it changes only the batching, not the values: the Philox normal stream
+#: does not depend on how it is drawn, and integer counts add up exactly.
 _NOISE_BLOCK = 1 << 16
 
 _LANGEVIN_STREAM = np.uint64(1) << np.uint64(63)
@@ -246,6 +247,16 @@ def _get_walk_kernel():
 #: and 1.07).
 _SPLIT_STEPS = 1 << 20
 
+#: Cost in ns of one normal draw and of one step of the pure-Python kernel,
+#: its draw included, on a 2-core Intel Xeon VM (Python 3.11).  A split walk's
+#: helper draws and discards the normals of the steps before the split point
+#: before it walks, so :func:`_split_walk` splits at ``steps * _STEP_NS //
+#: (2 * _STEP_NS - _DRAW_NS)``, 52 % of the steps, where both processes
+#: finish together.  Over 10 rounds of the 12 2e6-step ``torsion`` bank
+#: walks, the caller's median wait for the helper was 18.9 ms at half the
+#: steps and 0.1 ms here.
+_DRAW_NS, _STEP_NS = 19, 250
+
 
 def _walk(kernel, rng, x, args, out, start, stop):
     """Walk the steps ``start`` to ``stop`` from ``x`` with noise drawn from
@@ -269,16 +280,16 @@ def _splits(steps: int) -> bool:
     )
 
 
-def _helper_walk(kernel, key, args, out, checkpoints, half, steps):
-    # the forked helper: the steps from half on, walked from x = pi, with its
+def _helper_walk(kernel, key, args, out, checkpoints, split, steps):
+    # the forked helper: the steps from split on, walked from x = pi, with its
     # x at the end of every sub-chunk; it only draws, steps and writes into
     # the shared mapping (the one lock it takes is its own generator's)
     rng = np.random.Generator(np.random.Philox(key=key))
-    buffer = np.empty(min(_NOISE_BLOCK, half))
-    for start in range(0, half, _NOISE_BLOCK):
-        rng.standard_normal(out=buffer[: min(_NOISE_BLOCK, half - start)])
+    buffer = np.empty(min(_NOISE_BLOCK, split))
+    for start in range(0, split, _NOISE_BLOCK):
+        rng.standard_normal(out=buffer[: min(_NOISE_BLOCK, split - start)])
     x = math.pi
-    for k, start in enumerate(range(half, steps, _SUB_CHUNK)):
+    for k, start in enumerate(range(split, steps, _SUB_CHUNK)):
         x = _walk(kernel, rng, x, args, out, start, min(start + _SUB_CHUNK, steps))
         checkpoints[k] = x
 
@@ -286,22 +297,24 @@ def _helper_walk(kernel, key, args, out, checkpoints, half, steps):
 def _split_walk(kernel, key, args, dtype, steps):
     """The binned walk of ``steps`` steps from ``x = pi`` on two processes.
 
-    A forked helper walks the second half from a guessed start, ``x = pi``,
-    with the noise of those steps, while this process walks the first half.
+    A forked helper walks the steps from the split point on from a guessed
+    start, ``x = pi``, with the noise of those steps, while this process
+    walks the steps before it.  The split point, at 52 % of the steps, gives
+    the helper's discarded draws their share (``_DRAW_NS``).
     Driven by the same noise, the two Euler-Maruyama paths come to hold the
     same double, and from then on every step is the same.  So this process
     walks on, one sub-chunk at a time, until its ``x`` equals the helper's
     at the sub-chunk's end: every later bin the helper wrote is the one this
     process would write.  If the helper failed, or the paths never meet,
-    this process walks the whole second half itself.  Either way the result
+    this process walks all the helper's steps itself.  Either way the result
     is the one-process walk bit for bit.
 
     The result and the helper's checkpoints live in one anonymous shared
     mapping, which the returned array keeps alive.  The helper is reaped
     before this returns or raises.
     """
-    half = steps // 2
-    count = -(-(steps - half) // _SUB_CHUNK)
+    split = steps * _STEP_NS // (2 * _STEP_NS - _DRAW_NS)
+    count = -(-(steps - split) // _SUB_CHUNK)
     mapping = mmap.mmap(-1, 8 * count + np.dtype(dtype).itemsize * (steps + 1))
     checkpoints = np.frombuffer(mapping, np.float64, count)
     out = np.frombuffer(mapping, dtype, steps + 1, offset=checkpoints.nbytes)
@@ -315,13 +328,13 @@ def _split_walk(kernel, key, args, dtype, steps):
         status = 1
         try:
             gc.disable()  # no finalizer of the parent's garbage runs here too
-            _helper_walk(kernel, key, args, out, checkpoints, half, steps)
+            _helper_walk(kernel, key, args, out, checkpoints, split, steps)
             status = 0
         finally:
             os._exit(status)
     status, rng = None, np.random.Generator(np.random.Philox(key=key))
     try:
-        x = _walk(kernel, rng, math.pi, args, out, 0, half)
+        x = _walk(kernel, rng, math.pi, args, out, 0, split)
         if pid is not None:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             pid = None
@@ -331,19 +344,19 @@ def _split_walk(kernel, key, args, dtype, steps):
             os.waitpid(pid, 0)
     if status != 0:  # no checkpoint of a failed helper can match: all is walked again
         checkpoints.fill(np.nan)
-    start = half
+    start = split
     while start < steps:
         stop = min(start + _SUB_CHUNK, steps)
         x = _walk(kernel, rng, x, args, out, start, stop)
-        met = x == checkpoints[(start - half) // _SUB_CHUNK]
+        met = x == checkpoints[(start - split) // _SUB_CHUNK]
         start = stop
         if met:
             break
     logger.debug(
         "Langevin walk of %d steps split at step %d: %d steps re-walked, helper exit status %s",
         steps,
-        half,
-        start - half,
+        split,
+        start - split,
         status,
     )
     return out
@@ -354,7 +367,9 @@ def langevin_trajectory(cfg: LangevinConfig) -> np.ndarray:
 
     Positions are wrapped into ``[0, 2 pi)`` (the potential is periodic) and
     mapped to ``floor(x * bins / 2 pi)``.  The result has ``steps + 1``
-    entries including the start ``x = pi``.
+    entries including the start ``x = pi``, in the narrowest signed dtype
+    that holds the number of bins: ``int8`` up to 127 bins (one byte a
+    step), ``int16`` up to 32,767 and ``int64`` beyond.
 
     The steps run in the kernel ``_get_walk_kernel`` picks: numba-compiled
     when numba is importable, a pure-Python loop otherwise.  A walk of at
@@ -367,14 +382,15 @@ def langevin_trajectory(cfg: LangevinConfig) -> np.ndarray:
     million split (three rounds of 10 interleaved pairs).
 
     Besides the result, memory holds one noise buffer of ``_NOISE_BLOCK``
-    draws (512 KB) whatever the step count.  A split walk's result lives in
+    draws (512 KB) and the pure-Python kernel's lists of one ``_SUB_CHUNK``
+    (about 0.3 MB), whatever the step count.  A split walk's result lives in
     an anonymous shared mapping (with 8 bytes per ``_SUB_CHUNK`` steps of
     checkpoints), which a process forked later shares too; the helper draws
     into its own noise buffer.
     """
     kernel = _get_walk_kernel()
     key = np.array([np.uint64(cfg.seed & _SEED_MASK), _LANGEVIN_STREAM], dtype=np.uint64)
-    dtype = np.int16 if cfg.bins <= np.iinfo(np.int16).max else np.int64
+    dtype = next(t for t in (np.int8, np.int16, np.int64) if cfg.bins <= np.iinfo(t).max)
     bin_scale = cfg.bins / TWO_PI
     amp = cfg.sigma * math.sqrt(cfg.dt)
     args = (cfg.b, 2.0 * cfg.c, 3.0 * cfg.d, cfg.dt, amp, bin_scale, cfg.bins)
@@ -404,18 +420,22 @@ def count_matrix(bins, num_bins: int) -> sp.csr_matrix:
     lo, hi = int(bins.min()), int(bins.max())
     if lo < 0 or hi >= num_bins:
         raise ValueError(f"bin indices must lie in [0, {num_bins}), got [{lo}, {hi}]")
-    # codes i * num_bins + j are built in int64 one slice of transitions at a
-    # time, so no array spans the trajectory (one would take 400 MB at 5e7
-    # steps).  While the num_bins**2 codes fit a slice, one count vector
-    # over all of them adds up each slice's bincount; past that, each slice's
-    # distinct codes are counted by np.unique and merged, so memory follows
-    # the codes seen, not num_bins**2 (72 MB per vector at 3,000 bins)
+    # codes i * num_bins + j are built in int64 (an int8 or int16 code would
+    # overflow) one slice of transitions at a time, in one reused buffer of
+    # _NOISE_BLOCK codes (512 KB), so no array spans the trajectory (one
+    # would take 400 MB at 5e7 steps) and one slice is alive at a time.
+    # While the num_bins**2 codes fit a slice, one count vector over all of
+    # them adds up each slice's bincount; past that, each slice's distinct
+    # codes are counted by np.unique and merged, so memory follows the codes
+    # seen, not num_bins**2 (72 MB per vector at 3,000 bins)
     size = num_bins * num_bins
     dense = np.zeros(size, dtype=np.int64) if size <= _NOISE_BLOCK else None
     merged, pending, waiting = (np.empty(0, dtype=np.int64),) * 2, [], 0
+    buffer = np.empty(min(_NOISE_BLOCK, bins.size - 1), dtype=np.int64)
     for start in range(0, bins.size - 1, _NOISE_BLOCK):
         stop = min(start + _NOISE_BLOCK, bins.size - 1)
-        codes = bins[start:stop].astype(np.int64)
+        codes = buffer[: stop - start]
+        codes[:] = bins[start:stop]
         codes *= num_bins
         codes += bins[start + 1 : stop + 1]
         if dense is not None:

@@ -152,7 +152,15 @@ class PipelineDiagnostics:
 
 
 def verify(R, pi) -> tuple:
-    """Residual triple ``(stochasticity, detailed balance, stationarity)``."""
+    """Residual triple ``(stochasticity, detailed balance, stationarity)``.
+
+    Each residual is absolute, so the detailed-balance one cannot see a
+    violation between states of tiny stationary mass (see
+    :func:`~revmarkov.sparse_core.detailed_balance_residual`).  A result of
+    :func:`nearest_sparse_reversible` is guarded against that case by the
+    unscaling step, which refuses a class whose unscaled rows miss a sum of
+    1 by more than the KKT tolerance instead of renormalizing them.
+    """
     return (
         stochasticity_residual(R),
         detailed_balance_residual(R, pi),

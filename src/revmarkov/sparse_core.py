@@ -470,7 +470,13 @@ def detailed_balance_residual(P, pi: ProbabilityVector) -> float:
     """Largest violation of the flux-symmetry equations.
 
     Returns ``max_{i,j} |pi_i P_ij - pi_j P_ji|``, which is zero exactly when
-    ``P`` is reversible with respect to ``pi``.
+    ``P`` is reversible with respect to ``pi``.  The residual is absolute,
+    so it cannot see a violation between states of tiny mass: with
+    ``pi_0 = pi_3 = 1.9e-56``, ``P_03 = 1`` against ``P_30 = 1/3`` is a gap
+    of 1.3e-56, far below the rounding of larger fluxes.
+    :func:`~revmarkov.nearest_sparse_reversible` guards against that case
+    by refusing a class whose unscaled rows miss a sum of 1 (``_unscale``),
+    not by this residual.
     """
     csr = _as_csr(P)
     if isinstance(pi, ProbabilityVector):

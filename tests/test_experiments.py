@@ -257,7 +257,7 @@ class TestLangevinTrajectory:
             assert ends == reference_ends, kernel
 
     def test_memory_is_bounded_by_the_output(self, monkeypatch):
-        # besides the int16 trajectory, the walk holds one noise buffer and
+        # besides the int8 trajectory, the walk holds one noise buffer and
         # the counts one slice of codes, whatever the step count; a noise
         # block or a code array per step would exceed the bound.  The same
         # holds in one process and split with a helper (threshold patched).
@@ -291,6 +291,56 @@ class TestLangevinTrajectory:
         assert tv <= 0.1
 
 
+def int64_walk(cfg):
+    """The trajectory of ``cfg`` walked in one process into int64 bins."""
+    key = np.array([cfg.seed, 1 << 63], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    bin_scale = cfg.bins / experiments.TWO_PI
+    amp = cfg.sigma * math.sqrt(cfg.dt)
+    args = (cfg.b, 2.0 * cfg.c, 3.0 * cfg.d, cfg.dt, amp, bin_scale, cfg.bins)
+    out = np.empty(cfg.steps + 1, dtype=np.int64)
+    experiments._walk(experiments._get_walk_kernel(), rng, math.pi, args, out, 0, cfg.steps)
+    out[0] = int(math.pi * bin_scale)
+    return out
+
+
+splitting = pytest.mark.parametrize(
+    "split",
+    [
+        False,
+        pytest.param(
+            True,
+            marks=pytest.mark.skipif(
+                not experiments._splits(1 << 62), reason="needs os.fork and two CPUs"
+            ),
+        ),
+    ],
+    ids=["one-process", "split"],
+)
+
+
+@splitting
+@pytest.mark.parametrize(
+    "bins, dtype",
+    [(127, np.int8), (128, np.int16), (32_767, np.int16), (32_768, np.int64)],
+)
+def test_the_narrowest_dtype_holds_the_bins(monkeypatch, split, bins, dtype):
+    # sigma = 30 moves about 1 rad a step, so the walk spreads over every bin
+    monkeypatch.setattr(experiments, "_SPLIT_STEPS", 1 if split else 1 << 62)
+    cfg = LangevinConfig(steps=3 * _SUB_CHUNK + 5, bins=bins, sigma=30.0, seed=12)
+    trajectory = langevin_trajectory(cfg)
+    expected = int64_walk(cfg)
+    assert trajectory.dtype == dtype and np.array_equal(trajectory, expected)
+    assert expected.max() >= min(bins - 1, 32_000)
+
+
+@splitting
+def test_a_torsion_trajectory_takes_a_byte_a_step(monkeypatch, split):
+    monkeypatch.setattr(experiments, "_SPLIT_STEPS", 1 if split else 1 << 62)
+    cfg = LangevinConfig(steps=10_000, seed=3)
+    assert langevin_trajectory(cfg).nbytes == cfg.steps + 1
+
+
 def one_process_walk(monkeypatch, cfg):
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "_SPLIT_STEPS", cfg.steps + 1)
@@ -303,11 +353,15 @@ def assert_no_child_left():
 
 
 def split_record(caplog):
-    """``(steps re-walked, helper exit status)`` of the one split record."""
+    """``(split step, steps re-walked, helper exit status)`` of the one split
+    record."""
     [record] = [r for r in caplog.records if r.name == "revmarkov.experiments"]
     assert record.levelno == logging.DEBUG
-    match = re.search(r": (\d+) steps re-walked, helper exit status (\S+)", record.getMessage())
-    return int(match.group(1)), match.group(2)
+    match = re.search(
+        r"split at step (\d+): (\d+) steps re-walked, helper exit status (\S+)",
+        record.getMessage(),
+    )
+    return int(match.group(1)), int(match.group(2)), match.group(3)
 
 
 @pytest.mark.skipif(not experiments._splits(1 << 62), reason="needs os.fork and two CPUs")
@@ -334,8 +388,10 @@ class TestSplitWalk:
         cfg = LangevinConfig(steps=steps, seed=seed)
         bins = langevin_trajectory(cfg)
         assert_no_child_left()
-        rewalked, status = split_record(caplog)
-        assert status == "0" and (rewalked < steps - steps // 2) == early
+        split, rewalked, status = split_record(caplog)
+        # the helper's share leaves room for its discarded draws
+        assert split == steps * 250 // 481
+        assert status == "0" and (rewalked < steps - split) == early
         expected = one_process_walk(monkeypatch, cfg)
         assert bins.dtype == expected.dtype and np.array_equal(bins, expected)
 
@@ -350,9 +406,9 @@ class TestSplitWalk:
         # checkpoints hold the right positions, but none may be used
         helper = experiments._helper_walk
 
-        def failing(kernel, key, args, out, checkpoints, half, steps):
-            helper(kernel, key, args, out, checkpoints, half, steps)
-            out[half + 1 :] = -1
+        def failing(kernel, key, args, out, checkpoints, split, steps):
+            helper(kernel, key, args, out, checkpoints, split, steps)
+            out[split + 1 :] = -1
             if exit_status < 0:
                 os.kill(os.getpid(), -exit_status)
             os._exit(exit_status)
@@ -361,7 +417,8 @@ class TestSplitWalk:
         cfg = LangevinConfig(steps=_NOISE_BLOCK + 4_097, seed=12)
         bins = langevin_trajectory(cfg)
         assert_no_child_left()
-        assert split_record(caplog) == (cfg.steps - cfg.steps // 2, str(exit_status))
+        split, rewalked, status = split_record(caplog)
+        assert (rewalked, status) == (cfg.steps - split, str(exit_status))
         assert np.array_equal(bins, one_process_walk(monkeypatch, cfg))
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
@@ -416,6 +473,26 @@ class TestCountMatrix:
             expected[i, j] += 1
         C = count_matrix(bins, 300)
         assert np.array_equal(C.toarray(), expected)
+
+    def test_int8_codes_do_not_overflow(self):
+        # 126 * 127 + 126 overflows int8; two whole slices and a remainder
+        bins = np.random.default_rng(6).integers(0, 127, size=2 * _NOISE_BLOCK + 1_235)
+        C = count_matrix(bins.astype(np.int8), 127)
+        assert same_csr(C, count_matrix(bins, 127)) and C.sum() == bins.size - 1
+
+    def test_one_code_slice_is_alive(self):
+        # the int64 codes of one slice of transitions, 8 * _NOISE_BLOCK bytes,
+        # plus the 30**2 counts and NumPy's int8-to-int64 cast buffer (64 KB);
+        # a second slice alive would add another 8 * _NOISE_BLOCK
+        bins = np.random.default_rng(7).integers(0, 30, size=1_000_001).astype(np.int8)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            count_matrix(bins, 30)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * _NOISE_BLOCK + (128 << 10), f"{peak / 2**10:.0f} KB"
 
     def test_memory_follows_the_codes_seen(self):
         # 3,000 bins have 9e6 codes: a count vector over all of them would

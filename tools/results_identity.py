@@ -10,7 +10,9 @@ holds:
   and of ``R``, and the hex of the pipeline's ``distance``;
 * the totals of Newton steps and conjugate-gradient iterations over the bank;
 * for every ``torsion`` bank case, the SHA-256 of the Langevin trajectory's
-  bytes and of the CSR buffers of its count matrix;
+  values, widened to int64 so that the digest does not depend on the dtype
+  that stores them, that dtype, and the SHA-256 of the CSR buffers of its
+  count matrix;
 * over those cases, the Langevin walks split with a forked helper
   (``splits``) and the steps they walked again past the split
   (``rewalked_steps``), read off the ``DEBUG`` records of
@@ -137,8 +139,8 @@ def bank_identity() -> dict:
 
 
 def torsion_data_identity():
-    """``[key, trajectory SHA-256, count matrix SHA-256]`` per torsion case,
-    and the totals of the split walks' records."""
+    """``[key, trajectory SHA-256, trajectory dtype, count matrix SHA-256]``
+    per torsion case, and the totals of the split walks' records."""
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     workload, rows = WORKLOADS["torsion"], []
     with counting_solves("revmarkov.experiments") as walks:
@@ -146,7 +148,8 @@ def torsion_data_identity():
             cfg = workload.make_input(case["key"])
             bins = langevin_trajectory(cfg)
             counts = count_matrix(bins, cfg.bins)
-            rows.append([case["key"], hashlib.sha256(bins.tobytes()).hexdigest(), digest(counts)])
+            values = hashlib.sha256(bins.astype(np.int64).tobytes()).hexdigest()
+            rows.append([case["key"], values, str(bins.dtype), digest(counts)])
     return rows, dict(sorted(walks.items()))
 
 
