@@ -52,7 +52,6 @@ from .pipeline import (
 from .qp_build import (
     IndexMaps,
     ReducedQP,
-    build_index_maps,
     build_reduced_qp,
     unscale_solution,
 )

@@ -170,7 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="row-normalize the input first (e.g. a count matrix from `langevin`)",
     )
-    p.add_argument("--no-recurse", action="store_true", help="skip the per-class split")
+    p.add_argument(
+        "--no-recurse",
+        action="store_true",
+        help="solve the union of the ergodic classes as one program, so a --pattern may link "
+        "classes; without one the result is the per-class one up to rounding",
+    )
     _add_field(p, "--tol", SolverOptions, "kkt_tolerance", help="KKT tolerance")
     _add_field(p, "--max-iterations", SolverOptions, "max_iterations")
     p.add_argument("--out", help="write the reversible matrix here (Matrix Market)")

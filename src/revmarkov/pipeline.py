@@ -14,12 +14,12 @@ are carried onto each position.  The reduced program, the unscaled entries of
 from that table, so the only chain object a call builds is the result, put
 in row-major order by one sort of its entries.
 
-The rest runs on arrays too: every sparse product, the pipeline's and
-``verify``'s, runs SciPy's product kernel on stored CSR arrays (see
-:func:`~revmarkov.sparse_core._csr_apply`), a transpose's on a copy made by
-SciPy's conversion kernel.  So a call whose classes the jump-chain sweep
-solves builds two SciPy matrices per class, the equality and the normal
-matrix, and one for ``R``, which the chain's constructor copies once.
+The rest runs on arrays too: every sparse product runs SciPy's product
+kernel on stored CSR arrays (see :func:`~revmarkov.sparse_core._csr_apply`),
+a transpose's on a copy made by SciPy's conversion kernel.  So a call whose
+classes the jump-chain sweep solves builds two SciPy matrices per class, the
+equality and the normal matrix, and one for ``R``, which the chain's
+constructor copies once.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from .sparse_core import (
     SparsityPattern,
     _gather,
     _pair_table,
-    _pair_values,
-    _pattern_positions,
+    _pattern_table,
     _row_edges,
     _row_major,
     _scipy,
@@ -186,8 +185,8 @@ def _solve_pair_table(pi, members, block, pattern, solver_opts):
         i, j, p_up, p_down = support
         outside = vals[:0]
     else:
-        i, j = _pattern_positions(m, *_gather(pattern.csr, members)[:2])
-        p_up, p_down, outside = _pair_values(m, i, j, rows, cols, vals)
+        pattern_rows, pattern_cols, _ = _gather(pattern.csr, members)
+        i, j, p_up, p_down, outside = _pattern_table(m, pattern_rows, pattern_cols, rows, cols, vals)
     pi_class = pi.values[members]
     pi_class = pi_class / pi_class.sum()
     maps = IndexMaps(n=m, upper_rows=i, upper_cols=j)

@@ -18,9 +18,11 @@ is validated against a dense Kronecker-product oracle in the test suite.
 
 The program is assembled from a *pair table*: the variable positions with
 ``P_ij`` and ``P_ji`` beside each.  The pipeline builds that table straight
-from the CSR arrays of each class; the public :func:`build_reduced_qp` and
-:func:`unscale_solution` are thin wrappers that build it from their matrix
-arguments and share the one assembly and the one unscaling with it.
+from the CSR arrays of each class.  The public :func:`build_reduced_qp`
+builds it from the pattern and ``P`` in one pass, which checks the pattern
+and carries ``P``'s entries onto its positions, and shares the one assembly
+with the pipeline; :func:`unscale_solution` takes the program's ``maps`` and
+shares the one unscaling.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ from .sparse_core import (
     SparsityPattern,
     _CSRArrays,
     _edge_rows,
-    _pair_values,
-    _pattern_positions,
+    _pattern_table,
     _scipy,
     _transpose,
 )
@@ -54,7 +55,6 @@ from .sparse_core import (
 __all__ = [
     "IndexMaps",
     "ReducedQP",
-    "build_index_maps",
     "build_reduced_qp",
     "unscale_solution",
 ]
@@ -89,21 +89,6 @@ class IndexMaps:
     @property
     def diagonal_mask(self) -> np.ndarray:
         return self.upper_rows == self.upper_cols
-
-
-def build_index_maps(pattern: SparsityPattern) -> IndexMaps:
-    """Variable indexing for the upper triangle of a symmetric pattern.
-
-    Raises
-    ------
-    PatternNotSymmetric
-        If the pattern is not symmetric.
-    MissingDiagonal
-        If some diagonal position is missing.
-    """
-    csr = pattern.csr
-    rows, cols = _pattern_positions(pattern.n, _edge_rows(csr), csr.indices)
-    return IndexMaps(n=pattern.n, upper_rows=rows, upper_cols=cols)
 
 
 def _check_pi(pi: ProbabilityVector, n: int):
@@ -160,17 +145,18 @@ def build_reduced_qp(
     and one symmetric full-diagonal pattern.
 
     ``P`` entries outside the pattern can never be matched, so they only
-    shift the objective by a constant, which the program leaves out.
+    shift the objective by a constant, which the program leaves out.  A
+    pattern that is not symmetric with a full diagonal is refused first,
+    then sizes that disagree, then a ``pi`` with a state of no mass.
     """
-    maps = build_index_maps(pattern)
-    if P.n != pattern.n:
-        raise DimensionMismatch("dimensions of P and pattern disagree")
-    _check_pi(pi, pattern.n)
-    csr = P.csr
-    p_up, p_down, _ = _pair_values(
-        maps.n, maps.upper_rows, maps.upper_cols, _edge_rows(csr), csr.indices, csr.data
+    n, csr = pattern.n, P.csr
+    i, j, p_up, p_down, _ = _pattern_table(
+        n, _edge_rows(pattern.csr), pattern.csr.indices, _edge_rows(csr), csr.indices, csr.data
     )
-    return _assemble(maps, pi.values, p_up, p_down)
+    if P.n != n:
+        raise DimensionMismatch("dimensions of P and pattern disagree")
+    _check_pi(pi, n)
+    return _assemble(IndexMaps(n=n, upper_rows=i, upper_cols=j), pi.values, p_up, p_down)
 
 
 def _assemble(maps: IndexMaps, pi_vals, p_up, p_down) -> ReducedQP:

@@ -66,7 +66,7 @@ def mh_baseline_distance(P: SparseStochasticMatrix, pi: ProbabilityVector) -> fl
     pass the chain's own stationary vector, as the pipeline does.
     """
     if P.n != pi.n:
-        raise DimensionMismatch("dimensions of Q and pi disagree")
+        raise DimensionMismatch("dimensions of P and pi disagree")
     csr = P.csr
     table = _pair_table(P.n, _edge_rows(csr), csr.indices, csr.data)
     return float(np.sqrt(_mh_squared_distance(*table, pi.values)))

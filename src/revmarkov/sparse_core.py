@@ -181,27 +181,6 @@ def _upper_keys(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.maximum(rows, cols).astype(np.int64) * n + np.minimum(rows, cols)
 
 
-def _pattern_positions(n: int, rows: np.ndarray, cols: np.ndarray):
-    """Upper-triangle positions ``(i, j)``, ``i <= j``, of the pattern made
-    of the distinct positions ``(rows, cols)``, ordered column-major then row
-    (ascending key ``j * n + i``).
-
-    Raises
-    ------
-    PatternNotSymmetric
-        If some position's transpose is missing.
-    MissingDiagonal
-        If some diagonal position is missing.
-    """
-    keys, counts = np.unique(_upper_keys(n, rows, cols), return_counts=True)
-    on_diagonal = keys % (n + 1) == 0
-    if np.any(counts != 2 - on_diagonal):
-        raise PatternNotSymmetric("reduction requires a symmetric pattern")
-    if np.count_nonzero(on_diagonal) != n:
-        raise MissingDiagonal("reduction requires every diagonal position")
-    return keys % n, keys // n
-
-
 def _carry(slot, rows, cols, vals, size: int):
     """``X_ij`` and ``X_ji`` at each of ``size`` upper positions from the
     entries of ``X`` on the positions ``slot``."""
@@ -215,25 +194,46 @@ def _carry(slot, rows, cols, vals, size: int):
 def _pair_table(n: int, rows, cols, vals):
     """The pair table ``(i, j, X_ij, X_ji)`` of the distinct entries of
     ``X``: its upper positions are those of the entries, their transposes
-    and the full diagonal, in the order of :func:`_pattern_positions`, and
+    and the full diagonal, in the order of :func:`_pattern_table`, and
     ``X_ji`` is zero on the diagonal."""
     keys = np.r_[_upper_keys(n, rows, cols), np.arange(n, dtype=np.int64) * (n + 1)]
     keys, slot = np.unique(keys, return_inverse=True)
     return (keys % n, keys // n, *_carry(slot[: rows.size], rows, cols, vals, keys.size))
 
 
-def _pair_values(n: int, i: np.ndarray, j: np.ndarray, rows, cols, vals):
-    """``X_ij`` and ``X_ji`` at the given upper positions ``(i, j)``, from
-    the distinct entries of ``X``, and the values of the entries that fall
-    on none of them."""
-    keys = _upper_keys(n, i, j)
-    union, slot = np.unique(np.r_[keys, _upper_keys(n, rows, cols)], return_inverse=True)
-    position = np.full(union.size, -1)
-    position[slot[: keys.size]] = np.arange(keys.size)
-    slot = position[slot[keys.size :]]
-    inside = slot >= 0
-    carried = _carry(slot[inside], rows[inside], cols[inside], vals[inside], keys.size)
-    return (*carried, vals[~inside])
+def _pattern_table(n: int, pattern_rows, pattern_cols, rows, cols, vals):
+    """The pair table ``(i, j, X_ij, X_ji)`` of the distinct entries of
+    ``X`` on the pattern made of the distinct positions ``(pattern_rows,
+    pattern_cols)``, and the values of the entries outside it, in entry
+    order.  The upper positions ``(i, j)``, ``i <= j``, are ordered
+    column-major then row (ascending key ``j * n + i``).
+
+    The pattern errors depend on the pattern alone.
+
+    Raises
+    ------
+    PatternNotSymmetric
+        If some position's transpose is missing.
+    MissingDiagonal
+        If some diagonal position is missing.
+    """
+    size = pattern_rows.size
+    keys = np.r_[_upper_keys(n, pattern_rows, pattern_cols), _upper_keys(n, rows, cols)]
+    keys, slot = np.unique(keys, return_inverse=True)
+    # a symmetric pattern holds each off-diagonal key twice, each diagonal one once
+    multiplicity = np.bincount(slot[:size], minlength=keys.size)
+    on_pattern = multiplicity > 0
+    on_diagonal = keys % (n + 1) == 0
+    if np.any(multiplicity[on_pattern] != 2 - on_diagonal[on_pattern]):
+        raise PatternNotSymmetric("reduction requires a symmetric pattern")
+    if np.count_nonzero(on_diagonal & on_pattern) != n:
+        raise MissingDiagonal("reduction requires every diagonal position")
+    position = np.cumsum(on_pattern) - 1
+    slot = slot[size:]
+    inside = on_pattern[slot]
+    upper = keys[on_pattern]
+    carried = _carry(position[slot[inside]], rows[inside], cols[inside], vals[inside], upper.size)
+    return (upper % n, upper // n, *carried, vals[~inside])
 
 
 def _freeze(csr: sp.csr_matrix) -> sp.csr_matrix:
@@ -536,8 +536,10 @@ def stationarity_residual(P, pi) -> float:
     """Infinity norm of ``pi^T P - pi^T``."""
     csr = _as_csr(P)
     pi_values = pi.values if isinstance(pi, ProbabilityVector) else np.asarray(pi, dtype=float).ravel()
-    if csr.shape[0] != pi_values.size:
+    if csr.shape != (pi_values.size, pi_values.size):
         raise DimensionMismatch("dimensions of P and pi disagree")
-    flow = np.empty(csr.shape[1])
-    _csr_apply(_transpose(csr), pi_values, flow)
+    # each column's flow adds its terms from 0.0 in ascending row order, as
+    # the product by the transpose does
+    weights = pi_values[_edge_rows(csr)] * csr.data
+    flow = np.bincount(csr.indices, weights=weights, minlength=csr.shape[1])
     return float(np.abs(flow - pi_values).max())

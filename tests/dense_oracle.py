@@ -7,9 +7,10 @@ vectors) so it cannot share a bug with the sparse closed-form assembly it is
 used to validate.  :func:`oracle_solve` minimizes the reduced program by
 enumerating every active set, independently of the dual Newton solver, and
 :func:`gth_stationary` is the dense stationary vector the sparse solve is
-held to.  The small helpers at the top give a pattern's positions, CSR
-buffer equality, bit equality of two hot-loop results, the dense ``Y`` of reduced variables and the full objective
-value, for the tests to compare against.  :func:`reference_newton_pcg` and
+held to.  The small helpers at the top give a pattern's positions and its
+variable indexing, CSR buffer equality, bit equality of two hot-loop
+results, the dense ``Y`` of reduced variables and the full objective value,
+for the tests to compare against.  :func:`reference_newton_pcg` and
 :func:`reference_jump_chain_sweep` are the plain loops of the two hot loops,
 which the library's buffered versions must match bit for bit, and
 :func:`reference_random_chain` is the random-ensemble generator built from
@@ -27,13 +28,13 @@ from scipy.linalg.blas import dger
 from revmarkov import (
     DegenerateInstance,
     IndexMaps,
-    build_index_maps,
     row_normalize,
     strongly_connected_components,
 )
 from revmarkov import experiments
 from revmarkov.chain_analysis import _SWEEP_BUDGET, _SWEEP_CHECK, _SWEEP_FLOOR, _SWEEP_WEIGHT
 from revmarkov.qp_solve import _CG_FORCING, _CG_MAX_ITERATIONS, _CG_TOLERANCE
+from revmarkov.sparse_core import _edge_rows, _pattern_table
 
 #: Active-set enumeration cap for :func:`oracle_solve`.
 ORACLE_LIMIT = 16
@@ -43,6 +44,14 @@ def pattern_positions(pattern) -> set:
     """Set of the ``(row, col)`` positions of a pattern."""
     coo = pattern.csr.tocoo()
     return set(zip(coo.row.tolist(), coo.col.tolist()))
+
+
+def index_maps(pattern) -> IndexMaps:
+    """Variable indexing of a symmetric full-diagonal pattern, as
+    :func:`~revmarkov.build_reduced_qp` takes it; raises its pattern errors."""
+    rows = _edge_rows(pattern.csr)
+    i, j, *_ = _pattern_table(pattern.n, rows, pattern.csr.indices, rows[:0], rows[:0], np.empty(0))
+    return IndexMaps(n=pattern.n, upper_rows=i, upper_cols=j)
 
 
 def same_csr(a, b) -> bool:
@@ -156,7 +165,7 @@ def dense_qp(P_dense: np.ndarray, pi_values: np.ndarray, pattern):
     Returns (maps, Q, c, A_eq, b_eq) with Q = A^T A, c = -A^T p,
     A_eq = (pi_hat^T kron I)(I + K) Pi, b_eq = pi_hat.
     """
-    maps = build_index_maps(pattern)
+    maps = index_maps(pattern)
     n = maps.n
     pi_hat = np.sqrt(np.asarray(pi_values, dtype=float))
     A = full_operator(maps, pi_hat)

@@ -13,7 +13,6 @@ from revmarkov import (
     PatternNotSymmetric,
     ProbabilityVector,
     SparsityPattern,
-    build_index_maps,
     build_reduced_qp,
     reversibilize,
     row_normalize,
@@ -38,13 +37,13 @@ def random_instance(n, seed, extra_edges=None):
 
 class TestBuildIndexMaps:
     def test_full_two_by_two(self):
-        maps = build_index_maps(SparsityPattern(np.ones((2, 2))))
+        maps = dense_oracle.index_maps(SparsityPattern(np.ones((2, 2))))
         assert maps.y_m == 3
         assert maps.upper_rows.tolist() == [0, 0, 1]
         assert maps.upper_cols.tolist() == [0, 1, 1]
 
     def test_triu_order_is_column_major(self):
-        maps = build_index_maps(SparsityPattern(np.ones((3, 3))))
+        maps = dense_oracle.index_maps(SparsityPattern(np.ones((3, 3))))
         assert list(zip(maps.upper_rows.tolist(), maps.upper_cols.tolist())) == [
             (0, 0),
             (0, 1),
@@ -55,27 +54,27 @@ class TestBuildIndexMaps:
         ]
 
     def test_identity_pattern(self):
-        maps = build_index_maps(SparsityPattern(np.eye(5)))
+        maps = dense_oracle.index_maps(SparsityPattern(np.eye(5)))
         assert maps.y_m == 5
 
     def test_ring_pattern_count(self, butane_pattern_dense):
         # 90 admissible positions on 30 states: (90 - 30) / 2 + 30 = 60
-        maps = build_index_maps(SparsityPattern(butane_pattern_dense))
+        maps = dense_oracle.index_maps(SparsityPattern(butane_pattern_dense))
         assert maps.y_m == 60
 
     def test_variable_count_formula(self, pattern_factory):
         for seed in range(5):
             pattern = pattern_factory(6, seed, extra_edges=7)
-            maps = build_index_maps(pattern)
+            maps = dense_oracle.index_maps(pattern)
             assert maps.y_m == (pattern.size - pattern.n) // 2 + pattern.n
 
     def test_asymmetric_rejected(self):
         with pytest.raises(PatternNotSymmetric):
-            build_index_maps(SparsityPattern(np.array([[1.0, 1.0], [0.0, 1.0]])))
+            dense_oracle.index_maps(SparsityPattern(np.array([[1.0, 1.0], [0.0, 1.0]])))
 
     def test_missing_diagonal_rejected(self):
         with pytest.raises(MissingDiagonal):
-            build_index_maps(SparsityPattern(np.array([[1.0, 1.0], [1.0, 0.0]])))
+            dense_oracle.index_maps(SparsityPattern(np.array([[1.0, 1.0], [1.0, 0.0]])))
 
 
 class TestApplyReducedOperator:
@@ -84,7 +83,7 @@ class TestApplyReducedOperator:
     renormalization runs."""
 
     def test_uniform_target_is_plain_vec(self):
-        maps = build_index_maps(SparsityPattern(np.ones((3, 3))))
+        maps = dense_oracle.index_maps(SparsityPattern(np.ones((3, 3))))
         Y = np.array([[0.5, 0.2, 0.3], [0.2, 0.6, 0.2], [0.3, 0.2, 0.5]])
         y = Y[maps.upper_rows, maps.upper_cols]
         R = unscale_solution(y, maps, np.full(3, np.sqrt(1.0 / 3.0)))
@@ -92,7 +91,7 @@ class TestApplyReducedOperator:
 
     def test_diagonal_invariant_under_scaling(self):
         # Y s = s with s = (1/2, sqrt(3)/2) and off-diagonal entry 0.1
-        maps = build_index_maps(SparsityPattern(np.ones((2, 2))))
+        maps = dense_oracle.index_maps(SparsityPattern(np.ones((2, 2))))
         pi_hat = np.sqrt(np.array([0.25, 0.75]))
         diagonal = 1.0 - 0.1 * pi_hat[::-1] / pi_hat
         R = unscale_solution([diagonal[0], 0.1, diagonal[1]], maps, pi_hat)
@@ -183,7 +182,7 @@ class TestBuildReducedQP:
 
     def test_rank_of_scaled_operator(self):
         P, pi, pattern = random_instance(5, 13)
-        maps = build_index_maps(pattern)
+        maps = dense_oracle.index_maps(pattern)
         operator = dense_oracle.full_operator(maps, np.sqrt(pi.values))
         assert np.linalg.matrix_rank(operator, tol=1e-12) == maps.y_m
 
@@ -191,7 +190,7 @@ class TestBuildReducedQP:
         # the normal product of the symmetrization against the projector is
         # diagonal: 1 for off-diagonal slots, 1/2 for diagonal ones
         P, pi, pattern = random_instance(4, 17)
-        maps = build_index_maps(pattern)
+        maps = dense_oracle.index_maps(pattern)
         n = maps.n
         K = dense_oracle.commutation_matrix(n)
         Pi = dense_oracle.projector(maps)
@@ -262,7 +261,7 @@ class TestUnscaleSolution:
     def test_roundtrip_reversible_chain(self, reversible_factory):
         P, pi = reversible_factory(6, 2)
         pattern = symmetrized_pattern(P)
-        maps = build_index_maps(pattern)
+        maps = dense_oracle.index_maps(pattern)
         pi_hat = np.sqrt(pi.values)
         Y = P.toarray() * (pi_hat[:, None] / pi_hat[None, :])
         y = Y[maps.upper_rows, maps.upper_cols]
@@ -270,13 +269,13 @@ class TestUnscaleSolution:
         assert np.abs(R.toarray() - P.toarray()).max() <= 1e-12
 
     def test_uniform_target_is_identity_scaling(self):
-        maps = build_index_maps(SparsityPattern(np.ones((2, 2))))
+        maps = dense_oracle.index_maps(SparsityPattern(np.ones((2, 2))))
         pi_hat = np.full(2, np.sqrt(0.5))
         R = unscale_solution([0.5, 0.5, 0.5], maps, pi_hat)
         assert np.allclose(R.toarray(), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_length_mismatch(self):
-        maps = build_index_maps(SparsityPattern(np.ones((2, 2))))
+        maps = dense_oracle.index_maps(SparsityPattern(np.ones((2, 2))))
         pi_hat = np.full(2, np.sqrt(0.5))
         with pytest.raises(LengthMismatch, match="expected length 3, got 4"):
             unscale_solution(np.ones(4), maps, pi_hat)
@@ -285,17 +284,17 @@ class TestUnscaleSolution:
                 unscale_solution(np.full(3, 0.5), maps, np.full(size, np.sqrt(0.5)))
 
     def test_negative_entry_raises(self):
-        maps = build_index_maps(SparsityPattern(np.ones((2, 2))))
+        maps = dense_oracle.index_maps(SparsityPattern(np.ones((2, 2))))
         with pytest.raises(NegativeEntry):
             unscale_solution([0.5, -1e-6, 0.5], maps, np.full(2, np.sqrt(0.5)))
 
     def test_small_negative_clamped(self):
-        maps = build_index_maps(SparsityPattern(np.ones((2, 2))))
+        maps = dense_oracle.index_maps(SparsityPattern(np.ones((2, 2))))
         R = unscale_solution([1.0, -1e-13, 1.0], maps, np.full(2, np.sqrt(0.5)))
         assert R.toarray()[0, 1] == 0.0
 
     def test_renormalization_logged(self, caplog):
-        maps = build_index_maps(SparsityPattern(np.ones((2, 2))))
+        maps = dense_oracle.index_maps(SparsityPattern(np.ones((2, 2))))
         with caplog.at_level(logging.WARNING, logger="revmarkov.qp_build"):
             R = unscale_solution([1.001, 0.0, 0.999], maps, np.full(2, np.sqrt(0.5)))
         assert [r.name for r in caplog.records] == ["revmarkov.qp_build"]
@@ -303,7 +302,7 @@ class TestUnscaleSolution:
         assert np.allclose(R.toarray(), np.eye(2))
 
     def test_renormalization_divides_each_row_by_its_sum(self, caplog):
-        maps = build_index_maps(SparsityPattern(np.ones((2, 2))))
+        maps = dense_oracle.index_maps(SparsityPattern(np.ones((2, 2))))
         with caplog.at_level(logging.WARNING, logger="revmarkov.qp_build"):
             R = unscale_solution([0.5, 0.2, 0.4], maps, np.full(2, np.sqrt(0.5)))
         assert np.abs(R.toarray() - [[5 / 7, 2 / 7], [1 / 3, 2 / 3]]).max() <= 1e-15

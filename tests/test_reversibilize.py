@@ -3,6 +3,7 @@ import pytest
 
 from dense_oracle import pattern_positions
 from revmarkov import (
+    DimensionMismatch,
     NonPositivePi,
     ProbabilityVector,
     SparseStochasticMatrix,
@@ -102,6 +103,17 @@ class TestMHBaselineDistance:
         # lag-1 counts from one wrapped 1d trajectory is winding-dominated
         distance = mh_baseline_distance(butane.P, stationary_mixture(butane.P))
         assert 0.0 < distance < 0.2
+
+
+@pytest.mark.parametrize("adjust, chain", [(reversibilize, "Q"), (mh_baseline_distance, "P")])
+def test_invalid_inputs_are_refused(adjust, chain):
+    uniform = ProbabilityVector([0.5, 0.5])
+    with pytest.raises(DimensionMismatch, match=f"dimensions of {chain} and pi disagree"):
+        adjust(SparseStochasticMatrix.from_dense(np.eye(3)), uniform)
+    # a nonnegative proposal whose rows hold more than 1 off the diagonal
+    heavy = SparseStochasticMatrix(np.array([[0.0, 2.0], [2.0, 0.0]]), stochastic=False)
+    with pytest.raises(ValueError, match="off-diagonal mass exceeds 1"):
+        adjust(heavy, uniform)
 
 
 def test_feasibility_certificate(pattern_factory):

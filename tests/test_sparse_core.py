@@ -211,6 +211,7 @@ class TestSparseStochasticMatrix:
         (lambda: symmetrized_pattern(np.ones((2, 3))), DimensionMismatch, "square"),
         (lambda: stochasticity_residual(np.ones((2, 3))), DimensionMismatch, "square"),
         (lambda: stationarity_residual(np.eye(2), np.ones(3) / 3), DimensionMismatch, "disagree"),
+        (lambda: stationarity_residual(np.ones((2, 1)), np.full(2, 0.5)), DimensionMismatch, "disagree"),
     ],
     ids=[
         "non-finite entry",
@@ -220,6 +221,7 @@ class TestSparseStochasticMatrix:
         "rectangular pattern input",
         "rectangular stochasticity input",
         "pi of wrong size",
+        "rectangular stationarity input",
     ],
 )
 def test_input_guards(call, error, message):
@@ -404,3 +406,15 @@ def test_flux_residuals_give_the_bits_of_dense_arithmetic(symmetric, index_dtype
         flux = pi[:, None] * dense
         assert detailed_balance_residual(csr, pi) == np.abs(flux - flux.T).max()
         assert stationarity_residual(csr, pi) == np.abs(pi @ csr - pi).max()
+        # the same entries halved into duplicates, each row in descending
+        # column order: detailed balance canonicalizes them first
+        coo = csr.tocoo()
+        rows, cols = np.r_[coo.row, coo.row], np.r_[coo.col, coo.col]
+        order = np.lexsort((-cols, rows))
+        unsorted = sp.csr_matrix(
+            (np.r_[coo.data, coo.data][order] / 2, cols[order], np.searchsorted(rows[order], np.arange(13))),
+            shape=(12, 12),
+        )
+        assert not unsorted.has_canonical_format
+        assert detailed_balance_residual(unsorted, pi) == np.abs(flux - flux.T).max()
+        assert stationarity_residual(unsorted, pi) == np.abs(pi @ unsorted - pi).max()

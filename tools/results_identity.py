@@ -7,7 +7,8 @@ holds:
 
 * for every case of the benchmark's bank (``perfbench/reference.json``, all
   four workloads), the SHA-256 of the CSR buffers of the input chain ``P``
-  and of ``R``, and the hex of the pipeline's ``distance``;
+  and of ``R``, the hex of the pipeline's ``distance`` and the hex of each
+  of its three ``residuals``;
 * the totals of Newton steps and conjugate-gradient iterations over the bank;
 * for every ``torsion`` bank case, the SHA-256 of the Langevin trajectory's
   values, widened to int64 so that the digest does not depend on the dtype
@@ -24,6 +25,12 @@ holds:
   the only reducible inputs here, so the only ones with a transient solve:
   the SHA-256 of the bytes of ``stationary_mixture``'s pi, that of the CSR
   buffers of ``R``, and the hex of the pipeline's ``distance``;
+* for the same seeds, two seeded pattern overrides each (``pattern``): one
+  that covers the symmetrized support plus random symmetric positions
+  linking the two classes (``wide``), and one that keeps a random symmetric
+  part of that support and the diagonal (``part``); each is solved with
+  ``recurse_ergodic`` on and off, giving the SHA-256 of the CSR buffers of
+  ``R`` and the hex of the ``distance``, or the name of the exception;
 * the stationary solves of each bank workload and of each section of
   seeds, counted by the method kept (``sweep``, ``lu`` or ``elimination``),
   as the ``DEBUG`` records of ``revmarkov.chain_analysis`` name it, and the
@@ -53,7 +60,9 @@ import numpy as np  # noqa: E402
 
 from chains import two_blocks_with_transients, wide_span_chain  # noqa: E402
 from revmarkov import (  # noqa: E402
+    PipelineOptions,
     RevMarkovError,
+    SparsityPattern,
     count_matrix,
     langevin_trajectory,
     nearest_sparse_reversible,
@@ -130,7 +139,13 @@ def bank_identity() -> dict:
             for case in bank["cases"]:
                 P, R, diag = operate(workload, workload.make_input(case["key"]))
                 cases[name].append(
-                    [case["key"], digest(P.csr), digest(R.csr), diag.distance.hex()]
+                    [
+                        case["key"],
+                        digest(P.csr),
+                        digest(R.csr),
+                        diag.distance.hex(),
+                        [r.hex() for r in diag.residuals],
+                    ]
                 )
                 newton += sum(c.iterations for c in diag.per_class)
                 cg += sum(c.cg_iterations for c in diag.per_class)
@@ -190,6 +205,40 @@ def reducible_identity() -> dict:
     return {"cases": rows, "solves": dict(sorted(counts.items()))}
 
 
+def seeded_patterns(P, seed) -> dict:
+    """The ``wide`` and ``part`` pattern overrides of ``P`` for ``seed``,
+    both symmetric with the full diagonal."""
+    rng = np.random.default_rng(seed)
+    support = P.toarray() > 0.0
+    support |= support.T | np.eye(P.n, dtype=bool)
+    extra = np.triu(rng.random(support.shape) < 0.3, k=1)
+    keep = np.triu(rng.random(support.shape) < 0.6, k=1)
+    return {
+        "wide": support | extra | extra.T,
+        "part": support & (keep | keep.T | np.eye(P.n, dtype=bool)),
+    }
+
+
+def pattern_identity() -> list:
+    """``[seed, pattern, recurse, R SHA-256, distance hex]`` per seed of
+    ``two_blocks_with_transients``, pattern and ``recurse_ergodic`` flag, or
+    ``[seed, pattern, recurse, exception name]`` where the call raises."""
+    rows = []
+    for seed in REDUCIBLE_SEEDS:
+        P = two_blocks_with_transients(seed=seed)
+        for kind, mask in seeded_patterns(P, seed).items():
+            pattern = SparsityPattern(mask.astype(float))
+            for recurse in (True, False):
+                options = PipelineOptions(pattern=pattern, recurse_ergodic=recurse)
+                try:
+                    R, diag = nearest_sparse_reversible(P, options)
+                except RevMarkovError as exc:
+                    rows.append([seed, kind, recurse, type(exc).__name__])
+                    continue
+                rows.append([seed, kind, recurse, digest(R.csr), diag.distance.hex()])
+    return rows
+
+
 def main() -> int:
     torsion_data, torsion_walks = torsion_data_identity()
     identity = {
@@ -198,6 +247,7 @@ def main() -> int:
         "torsion_walks": torsion_walks,
         "wide_span_chain": wide_span_identity(),
         "reducible": reducible_identity(),
+        "pattern": pattern_identity(),
     }
     print(json.dumps(identity))
     return 0
