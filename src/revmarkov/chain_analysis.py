@@ -102,13 +102,14 @@ def _balance_solve(O, d, label: str) -> np.ndarray:
     m, rows, cols, vals = d.size, _edge_rows(O), O.indices, O.data
     # (D - O)[1:, 1:], assembled from the arrays in canonical form
     inner, diagonal = (rows > 0) & (cols > 0), np.arange(1, m)
-    i, j = np.r_[rows[inner], diagonal] - 1, np.r_[cols[inner], diagonal] - 1
-    A = sp.csr_matrix((np.r_[-vals[inner], d[1:]], (i, j)), shape=(m - 1, m - 1))
+    i = np.concatenate([rows[inner], diagonal]) - 1
+    j = np.concatenate([cols[inner], diagonal]) - 1
+    A = sp.csr_matrix((np.concatenate([-vals[inner], d[1:]]), (i, j)), shape=(m - 1, m - 1))
     head = slice(O.indptr[0], O.indptr[1])  # row 0 of O: the right-hand side
     rhs = np.zeros(m)
     rhs[cols[head]] = vals[head]
     try:
-        x = np.r_[1.0, _symmetric_lu(A.T).solve(rhs[1:])]
+        x = np.concatenate([[1.0], _symmetric_lu(A.T).solve(rhs[1:])])
     except RuntimeError:  # exactly singular factor
         x = np.full(m, np.nan)
     residual = np.inf
@@ -246,10 +247,14 @@ def _closed_components(P: SparseStochasticMatrix):
     ascending index arrays ordered by their first state, and the states of
     the open components (the transient states), ascending.
 
-    A component is open exactly when some stored edge leaves it.
+    A component is open exactly when some stored edge leaves it, so a chain
+    of one component is one closed class of every state and no transient
+    state, returned without a pass over the edges.
     """
     csr = P.csr
     count, labels = connected_components(csr, directed=True, connection="strong")
+    if count == 1:
+        return [np.arange(csr.shape[0])], np.arange(0)
     sources = labels[_edge_rows(csr)]
     is_open = np.zeros(count, dtype=bool)
     is_open[sources[sources != labels[csr.indices]]] = True

@@ -17,9 +17,10 @@ in row-major order by one sort of its entries.
 The rest runs on arrays too: every sparse product runs SciPy's product
 kernel on stored CSR arrays (see :func:`~revmarkov.sparse_core._csr_apply`),
 a transpose's on a copy made by SciPy's conversion kernel.  So a call whose
-classes the jump-chain sweep solves builds two SciPy matrices per class, the
-equality and the normal matrix, and one for ``R``, which the chain's
-constructor copies once.
+classes the jump-chain sweep solves builds one SciPy matrix per class, the
+equality matrix, and one for ``R``, which the chain stores without a copy.
+A chain of one class that holds every state skips the gather and the
+reassembly's transient rows: its block is the arrays of ``P`` itself.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .sparse_core import (
     ProbabilityVector,
     SparseStochasticMatrix,
     SparsityPattern,
+    _edge_rows,
     _gather,
     _pair_table,
     _pattern_table,
@@ -198,7 +200,7 @@ def _solve_pair_table(pi, members, block, pattern, solver_opts):
     r_up, r_down = _unscale(result.y, maps, qp.pi_hat, solver_opts.kkt_tolerance)
 
     off = ~maps.diagonal_mask
-    moved = np.r_[r_up - p_up, (r_down - p_down)[off], outside]
+    moved = np.concatenate([r_up - p_up, (r_down - p_down)[off], outside])
     squared = float(np.sum(moved**2))
     report = ClassReport(
         indices=np.asarray(members, dtype=np.intp),
@@ -210,7 +212,11 @@ def _solve_pair_table(pi, members, block, pattern, solver_opts):
         kkt_residuals=tuple(result.kkt_residuals),
         wall_time=time.perf_counter() - start,
     )
-    entries = (members[np.r_[i, j[off]]], members[np.r_[j, i[off]]], np.r_[r_up, r_down[off]])
+    entries = (
+        members[np.concatenate([i, j[off]])],
+        members[np.concatenate([j, i[off]])],
+        np.concatenate([r_up, r_down[off]]),
+    )
     return (
         entries,
         squared,
@@ -281,7 +287,11 @@ def nearest_sparse_reversible(
     # its pair table
     closed, transient = _closed_components(P)
     csr = P.csr
-    blocks = [_gather(csr, members) for members in closed]
+    if len(closed) == 1 and not transient.size:
+        # the one class is every state in order, so its block is P itself
+        blocks = [(_edge_rows(csr), csr.indices, csr.data)]
+    else:
+        blocks = [_gather(csr, members) for members in closed]
     t_pi = time.perf_counter()
     if options.pi is not None:
         if options.pi.n != P.n:
@@ -310,12 +320,14 @@ def nearest_sparse_reversible(
     # reassemble: transient rows verbatim, class blocks from the pair tables,
     # all distinct positions, put in row-major order by one sort
     entries, squared, mh_squared, moved, reports = zip(*solved)
-    edges, owner = _row_edges(csr, transient)
-    parts = [(transient[owner], csr.indices[edges], csr.data[edges]), *entries]
+    parts = list(entries)
+    if transient.size:
+        edges, owner = _row_edges(csr, transient)
+        parts.append((transient[owner], csr.indices[edges], csr.data[edges]))
     rows, cols, vals = map(np.concatenate, zip(*parts))
     stored = np.flatnonzero(vals)
     order = stored[np.argsort(rows[stored] * P.n + cols[stored])]
-    R = SparseStochasticMatrix(_scipy(_row_major(vals[order], rows[order], cols[order], P.n)))
+    R = SparseStochasticMatrix._adopt(_scipy(_row_major(vals[order], rows[order], cols[order], P.n)))
 
     diagnostics = PipelineDiagnostics(
         num_classes=len(classes),

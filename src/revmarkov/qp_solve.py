@@ -36,7 +36,7 @@ import scipy.sparse as sp
 
 from .exceptions import LengthMismatch, MaxIterations
 from .qp_build import ReducedQP
-from .sparse_core import _csr_apply, _CSRArrays, _edge_rows, _symmetric_lu
+from .sparse_core import _csr_apply, _CSRArrays, _edge_rows, _scipy, _symmetric_lu
 
 __all__ = [
     "SolverOptions",
@@ -63,6 +63,9 @@ _CG_FORCING = 1e-2
 #: sparse factor, lowered to ``4 m`` for order ``m`` (exact arithmetic needs
 #: ``m``); well-conditioned systems converge in about 20-40.
 _CG_MAX_ITERATIONS = 200
+
+#: The smallest normal double, below which a squared tolerance has underflowed.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -121,9 +124,9 @@ class SolverResult:
         self.y.setflags(write=False)
 
 
-def _normal_solve(normal: sp.csr_matrix, rhs: np.ndarray) -> Optional[np.ndarray]:
+def _normal_solve(normal: _CSRArrays, rhs: np.ndarray) -> Optional[np.ndarray]:
     """Solve the free-set normal equations ``S x = rhs`` by an exact sparse
-    factor of the formed ``S``.
+    factor of the formed ``S``, given as its CSR arrays.
 
     The fallback of a dual Newton step whose conjugate gradients broke down
     or stalled.  ``S`` is symmetric positive semidefinite, so it is factored
@@ -131,7 +134,7 @@ def _normal_solve(normal: sp.csr_matrix, rhs: np.ndarray) -> Optional[np.ndarray
     factorization failure a diagonal regularization is escalated from 1e-14
     to 1e-6; returns ``None`` once that is spent.
     """
-    reg = 0.0
+    normal, reg = _scipy(normal), 0.0
     while reg <= 1e-6:
         try:
             M = normal + reg * sp.identity(normal.shape[0]) if reg else normal
@@ -141,7 +144,7 @@ def _normal_solve(normal: sp.csr_matrix, rhs: np.ndarray) -> Optional[np.ndarray
     return None
 
 
-def _newton_pcg(normal: sp.csr_matrix, diag: np.ndarray, rhs: np.ndarray, stop_loose):
+def _newton_pcg(normal: _CSRArrays, diag: np.ndarray, rhs: np.ndarray, stop_loose):
     """Solve ``S x = rhs`` by Jacobi-preconditioned conjugate gradients for a
     symmetric positive semidefinite ``S``.
 
@@ -183,7 +186,7 @@ def _newton_pcg(normal: sp.csr_matrix, diag: np.ndarray, rhs: np.ndarray, stop_l
 
     def screen(tolerance):  # inf when tolerance^2 underflowed
         bound = 4.0 * tolerance * tolerance * inv_sum
-        return bound if bound >= np.finfo(float).tiny else np.inf
+        return bound if bound >= _TINY else np.inf
 
     bound = screen(loose_target)
     xr, ps, scaled = np.zeros(2 * n), np.empty(2 * n), np.empty(2 * n)
@@ -253,23 +256,27 @@ def _normal_matrix(qp: ReducedQP):
     endpoints as its column indices.
 
     Returns ``form``: ``form(w_F)`` writes ``S`` for the weights ``w_F`` into
-    the one matrix it returns, and its diagonal into the one vector it
-    returns.
+    the one set of CSR arrays it returns, on which conjugate gradients run
+    SciPy's product kernel (only the sparse factor of :func:`_normal_solve`
+    builds a SciPy matrix on them), and its diagonal into the one vector it
+    returns.  The products ``s_i s_j`` of the positions are formed once per
+    solve, and ``form`` scales them by ``w_F``, so ``S`` has the bits of
+    ``s_i * s_j * w_k`` formed entry by entry.
     """
     a, maps = qp.a_eq, qp.maps
     i, j = maps.upper_rows, maps.upper_cols
     rows = _edge_rows(a)
     columns = i[a.indices] + j[a.indices] - rows
     diagonal = np.flatnonzero(columns == rows)
-    normal = sp.csr_matrix(
-        (np.empty(a.nnz), columns.astype(a.indices.dtype), a.indptr), (qp.n, qp.n)
-    )
+    normal = _CSRArrays(np.empty(a.nnz), columns.astype(a.indices.dtype), a.indptr, (qp.n, qp.n))
     a_squared = _CSRArrays(a.data**2, a.indices, a.indptr, a.shape)
+    pairs = qp.pi_hat[i] * qp.pi_hat[j]
     diag = np.empty(qp.n)
 
     def form(w_f):
         _csr_apply(a_squared, w_f, diag)
-        np.take(qp.pi_hat[i] * qp.pi_hat[j] * w_f, a.indices, out=normal.data)
+        # every index is in range, and "clip" writes out without a buffer copy
+        np.take(pairs * w_f, a.indices, out=normal.data, mode="clip")
         normal.data[diagonal] = diag
         return normal, diag
 

@@ -76,7 +76,7 @@ def _adjust(i, j, p_up, p_down, pi_vals):
     """The adjusted chain on a pair table with the full diagonal: ``T_ij`` and
     ``T_ji`` at each upper position ``(i, j)`` (zero on the diagonal, where
     ``p_down`` is zero) and the diagonal complement of every state."""
-    moves = np.r_[i[(i != j) & (p_up > 0.0)], j[p_down > 0.0]]
+    moves = np.concatenate([i[(i != j) & (p_up > 0.0)], j[p_down > 0.0]])
     bad = moves[pi_vals[moves] <= 0.0]
     if bad.size:
         raise NonPositivePi(int(bad.min()))

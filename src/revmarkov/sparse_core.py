@@ -85,6 +85,16 @@ def _symmetric_lu(matrix: sp.csc_matrix):
     )
 
 
+#: SciPy's index type for sizes that fit ``int32``, and the largest such size.
+_SMALL_INDEX, _INT32_MAX = sp.get_index_dtype(maxval=0), np.iinfo(np.int32).max
+
+
+def _index_dtype(maxval: int):
+    """The index type ``sp.get_index_dtype(maxval=maxval)`` picks, by the
+    same rule without that call's checks of its arguments."""
+    return _SMALL_INDEX if maxval <= _INT32_MAX else np.int64
+
+
 class _CSRArrays(NamedTuple):
     """The arrays of a CSR matrix under SciPy's attribute names, so that the
     kernels below take them or a ``csr_matrix`` alike, without building a
@@ -100,7 +110,7 @@ def _row_major(values, rows, cols, n: int) -> _CSRArrays:
     """CSR arrays of the ``n x n`` matrix of the entries given in row-major
     order, with the index type SciPy picks for them, so that it neither
     checks nor converts the arrays."""
-    index = sp.get_index_dtype(maxval=max(n, values.size))
+    index = _index_dtype(max(n, values.size))
     indptr = np.searchsorted(rows, np.arange(n + 1)).astype(index)
     return _CSRArrays(values, cols.astype(index), indptr, (n, n))
 
@@ -137,7 +147,7 @@ def _transpose(matrix) -> _CSRArrays:
     row's entries come out in ascending column order."""
     rows, cols = matrix.shape
     nnz = int(matrix.indptr[-1])
-    index = sp.get_index_dtype(maxval=max(nnz, rows, cols))
+    index = _index_dtype(max(nnz, rows, cols))
     indptr, indices = matrix.indptr.astype(index, copy=False), matrix.indices.astype(index, copy=False)
     out = _CSRArrays(
         np.empty(nnz, dtype=matrix.data.dtype),
@@ -191,13 +201,29 @@ def _carry(slot, rows, cols, vals, size: int):
     )
 
 
+def _sorted_slots(keys: np.ndarray):
+    """The distinct ``keys`` in ascending order and the slot of each key
+    among them, as ``np.unique(keys, return_inverse=True)`` gives them, from
+    one ``argsort``, a first-of-run mask and its running count, with less
+    work around them than that call does."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    runs = first.astype(np.intp)
+    slot = np.empty(keys.size, dtype=np.intp)
+    slot[order] = np.cumsum(runs, out=runs) - 1
+    return ordered[first], slot
+
+
 def _pair_table(n: int, rows, cols, vals):
     """The pair table ``(i, j, X_ij, X_ji)`` of the distinct entries of
     ``X``: its upper positions are those of the entries, their transposes
     and the full diagonal, in the order of :func:`_pattern_table`, and
     ``X_ji`` is zero on the diagonal."""
-    keys = np.r_[_upper_keys(n, rows, cols), np.arange(n, dtype=np.int64) * (n + 1)]
-    keys, slot = np.unique(keys, return_inverse=True)
+    keys = np.concatenate([_upper_keys(n, rows, cols), np.arange(n, dtype=np.int64) * (n + 1)])
+    keys, slot = _sorted_slots(keys)
     return (keys % n, keys // n, *_carry(slot[: rows.size], rows, cols, vals, keys.size))
 
 
@@ -218,8 +244,8 @@ def _pattern_table(n: int, pattern_rows, pattern_cols, rows, cols, vals):
         If some diagonal position is missing.
     """
     size = pattern_rows.size
-    keys = np.r_[_upper_keys(n, pattern_rows, pattern_cols), _upper_keys(n, rows, cols)]
-    keys, slot = np.unique(keys, return_inverse=True)
+    keys = np.concatenate([_upper_keys(n, pattern_rows, pattern_cols), _upper_keys(n, rows, cols)])
+    keys, slot = _sorted_slots(keys)
     # a symmetric pattern holds each off-diagonal key twice, each diagonal one once
     multiplicity = np.bincount(slot[:size], minlength=keys.size)
     on_pattern = multiplicity > 0
@@ -258,13 +284,31 @@ class SparseStochasticMatrix:
     -----
     Canonical form means entries are stored row-major with sorted columns,
     without duplicates and without explicit zeros, so two equal matrices have
-    identical buffers.  Stored buffers are read-only.
+    identical buffers.  Stored buffers are read-only.  The constructor
+    copies ``matrix`` once, so the caller's arrays stay writable; the
+    pipeline stores ``R``, built on fresh arrays, without a copy
+    (:meth:`_adopt`).
     """
 
     __slots__ = ("_csr", "stochastic")
 
     def __init__(self, matrix, stochastic: bool = True):
-        csr = _canonical_csr(matrix)
+        self._store(_canonical_csr(matrix), stochastic)
+
+    @classmethod
+    def _adopt(cls, csr: sp.csr_matrix) -> "SparseStochasticMatrix":
+        """The stochastic matrix stored on the arrays of ``csr`` itself, with
+        every check of the constructor and no copy.  The arrays become
+        read-only, so ``csr`` must be canonical (else ``ValueError``) and
+        hold arrays made for it alone."""
+        if not _is_canonical(csr):
+            raise ValueError("only a canonical float CSR matrix is stored without a copy")
+        matrix = cls.__new__(cls)
+        matrix._store(csr, True)
+        return matrix
+
+    def _store(self, csr: sp.csr_matrix, stochastic: bool):
+        """Check the canonical ``csr`` and keep it, frozen."""
         if csr.shape[0] != csr.shape[1] or csr.shape[0] == 0:
             raise DimensionMismatch(f"matrix must be square and nonempty, got {csr.shape}")
         if csr.nnz and csr.data.min() < 0.0:
@@ -491,13 +535,15 @@ def detailed_balance_residual(P, pi: ProbabilityVector) -> float:
         csr = _canonical_csr(csr)
     # each flux pi_i X_ij meets its reciprocal pi_j X_ji (0 when absent) at
     # the same position of the transpose
-    flux = _CSRArrays(pi_values[_edge_rows(csr)] * csr.data, csr.indices, csr.indptr, csr.shape)
+    rows = _edge_rows(csr)
+    flux = _CSRArrays(pi_values[rows] * csr.data, csr.indices, csr.indptr, csr.shape)
     back = _transpose(flux)
     if np.array_equal(back.indptr, flux.indptr) and np.array_equal(back.indices, flux.indices):
         gap = _CSRArrays(flux.data - back.data, flux.indices, flux.indptr, flux.shape)
     else:  # some entry lacks its reciprocal: subtract over the union
         gap = _scipy(flux) - _scipy(back)
-    off = _edge_rows(gap) != gap.indices
+        rows = _edge_rows(gap)
+    off = rows != gap.indices
     return float(np.max(np.abs(gap.data[off]), initial=0.0))
 
 

@@ -312,8 +312,10 @@ def reference_newton_pcg(normal, diag: np.ndarray, rhs: np.ndarray, stop_loose):
     to zero) or misses ``_CG_TOLERANCE`` within ``min(_CG_MAX_ITERATIONS, 4 *
     rhs.size)`` iterations.  The first iterate that meets only
     ``_CG_FORCING`` goes to ``stop_loose``, and is returned with ``tight``
-    false if that returns true.
+    false if that returns true.  ``normal`` is a SciPy CSR matrix or the CSR
+    arrays of one, and its products run through ``@``.
     """
+    normal = sp.csr_matrix((normal.data, normal.indices, normal.indptr), shape=normal.shape)
     x = np.zeros_like(rhs)
     r = rhs.copy()
     residual = float(np.abs(r).max())

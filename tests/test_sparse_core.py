@@ -200,6 +200,34 @@ class TestSparseStochasticMatrix:
         Q = SparseStochasticMatrix.from_coo(5, coo.row[order], coo.col[order], coo.data[order])
         assert same_csr(P.csr, Q.csr)
 
+    def test_submatrix_takes_states_in_any_order(self, chain_factory):
+        # a permutation of every state is a relabelling, not the matrix itself
+        P = chain_factory(9, 4)
+        rng = np.random.default_rng(1)
+        dense = P.toarray()
+        perm = rng.permutation(P.n)
+        np.testing.assert_array_equal(P.submatrix(perm).toarray(), dense[perm][:, perm])
+        subset = rng.permutation(P.n)[:5]
+        block = P.submatrix(subset, stochastic=False)
+        np.testing.assert_array_equal(block.toarray(), dense[subset][:, subset])
+        assert not block.stochastic
+
+    def test_adopted_arrays_are_checked_and_kept(self, chain_factory):
+        # _adopt stores the arrays themselves, after the constructor's checks
+        P = chain_factory(6, 2)
+        csr = P.csr.copy()
+        R = SparseStochasticMatrix._adopt(csr)
+        assert R.csr is csr and same_csr(R.csr, P.csr)
+        assert not csr.data.flags.writeable and R.stochastic
+        bad_rows = P.csr.copy()
+        bad_rows.data[0] += 1e-9
+        zero = P.csr.copy()
+        zero.data[0] = 0.0
+        with pytest.raises(ValueError, match="row sums deviate"):
+            SparseStochasticMatrix._adopt(bad_rows)
+        with pytest.raises(ValueError, match="canonical"):
+            SparseStochasticMatrix._adopt(zero)
+
 
 @pytest.mark.parametrize(
     "call, error, message",
@@ -418,3 +446,18 @@ def test_flux_residuals_give_the_bits_of_dense_arithmetic(symmetric, index_dtype
         assert not unsorted.has_canonical_format
         assert detailed_balance_residual(unsorted, pi) == np.abs(flux - flux.T).max()
         assert stationarity_residual(unsorted, pi) == np.abs(pi @ unsorted - pi).max()
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 2_000])
+def test_sorted_slots_are_those_of_unique(size):
+    # keys with many repeats, as the pair tables' transposed entries give
+    keys = np.random.default_rng(size).integers(0, size // 3 + 1, size, dtype=np.int64)
+    want_keys, want_slot = np.unique(keys, return_inverse=True)
+    got_keys, got_slot = sparse_core._sorted_slots(keys)
+    for got, want in ((got_keys, want_keys), (got_slot, want_slot)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("maxval", [0, 1, 2**31 - 1, 2**31, 2**40])
+def test_index_dtype_is_scipys(maxval):
+    assert sparse_core._index_dtype(maxval) is sp.get_index_dtype(maxval=maxval)
