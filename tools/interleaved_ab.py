@@ -41,8 +41,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
 
+from results_identity import digest  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 #: Rounds per workload: about 15 s of calls on a 2-core machine.
@@ -68,22 +69,18 @@ def load_packages(base: str, directory: Path):
 
 
 def result_digest(R, diag) -> str:
-    """SHA-256 of ``R``'s CSR buffers (indices widened to int64), the
-    distance's bits and the residuals' bits."""
-    h = hashlib.sha256()
-    for buffer in (np.asarray(R.csr.indptr, np.int64), np.asarray(R.csr.indices, np.int64), R.csr.data):
-        h.update(buffer.tobytes())
-    h.update(json.dumps([diag.distance.hex(), [r.hex() for r in diag.residuals]]).encode())
-    return h.hexdigest()
+    """SHA-256 of ``results_identity.digest`` of ``R`` with the hex of the
+    distance and of the residuals."""
+    fields = [digest(R.csr), diag.distance.hex(), [r.hex() for r in diag.residuals]]
+    return hashlib.sha256(json.dumps(fields).encode()).hexdigest()
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(ROUNDS))
     parser.add_argument("--base", default="HEAD", help="git revision to compare with (default HEAD)")
-    parser.add_argument("--rounds", type=int, help="rounds over the bank (default per workload)")
     args = parser.parse_args(argv)
-    rounds = args.rounds or ROUNDS[args.workload]
+    rounds = ROUNDS[args.workload]
 
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     workload = WORKLOADS[args.workload]
